@@ -27,7 +27,8 @@ from . import __version__
 from .gf import GF, Field
 from . import linalg as la
 from .codes import (BudgetExceeded, LinearCode, punctured_tensor_rs, rs_code)
-from .decoder import DualTensorInstance, alpha_decode, random_codeword, random_error
+from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode, random_codeword,
+                      random_error)
 from .expansion import pe_exact
 from .qdecoder import (CssProductInstance, InconsistentInput, QdecParams,
                        SubsystemProductInstance, coset_min_weight, css_decode,
@@ -38,6 +39,9 @@ from .subsystem import (CssPair, check_matrices, logical_coset_equal,
 from . import transversal as tv
 
 EXIT_OK, EXIT_USAGE, EXIT_PROMISE, EXIT_INCONSISTENT = 0, 1, 2, 3
+# a trial runner's result: aggregate, trial rows, no in-promise failure,
+# seconds per trial
+Trials = tuple[dict, list[dict], bool, list[float]]
 
 
 def canonical_json(doc) -> str:
@@ -65,7 +69,9 @@ def write_csv(rows: list[dict], path: str) -> None:
     if not rows:
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        # rows differ in their keys (decode path, fallback reason): the header
+        # is every key in order of first appearance, missing cells left empty
+        writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(k for r in rows for k in r)))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -144,7 +150,7 @@ def _error_vector(F: Field, n_cells: int, weight: int, rng) -> np.ndarray:
     return e
 
 
-def _dual_tensor_trials(inst: DualTensorInstance, args) -> tuple[dict, list[dict], bool]:
+def _dual_tensor_trials(inst: DualTensorInstance, args) -> Trials:
     F = inst.field
     n = inst.n
     rows = []
@@ -171,8 +177,7 @@ def _dual_tensor_trials(inst: DualTensorInstance, args) -> tuple[dict, list[dict
             out_n += 1
         rows.append({"trial": trial, "weight": w, "residual": res.residual,
                      "fallback": res.fallback, "member": member,
-                     "in_promise": in_promise, "success": bool(ok),
-                     **{k: v for k, v in res.stages.items() if k != "reason"}})
+                     "in_promise": in_promise, "success": bool(ok), **res.stages})
     agg = {"trials": args.trials, "in_promise_success": in_ok,
            "in_promise_failure": in_fail, "out_of_promise": out_n,
            "promise_radius": promise_radius,
@@ -181,7 +186,7 @@ def _dual_tensor_trials(inst: DualTensorInstance, args) -> tuple[dict, list[dict
     return agg, rows, in_fail == 0, trial_seconds
 
 
-def _subsystem_trials(inst: SubsystemProductInstance, args) -> tuple[dict, list[dict], bool]:
+def _subsystem_trials(inst: SubsystemProductInstance, args) -> Trials:
     F = inst.field
     prod = inst.product
     N = prod.n
@@ -232,7 +237,7 @@ def _subsystem_trials(inst: SubsystemProductInstance, args) -> tuple[dict, list[
     return agg, rows, in_fail == 0, trial_seconds
 
 
-def _css_trials(inst: CssProductInstance, args) -> tuple[dict, list[dict], bool]:
+def _css_trials(inst: CssProductInstance, args) -> Trials:
     F = inst.field
     code = inst.code
     N = code.n
@@ -248,13 +253,14 @@ def _css_trials(inst: CssProductInstance, args) -> tuple[dict, list[dict], bool]
         ez = _error_vector(F, N, w, rng)
         ex = _error_vector(F, N, w, rng)
         t_trial = time.time()
+        reason = {}
         try:
             res = css_decode(inst, F.add(cx, ex), F.add(cz, ez))
             ok = (logical_coset_equal(code, "z", res.coset_z.representative, cz)
                   and logical_coset_equal(code, "x", res.coset_x.representative, cx))
             fb = res.fallback
-        except Exception:
-            ok, fb = False, True
+        except PromiseViolation as exc:
+            ok, fb, reason = False, True, {"reason": str(exc)}
         trial_seconds.append(time.time() - t_trial)
         in_promise = w <= promise_radius
         if in_promise:
@@ -263,11 +269,11 @@ def _css_trials(inst: CssProductInstance, args) -> tuple[dict, list[dict], bool]
         else:
             out_n += 1
         rows.append({"trial": trial, "weight": w, "success": bool(ok),
-                     "fallback": bool(fb), "in_promise": in_promise})
+                     "fallback": bool(fb), "in_promise": in_promise, **reason})
     agg = {"trials": args.trials, "in_promise_success": in_ok,
            "in_promise_failure": in_fail, "out_of_promise": out_n,
            "promise_radius": promise_radius}
-    return agg, rows, in_fail == 0
+    return agg, rows, in_fail == 0, trial_seconds
 
 
 def _load_instance(path: str) -> dict:

@@ -481,7 +481,8 @@ def alpha_decode(inst: DualTensorInstance, c: np.ndarray) -> AlphaResult:
         return AlphaResult(c.copy(), False, 0, {"path": "membership"})
     if inst.d0 < 1:
         return AlphaResult(np.zeros((n, n), dtype=np.int64), True,
-                           int(np.count_nonzero(c)), {"path": "membership"})
+                           int(np.count_nonzero(c)),
+                           {"path": "membership", "reason": "promise radius d0 < 1"})
     try:
         cp = dec_init(inst, c)
         s1 = int(np.count_nonzero(F.sub(cp, c)))

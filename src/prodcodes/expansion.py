@@ -10,7 +10,6 @@ as Fractions of counts, never floats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,8 @@ from . import linalg as la
 from .codes import BudgetExceeded, LinearCode
 
 DEFAULT_PE_BUDGET = 2_000_000
+# elements per candidate array of the lattice-minimization kernel
+_KERNEL_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -30,17 +31,12 @@ DEFAULT_PE_BUDGET = 2_000_000
 # ---------------------------------------------------------------------------
 
 
-def dir_weight(c: np.ndarray, i: int, lengths: tuple[int, ...]) -> int:
-    """Number of nonzero direction-i columns of the flat tensor c."""
-    arr = np.asarray(c).reshape(lengths)
-    has = np.any(arr != 0, axis=i)
-    return int(np.count_nonzero(has))
-
-
-def dir_weights_batch(cs: np.ndarray, i: int, lengths: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(cs).reshape((-1,) + lengths)
-    has = np.any(arr != 0, axis=i + 1)
-    return np.count_nonzero(has.reshape(arr.shape[0], -1), axis=1)
+def dir_weights(cs: np.ndarray, i: int, lengths: tuple[int, ...]) -> np.ndarray:
+    """Number of nonzero direction-i columns of each flat tensor on the last
+    axis of cs; the leading axes are batch axes."""
+    lead = np.shape(cs)[:-1]
+    has = np.any(np.reshape(cs, lead + tuple(lengths)) != 0, axis=len(lead) + i)
+    return np.count_nonzero(has.reshape(lead + (-1,)), axis=-1)
 
 
 def axis_space(F: Field, codes: list[LinearCode], constrained: dict[int, LinearCode]) -> np.ndarray:
@@ -81,7 +77,7 @@ class Decomposition:
 
     @property
     def column_weights(self) -> list[int]:
-        return [dir_weight(p, i, self.lengths) for i, p in enumerate(self.parts)]
+        return [int(dir_weights(p, i, self.lengths)) for i, p in enumerate(self.parts)]
 
     def cost(self) -> int:
         return sum(n * w for n, w in zip(self.lengths, self.column_weights))
@@ -96,18 +92,15 @@ class Decomposition:
 
 
 def base_decompositions(F: Field, codes: list[LinearCode],
-                        cwords: np.ndarray) -> list[list[np.ndarray]]:
-    """A particular decomposition for each row of cwords, found by solving
-    against the canonical generator matrix."""
+                        cwords: np.ndarray) -> list[np.ndarray]:
+    """A particular decomposition of each row of cwords, found by solving
+    against the canonical generator matrix: parts[i][r] lies in C^(i) and
+    the parts of row r sum to cwords[r]."""
     G, spans = canonical_generator(F, codes)
     X = la.solve_left(F, G, cwords)
     if X is None:
         raise ValueError("word outside the dual tensor code")
-    out = []
-    for r in range(cwords.shape[0]):
-        parts = [la.matmul(F, X[r, a:b][None, :], G[a:b])[0] for a, b in spans]
-        out.append(parts)
-    return out
+    return [la.matmul(F, X[:, a:b], G[a:b]) for a, b in spans]
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +125,54 @@ class PeResult:
                 "codewords_scanned": self.codewords_scanned}
 
 
-def _lattice_words(F: Field, codes: list[LinearCode]) -> list[tuple[tuple[int, int], np.ndarray]]:
-    """All elements of each C^(i,j) lattice, i < j: any two decompositions
-    of the same word differ exactly by such pairwise adjustments."""
+def _pair_bases(F: Field, codes: list[LinearCode]) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """Bases of the C^(i,j) lattices, i < j: any two decompositions of the
+    same word differ exactly by such pairwise adjustments."""
     t = len(codes)
-    out = []
-    for i in range(t):
-        for j in range(i + 1, t):
-            B = cij_basis(F, codes, i, j)
-            words = (np.concatenate([w for _, w in la.enumerate_span(F, B)], axis=0)
-                     if B.shape[0] else np.zeros((1, int(np.prod([c.n for c in codes]))),
-                                                 dtype=np.int64))
-            out.append(((i, j), words))
-    return out
+    return [((i, j), cij_basis(F, codes, i, j)) for i in range(t) for j in range(i + 1, t)]
 
 
-def _apply_lattice(F: Field, parts: list[np.ndarray],
-                   choice: dict[tuple[int, int], np.ndarray]) -> list[np.ndarray]:
-    t = len(parts)
-    new = [p.copy() for p in parts]
-    for (i, j), z in choice.items():
-        # c_i picks up +z, c_j picks up -z; the total is unchanged
-        new[i] = F.add(new[i], z)
-        new[j] = F.sub(new[j], z)
-    return new
+def _lattice_deltas(F: Field, lattice, t: int, combos: np.ndarray) -> np.ndarray:
+    """The (t, len(combos), N) adjustment each given lattice combination adds
+    to each part, combinations numbered in itertools.product order over the
+    C^(i,j) spans: c_i picks up +z and c_j picks up -z, so the total is
+    unchanged."""
+    sizes = [w.shape[0] for _, w in lattice]
+    deltas = np.zeros((t, combos.size, lattice[0][1].shape[1]), dtype=np.int64)
+    for ((i, j), w), idx in zip(lattice, np.unravel_index(combos, sizes)):
+        deltas[i] = F.add(deltas[i], w[idx])
+        deltas[j] = F.sub(deltas[j], w[idx])
+    return deltas
+
+
+def _cheapest_decompositions(F: Field, pair_bases, lengths: tuple[int, ...],
+                             parts: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Minimize the cost sum_i n_i |c_i|_i of each word's decomposition over
+    the C^(i,j) lattices; parts[i] holds the base parts (W, N) of W words.
+    Returns (costs, cheapest parts); ties go to the first combination in scan
+    order.  Blocks of (word, combination) pairs are scored at once, at most
+    _KERNEL_BLOCK candidate cells per block (one combination at least)."""
+    lattice = [(pair, np.concatenate([w for _, w in la.enumerate_span(F, B)], axis=0))
+               for pair, B in pair_bases]
+    t, (W, N) = len(parts), parts[0].shape
+    L = math.prod(w.shape[0] for _, w in lattice)
+    step_l = max(1, min(L, _KERNEL_BLOCK // N))
+    step_w = max(1, _KERNEL_BLOCK // (step_l * N))
+    best_cost = np.full(W, np.iinfo(np.int64).max)
+    best_l = np.zeros(W, dtype=np.int64)
+    for l0 in range(0, L, step_l):
+        deltas = _lattice_deltas(F, lattice, t, np.arange(l0, min(L, l0 + step_l)))
+        for w0 in range(0, W, step_w):
+            rows = slice(w0, w0 + step_w)
+            cost = sum(lengths[i] * dir_weights(F.add(parts[i][rows, None, :], deltas[i, None]),
+                                                i, lengths) for i in range(t))
+            arg = np.argmin(cost, axis=1)
+            low = cost[np.arange(arg.size), arg]
+            better = low < best_cost[rows]
+            best_cost[rows] = np.where(better, low, best_cost[rows])
+            best_l[rows] = np.where(better, l0 + arg, best_l[rows])
+    chosen = _lattice_deltas(F, lattice, t, best_l)
+    return best_cost, [F.add(parts[i], chosen[i]) for i in range(t)]
 
 
 def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResult:
@@ -168,12 +185,8 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
     lengths = tuple(c.n for c in codes)
     N = int(np.prod(lengths))
     dt_dim = N - int(np.prod([c.n - c.k for c in codes]))
-    if any(c.k == c.n for c in codes):
-        # a full-space factor admits zero-cost column covers only when the
-        # tuple is a single full code; the definition still applies
-        pass
-    lattices = _lattice_words(F, codes) if t > 1 else []
-    lattice_size = int(np.prod([w.shape[0] for _, w in lattices])) if lattices else 1
+    pair_bases = _pair_bases(F, codes)
+    lattice_size = math.prod(F.q ** B.shape[0] for _, B in pair_bases)
     n_codewords = F.q ** dt_dim
     if n_codewords * lattice_size > budget:
         raise BudgetExceeded(
@@ -189,36 +202,17 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
 
     dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
     assert dt_gen.shape[0] == dt_dim
-    best: Fraction | None = None
-    best_word = None
-    best_dec = None
+    best = (Fraction(0), None, None)
     scanned = 0
     for _, words in la.enumerate_span(F, dt_gen, chunk=512):
-        nz = np.any(words, axis=1)
-        words = words[nz]
+        words = words[np.any(words, axis=1)]
         if words.shape[0] == 0:
             continue
-        bases = base_decompositions(F, codes, words)
-        wts = np.count_nonzero(words, axis=1)
-        for r in range(words.shape[0]):
-            scanned += 1
-            min_cost = None
-            min_parts = None
-            for combo in itertools.product(*[range(w.shape[0]) for _, w in lattices]):
-                choice = {pair: w[idx] for ((pair, w), idx) in zip(lattices, combo)}
-                parts = _apply_lattice(F, bases[r], choice)
-                cost = sum(lengths[i] * dir_weight(parts[i], i, lengths) for i in range(t))
-                if min_cost is None or cost < min_cost:
-                    min_cost = cost
-                    min_parts = parts
-            ratio = Fraction(int(wts[r]), min_cost)
-            if best is None or ratio < best:
-                best = ratio
-                best_word = words[r].copy()
-                best_dec = Decomposition(min_parts, lengths)
-    if best is None:
-        return PeResult(Fraction(0), True, None, None, scanned)
-    return PeResult(best, True, best_word, best_dec, scanned)
+        costs, parts = _cheapest_decompositions(
+            F, pair_bases, lengths, base_decompositions(F, codes, words))
+        best = _first_min_ratio(best, words, costs, parts, lengths)
+        scanned += words.shape[0]
+    return PeResult(best[0], True, best[1], best[2], scanned)
 
 
 def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
@@ -237,16 +231,11 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
     N = int(np.prod(lengths))
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
 
-    gens = [ci_basis(F, codes, i) for i in range(t)]
-    dt_gen = la.row_space(F, np.concatenate(gens, axis=0))
+    dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
     if dt_gen.shape[0] == 0:
         return PeResult(Fraction(0), False, None, None, 0)
 
-    pair_bases = [((i, j), cij_basis(F, codes, i, j))
-                  for i in range(t) for j in range(i + 1, t)]
-    lattice_size = int(np.prod([F.q ** b.shape[0] for _, b in pair_bases])) if pair_bases else 1
-    exact_lattice = lattice_size <= lattice_budget
-    lattices = _lattice_words(F, codes) if exact_lattice and t > 1 else None
+    pair_bases = _pair_bases(F, codes)
 
     samples: list[np.ndarray] = []
     # cheap witnesses: a min-weight codeword of C_i on a single direction-i column
@@ -273,30 +262,34 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
             continue
         samples.append(la.matmul(F, coef[None, :], dt_gen)[0])
 
-    best: Fraction | None = None
-    best_word, best_dec = None, None
-    for word in samples:
-        if not word.any():
-            continue
-        parts = base_decompositions(F, codes, word[None, :])[0]
-        if lattices is not None:
-            min_cost, min_parts = None, None
-            for combo in itertools.product(*[range(w.shape[0]) for _, w in lattices]):
-                choice = {pair: w[idx] for ((pair, w), idx) in zip(lattices, combo)}
-                cand = _apply_lattice(F, parts, choice)
-                cost = sum(lengths[i] * dir_weight(cand[i], i, lengths) for i in range(t))
-                if min_cost is None or cost < min_cost:
-                    min_cost, min_parts = cost, cand
-        else:
-            min_parts = _descend_decomposition(F, parts, pair_bases, lengths, rng)
-            min_cost = sum(lengths[i] * dir_weight(min_parts[i], i, lengths)
-                           for i in range(t))
-        ratio = Fraction(int(np.count_nonzero(word)), min_cost)
-        if best is None or ratio < best:
-            best, best_word = ratio, word
-            best_dec = Decomposition(min_parts, lengths)
-    return PeResult(best if best is not None else Fraction(0), False,
-                    best_word, best_dec, len(samples))
+    words = np.array([w for w in samples if w.any()]).reshape(-1, N)
+    parts = base_decompositions(F, codes, words)
+    if t > 1 and math.prod(F.q ** B.shape[0] for _, B in pair_bases) <= lattice_budget:
+        costs, parts = _cheapest_decompositions(F, pair_bases, lengths, parts)
+    else:
+        parts = [np.array(col) for col in zip(*(
+            _descend_decomposition(F, [p[r] for p in parts], pair_bases, lengths, rng)
+            for r in range(words.shape[0])))]
+        costs = sum(lengths[i] * dir_weights(parts[i], i, lengths) for i in range(t))
+    ratio, word, dec = _first_min_ratio((Fraction(0), None, None), words, costs, parts, lengths)
+    return PeResult(ratio, False, word, dec, len(samples))
+
+
+def _first_min_ratio(best, words, costs, parts, lengths):
+    """Fold the block's first minimal ratio |word| / cost, in scan order, into
+    best = (ratio, word, Decomposition); a best without a word loses to any
+    ratio."""
+    wts = np.count_nonzero(words, axis=1)
+    r = int(np.argmin(wts / costs))
+    # the float argmin is a guess: step to strictly smaller ratios, exactly,
+    # then back to the first equal one
+    while (smaller := wts * costs[r] < wts[r] * costs).any():
+        r = int(np.argmax(smaller))
+    r = int(np.argmax(wts * costs[r] == wts[r] * costs))
+    ratio = Fraction(int(wts[r]), int(costs[r]))
+    if best[1] is None or ratio < best[0]:
+        best = (ratio, words[r].copy(), Decomposition([p[r] for p in parts], lengths))
+    return best
 
 
 def _descend_decomposition(F: Field, parts, pair_bases, lengths, rng,
@@ -305,7 +298,7 @@ def _descend_decomposition(F: Field, parts, pair_bases, lengths, rng,
     cur = [p.copy() for p in parts]
 
     def cost(ps):
-        return sum(lengths[i] * dir_weight(ps[i], i, lengths) for i in range(t))
+        return sum(lengths[i] * dir_weights(ps[i], i, lengths) for i in range(t))
 
     cur_cost = cost(cur)
     for _ in range(sweeps):
@@ -391,8 +384,7 @@ def decomposition_difference_witness(F: Field, codes: list[LinearCode],
     decompositions of the same word; returns {(i,j): vector} or None."""
     t = len(codes)
     N = int(np.prod([c.n for c in codes]))
-    pair_bases = [((i, j), cij_basis(F, codes, i, j))
-                  for i in range(t) for j in range(i + 1, t)]
+    pair_bases = _pair_bases(F, codes)
     cols = []
     for (i, j), B in pair_bases:
         block = np.zeros((B.shape[0], t * N), dtype=np.int64)

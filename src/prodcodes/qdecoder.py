@@ -274,7 +274,10 @@ def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray
                ) -> QuantumDecodeResult:
     """Delta-decoder for the homological-product CSS code: pipeline output is
     projected to the unique logical coset of Q_Z/Q_X^perp inside the cleanup
-    coset modulo (Q^1_X (x) Q^2_X)^perp."""
+    coset modulo (Q^1_X (x) Q^2_X)^perp.
+
+    Raises PromiseViolation when a stripe decode or the coset projection
+    fails, i.e. the input was outside the decoding promise."""
     F = inst.field
     code = inst.code
     f1, f2 = inst.factors

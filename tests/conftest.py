@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from prodcodes.gf import GF
 
@@ -27,3 +28,8 @@ def gf16():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0xC0DE)
+
+
+# property tests draw the same examples on every run
+settings.register_profile("prodcodes", derandomize=True, deadline=None, database=None)
+settings.load_profile("prodcodes")

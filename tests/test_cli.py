@@ -173,3 +173,74 @@ def test_build_punctured_tensor(tmp_path):
                  "--seed", "9", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["results"]["is_mds"]
+
+
+CSS_BUILD = ["build-code", "--kind", "css-product", "--q", "8", "--n", "8", "--k", "6",
+             "--k2", "4", "--eps", "1/8", "--gamma", "20", "--seed", "1"]
+
+
+def _css_trials(tmp_path, out_name="css-rep.json"):
+    inst = tmp_path / "css.json"
+    if not inst.exists():
+        assert main(CSS_BUILD + ["--out", str(inst)]) == 0
+    out = tmp_path / out_name
+    rc = main(["decode-trials", "--instance", str(inst), "--noise-weight", "0",
+               "--trials", "2", "--seed", "1", "--out", str(out)])
+    return rc, out
+
+
+def test_css_product_decode_trials(tmp_path):
+    rc, out = _css_trials(tmp_path)
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    agg = doc["results"]["aggregate"]
+    assert agg["in_promise_success"] == 2 and agg["in_promise_failure"] == 0
+    assert all("reason" not in row for row in doc["results"]["trial_table"])
+
+
+def test_css_trials_record_only_decode_failures(tmp_path, monkeypatch):
+    from prodcodes import cli
+    from prodcodes.decoder import PromiseViolation
+
+    def violated(*args):
+        raise PromiseViolation("stripe decode failed")
+
+    monkeypatch.setattr(cli, "css_decode", violated)
+    rc, out = _css_trials(tmp_path)
+    assert rc == 2  # in-promise decoding failure
+    rows = json.loads(out.read_text())["results"]["trial_table"]
+    assert [r["reason"] for r in rows] == ["stripe decode failed"] * 2
+    assert all(r["fallback"] and not r["success"] for r in rows)
+
+    def broken(*args):
+        raise TypeError("a bug, not a decode failure")
+
+    monkeypatch.setattr(cli, "css_decode", broken)
+    with pytest.raises(TypeError):
+        _css_trials(tmp_path, "broken.json")
+    assert not (tmp_path / "broken.json").exists()
+
+
+def test_dual_tensor_trials_keep_fallback_reason(tmp_path):
+    # gamma = 2 makes the promise radius 1, so 200 errors push the pipeline
+    # out of its promise and into the fallback
+    inst = tmp_path / "dt.json"
+    assert main(["build-code", "--kind", "dual-tensor", "--q", "32", "--n", "32",
+                 "--k", "4", "--k2", "8", "--eps", "1/2", "--rho", "1/8",
+                 "--gamma", "2", "--seed", "1", "--out", str(inst)]) == 0
+    out, csvp = tmp_path / "rep.json", tmp_path / "rows.csv"
+    assert main(["decode-trials", "--instance", str(inst), "--noise-weight", "200",
+                 "--trials", "2", "--seed", "1", "--out", str(out),
+                 "--csv", str(csvp)]) == 0
+    rows = json.loads(out.read_text())["results"]["trial_table"]
+    assert all(r["fallback"] and r["reason"] for r in rows)
+    assert "reason" in csvp.read_text().splitlines()[0].split(",")
+
+
+def test_trials_csv_header_covers_every_row(tmp_path):
+    from prodcodes.cli import write_csv
+    path = tmp_path / "rows.csv"
+    write_csv([{"trial": 0, "path": "membership"},
+               {"trial": 1, "path": "fallback", "reason": "no locator"}], str(path))
+    assert path.read_text().splitlines() == ["trial,path,reason", "0,membership,",
+                                             "1,fallback,no locator"]

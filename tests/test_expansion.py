@@ -1,18 +1,21 @@
 """Product-expansion oracles: exact values, Monte-Carlo agreement,
 invariance properties, closures, and the canonical-generator rank test."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
-from prodcodes import linalg as la
+from prodcodes import expansion, linalg as la
 from prodcodes.codes import BudgetExceeded, LinearCode, full_code, rs_code
-from prodcodes.expansion import (Decomposition, base_decompositions,
-                                 canonical_generator, cij_basis,
-                                 decomposition_difference_witness, dir_weight,
-                                 epsilon_closure, closure_size_bound,
+from prodcodes.expansion import (Decomposition, PeResult, _descend_decomposition,
+                                 base_decompositions, canonical_generator, ci_basis,
+                                 cij_basis, decomposition_difference_witness,
+                                 dir_weights, epsilon_closure, closure_size_bound,
                                  inner_generated_test, pe_exact, pe_monte_carlo)
 from prodcodes.codes import punctured_tensor_rs
 
@@ -23,8 +26,11 @@ def test_dir_weight_matches_definition():
     c[2, 2] = 1
     c[0, 0] = 3
     # direction-0 columns indexed by the second coordinate
-    assert dir_weight(c.ravel(), 0, (3, 4)) == 2
-    assert dir_weight(c.ravel(), 1, (3, 4)) == 3
+    assert dir_weights(c.ravel(), 0, (3, 4)) == 2
+    assert dir_weights(c.ravel(), 1, (3, 4)) == 3
+    # leading axes are batch axes
+    batch = np.stack([c.ravel(), np.zeros(12, dtype=np.int64)])
+    assert dir_weights(batch[None], 1, (3, 4)).tolist() == [[3, 0]]
 
 
 def test_pe_t1_equals_relative_distance():
@@ -231,7 +237,8 @@ def test_base_decomposition_reconstructs(gf4, rng):
     DT = dual_tensor(codes[0], codes[1])
     words = np.stack([DT.codeword(gf4.random(rng, DT.k)) for _ in range(10)])
     decs = base_decompositions(gf4, codes, words)
-    for w, parts in zip(words, decs):
+    for r, w in enumerate(words):
+        parts = [p[r] for p in decs]
         total = parts[0]
         for p in parts[1:]:
             total = gf4.add(total, p)
@@ -252,7 +259,7 @@ def test_decomposition_difference_witness_seeded(gf4, rng):
     B = cij_basis(gf4, codes, 0, 1)
     for _ in range(100):
         w = DT.codeword(gf4.random(rng, DT.k))
-        pa = base_decompositions(gf4, codes, w[None, :])[0]
+        pa = [p[0] for p in base_decompositions(gf4, codes, w[None, :])]
         z = la.matmul(gf4, gf4.random(rng, B.shape[0])[None, :], B)[0]
         pb = [gf4.add(pa[0], z), gf4.sub(pa[1], z)]
         wit = decomposition_difference_witness(gf4, codes, pa, pb)
@@ -277,3 +284,177 @@ def test_pe_witness_json_roundtrip():
     doc = res.to_json()
     assert doc["rho"] == [1, 2]
     assert len(doc["witness"]["parts"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched lattice minimization against the per-word reference loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_dir_weight(c, i, lengths):
+    return int(np.count_nonzero(np.any(np.asarray(c).reshape(lengths) != 0, axis=i)))
+
+
+def _reference_lattices(F, codes):
+    """Every element of each C^(i,j) lattice, i < j."""
+    t = len(codes)
+    N = int(np.prod([c.n for c in codes]))
+    out = []
+    for i in range(t):
+        for j in range(i + 1, t):
+            B = cij_basis(F, codes, i, j)
+            words = (np.concatenate([w for _, w in la.enumerate_span(F, B)], axis=0)
+                     if B.shape[0] else np.zeros((1, N), dtype=np.int64))
+            out.append(((i, j), words))
+    return out
+
+
+def _reference_base_parts(F, codes, word):
+    G, spans = canonical_generator(F, codes)
+    x = la.solve_left(F, G, word[None, :])[0]
+    return [la.matmul(F, x[a:b][None, :], G[a:b])[0] for a, b in spans]
+
+
+def _reference_min_decomposition(F, lattices, lengths, parts):
+    """Scan every lattice combination of one word, first minimum wins."""
+    min_cost, min_parts = None, None
+    for combo in itertools.product(*[range(w.shape[0]) for _, w in lattices]):
+        cand = [p.copy() for p in parts]
+        for ((i, j), w), idx in zip(lattices, combo):
+            cand[i] = F.add(cand[i], w[idx])
+            cand[j] = F.sub(cand[j], w[idx])
+        cost = sum(lengths[i] * _reference_dir_weight(cand[i], i, lengths)
+                   for i in range(len(parts)))
+        if min_cost is None or cost < min_cost:
+            min_cost, min_parts = cost, cand
+    return min_cost, min_parts
+
+
+def _reference_pe_exact(codes, budget):
+    F = codes[0].field
+    t = len(codes)
+    lengths = tuple(c.n for c in codes)
+    N = int(np.prod(lengths))
+    dt_dim = N - int(np.prod([c.n - c.k for c in codes]))
+    lattices = _reference_lattices(F, codes)
+    lattice_size = int(np.prod([w.shape[0] for _, w in lattices])) if lattices else 1
+    n_codewords = F.q ** dt_dim
+    if n_codewords * lattice_size > budget:
+        raise BudgetExceeded(
+            f"pe_exact needs {n_codewords} codewords x {lattice_size} decompositions "
+            f"> budget {budget}")
+    dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
+    best, best_word, best_dec, scanned = None, None, None, 0
+    for _, words in la.enumerate_span(F, dt_gen, chunk=512):
+        for word in words[np.any(words, axis=1)]:
+            scanned += 1
+            cost, parts = _reference_min_decomposition(
+                F, lattices, lengths, _reference_base_parts(F, codes, word))
+            ratio = Fraction(int(np.count_nonzero(word)), cost)
+            if best is None or ratio < best:
+                best, best_word, best_dec = ratio, word.copy(), Decomposition(parts, lengths)
+    if best is None:
+        return PeResult(Fraction(0), True, None, None, scanned)
+    return PeResult(best, True, best_word, best_dec, scanned)
+
+
+def _reference_pe_monte_carlo(codes, trials, seed, lattice_budget):
+    F = codes[0].field
+    t = len(codes)
+    lengths = tuple(c.n for c in codes)
+    N = int(np.prod(lengths))
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
+    if dt_gen.shape[0] == 0:
+        return PeResult(Fraction(0), False, None, None, 0)
+    pair_bases = [((i, j), cij_basis(F, codes, i, j))
+                  for i in range(t) for j in range(i + 1, t)]
+    lattice_size = math.prod(F.q ** b.shape[0] for _, b in pair_bases)
+    lattices = (_reference_lattices(F, codes)
+                if lattice_size <= lattice_budget and t > 1 else None)
+    samples = []
+    for i, C in enumerate(codes):
+        if C.k == 0:
+            continue
+        w, word = N + 1, None
+        for _, chunk in la.enumerate_span(F, C.gen):
+            ws = np.count_nonzero(chunk, axis=1)
+            pos = np.nonzero(ws > 0)[0]
+            if pos.size and ws[pos].min() < w:
+                w = int(ws[pos].min())
+                word = chunk[pos[np.argmin(ws[pos])]]
+        if word is None:
+            continue
+        emb = np.zeros(lengths, dtype=np.int64)
+        sl = [0] * t
+        sl[i] = slice(None)
+        emb[tuple(sl)] = word
+        samples.append(emb.ravel())
+    for _ in range(trials):
+        coef = F.random(rng, dt_gen.shape[0])
+        if coef.any():
+            samples.append(la.matmul(F, coef[None, :], dt_gen)[0])
+    best, best_word, best_dec = None, None, None
+    for word in samples:
+        if not word.any():
+            continue
+        parts = _reference_base_parts(F, codes, word)
+        if lattices is not None:
+            cost, parts = _reference_min_decomposition(F, lattices, lengths, parts)
+        else:
+            parts = _descend_decomposition(F, parts, pair_bases, lengths, rng)
+            cost = sum(lengths[i] * _reference_dir_weight(parts[i], i, lengths)
+                       for i in range(t))
+        ratio = Fraction(int(np.count_nonzero(word)), cost)
+        if best is None or ratio < best:
+            best, best_word, best_dec = ratio, word, Decomposition(parts, lengths)
+    return PeResult(best if best is not None else Fraction(0), False,
+                    best_word, best_dec, len(samples))
+
+
+@st.composite
+def small_code_tuples(draw):
+    """t in {2, 3} random codes over GF(2), GF(3) or GF(4), possibly rank
+    deficient or zero-dimensional, short enough for the reference loops."""
+    F = GF(draw(st.sampled_from([2, 3, 4])))
+    t = draw(st.sampled_from([2, 3]))
+    codes = []
+    for _ in range(t):
+        n = draw(st.integers(1, 3 if t == 2 else 2))
+        rows = draw(st.integers(0, n))
+        gen = draw(st.lists(st.integers(0, F.q - 1), min_size=rows * n, max_size=rows * n))
+        codes.append(LinearCode(F, n, np.array(gen, dtype=np.int64).reshape(rows, n)))
+    return codes
+
+
+def _json_or_refusal(fn):
+    try:
+        return fn().to_json()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@given(small_code_tuples())
+def test_pe_exact_matches_reference_loop(codes):
+    budget = 20_000
+    assert _json_or_refusal(lambda: pe_exact(codes, budget)) == \
+        _json_or_refusal(lambda: _reference_pe_exact(codes, budget))
+
+
+@given(small_code_tuples(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 4096]))
+def test_pe_monte_carlo_matches_reference_loop(codes, seed, lattice_budget):
+    # lattice_budget 1 takes the coordinate-descent branch for t > 1
+    got = pe_monte_carlo(codes, trials=8, seed=seed, lattice_budget=lattice_budget)
+    want = _reference_pe_monte_carlo(codes, 8, seed, lattice_budget)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("block", [1, 50, 250])
+def test_pe_exact_block_split_keeps_the_witness(monkeypatch, block):
+    # 9 lattice combinations of 9 cells: blocks of one pair, of five
+    # combinations, and of three words with the whole lattice
+    F = GF(3)
+    codes = [rs_code(F, 3, 2), rs_code(F, 3, 1)]
+    want = pe_exact(codes, budget=1_000_000).to_json()
+    monkeypatch.setattr(expansion, "_KERNEL_BLOCK", block)
+    assert pe_exact(codes, budget=1_000_000).to_json() == want
