@@ -6,14 +6,13 @@ verification of transversal multi-controlled-Z gates."""
 __version__ = "0.1.0"
 
 from .gf import GF, Field, FieldElement
-from .linalg import Matrix
 from .poly import Poly
 from .codes import LinearCode, ReedSolomon, EvalCode, TensorIndex
 from .subsystem import CssPair
 from .complexes import SingleSectorComplex
 
 __all__ = [
-    "GF", "Field", "FieldElement", "Matrix", "Poly", "LinearCode",
+    "GF", "Field", "FieldElement", "Poly", "LinearCode",
     "ReedSolomon", "EvalCode", "TensorIndex", "CssPair", "SingleSectorComplex",
     "__version__",
 ]

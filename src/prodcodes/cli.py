@@ -318,6 +318,17 @@ def cmd_decode_trials(args) -> int:
     return EXIT_OK if clean else EXIT_PROMISE
 
 
+def _payload_vector(F: Field, payload, key: str | None, size: int) -> np.ndarray:
+    """The word (key None) or the keyed entry of a decode-one payload, which
+    must be a flat list of size integers in [0, q)."""
+    if key is not None:
+        payload = payload.get(key) if isinstance(payload, dict) else None
+    if not (isinstance(payload, list) and len(payload) == size
+            and all(type(x) is int and 0 <= x < F.q for x in payload)):
+        raise ValueError(f"{key or 'word'} must be a flat list of {size} integers in [0, {F.q})")
+    return np.array(payload, dtype=np.int64)
+
+
 def cmd_decode_one(args) -> int:
     """Decode a single word (or syndrome pair) and emit a DecodeReport."""
     doc = _load_instance(args.instance)
@@ -329,8 +340,7 @@ def cmd_decode_one(args) -> int:
         if args.syndrome:
             raise ValueError("dual-tensor instances decode words, not syndromes")
         inst = DualTensorInstance.from_json(doc)
-        word = np.array(payload, dtype=np.int64)
-        res = alpha_decode(inst, word)
+        res = alpha_decode(inst, _payload_vector(inst.field, payload, None, inst.n ** 2))
         results = {"residual": res.residual, "fallback": res.fallback,
                    "stage_bounds": {
                        "stage1": [inst.stage1_bound.numerator, inst.stage1_bound.denominator],
@@ -341,15 +351,14 @@ def cmd_decode_one(args) -> int:
         ok = not res.fallback
     elif kind == "subsystem-product":
         inst = SubsystemProductInstance.from_json(doc)
+        F = inst.field
         if args.syndrome:
             cm = check_matrices(inst.product, "tensor")
-            s_x = np.array(payload["s_x"], dtype=np.int64)
-            s_z = np.array(payload["s_z"], dtype=np.int64)
-            res = syndrome_decode(inst, cm, s_x, s_z)
+            res = syndrome_decode(inst, cm, _payload_vector(F, payload, "s_x", cm.hx.shape[0]),
+                                  _payload_vector(F, payload, "s_z", cm.hz.shape[0]))
         else:
-            res = subsystem_decode(inst,
-                                   np.array(payload["c_x"], dtype=np.int64),
-                                   np.array(payload["c_z"], dtype=np.int64))
+            res = subsystem_decode(inst, _payload_vector(F, payload, "c_x", inst.n ** 2),
+                                   _payload_vector(F, payload, "c_z", inst.n ** 2))
         results = {"fallback": res.fallback,
                    "coset_x": [int(x) for x in res.coset_x.representative],
                    "coset_z": [int(x) for x in res.coset_z.representative]}

@@ -201,27 +201,32 @@ class DualTensorInstance:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_parity(F: Field, H: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    return F.mul(H, powers[None, :])
-
-
-def _dual_support_basis(inst: DualTensorInstance, T: np.ndarray) -> np.ndarray:
-    """Basis (as flattened Z with w = H1'^T Z H2') of the vectors of
-    C1'^perp (x) C2'^perp supported inside the cell set T."""
+def _locator_matrix(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
+    """K: the (m1*m2) x (s+1)^2 matrix whose column (a, b) flattens the
+    syndrome H1'(x1^a x2^b c)H2'^T, so K u is the syndrome of e*c for the
+    locator e with coefficients u."""
     F = inst.field
     H1p = inst.C1p.parity_check()
     H2p = inst.C2p.parity_check()
-    m1, m2 = H1p.shape[0], H2p.shape[0]
+    V1s = vandermonde(F, inst.E1, inst.s + 1)
+    V2s = vandermonde(F, inst.E2, inst.s + 1)
+    cols = []
+    for a in range(inst.s + 1):
+        Ca = la.matmul(F, F.mul(H1p, V1s[None, :, a]), c)
+        for b in range(inst.s + 1):
+            cols.append(la.matmul(F, Ca, F.mul(H2p, V2s[None, :, b]).T).ravel())
+    return np.stack(cols, axis=1)
+
+
+def _off_cell_columns(inst: DualTensorInstance, T: np.ndarray) -> np.ndarray:
+    """A_off: the (m1*m2) x |off T| matrix whose column for the cell (x1, x2)
+    outside T (row-major order) flattens H1'[:, x1] (x) H2'[:, x2]."""
+    F = inst.field
+    H1p = inst.C1p.parity_check()
+    H2p = inst.C2p.parity_check()
     off = np.argwhere(~T)
-    if off.shape[0] == 0:
-        return la.identity(m1 * m2)
-    rows = []
-    for start in range(0, off.shape[0], 4096):
-        blk = off[start:start + 4096]
-        R = H1p[:, blk[:, 0]].T  # (cells, m1)
-        S = H2p[:, blk[:, 1]].T  # (cells, m2)
-        rows.append(F.mul(R[:, :, None], S[:, None, :]).reshape(blk.shape[0], m1 * m2))
-    return la.right_kernel(F, np.concatenate(rows, axis=0))
+    cols = F.mul(H1p[:, None, off[:, 0]], H2p[None, :, off[:, 1]])
+    return cols.reshape(H1p.shape[0] * H2p.shape[0], off.shape[0])
 
 
 def _e_coeff_basis(inst: DualTensorInstance, K: np.ndarray,
@@ -229,15 +234,16 @@ def _e_coeff_basis(inst: DualTensorInstance, K: np.ndarray,
     """Basis of all e in F[X]^{[0,s]^2} with (e*c) restricted to the cell set
     T lying inside the restriction of C1' [+] C2'.
 
-    K is the (m1*m2) x (s+1)^2 matrix whose column (a, b) flattens
-    H1'(x1^a x2^b c)H2'^T; the constraint row induced by a support-confined
-    dual vector w = H1'^T Z H2' is then vec(Z) K.
+    With K from _locator_matrix the condition reads K u in colspan(A_off):
+    the syndrome of e*c must be the syndrome of some word supported off T.  The
+    projection of the kernel of [K | A_off] onto its first (s+1)^2
+    coordinates spans exactly these u; right_kernel applied twice turns that
+    spanning set into the canonical free-column basis of the subspace.
     """
     F = inst.field
-    Zker = _dual_support_basis(inst, T)
-    if Zker.shape[0] == 0:
-        return la.identity((inst.s + 1) ** 2)
-    return la.right_kernel(F, la.matmul(F, Zker, K))
+    M = np.concatenate([K, _off_cell_columns(inst, T)], axis=1)
+    proj = la.right_kernel(F, M)[:, : K.shape[1]]
+    return la.right_kernel(F, la.right_kernel(F, proj))
 
 
 def _row_polys(inst: DualTensorInstance, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +271,14 @@ def _gcd_over(F: Field, coeff_rows: list[np.ndarray]) -> np.ndarray:
 
 
 def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
-    """Stage 1: returns c' in C1' [+] C2' close to c (error-locator stage)."""
+    """Stage 1: returns c' in C1' [+] C2' close to c (error-locator stage).
+
+    Every linear solve of the stage is small: the locator e0 spans the first
+    kernel row of K (e0*c in C1' [+] C2'), and the locators admissible on a
+    cell set T come from the kernel of [K | A_off], with (s+1)^2 + |off T|
+    unknowns, canonicalized to a free-column basis (_e_coeff_basis).  The
+    erasure fill solves A_off v = -syndrome for the values off the final T.
+    """
     F = inst.field
     n, s = inst.n, inst.s
     c = np.asarray(c, dtype=np.int64).reshape(n, n)
@@ -276,13 +289,7 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
 
     # nonzero e0 with (e0 * c) in C1' [+] C2': kernel of a linear system in
     # the (s+1)^2 coefficients
-    cols = []
-    for a in range(s + 1):
-        Ca = la.matmul(F, _scaled_parity(F, H1p, V1s[:, a]), c)
-        for b in range(s + 1):
-            M = la.matmul(F, Ca, _scaled_parity(F, H2p, V2s[:, b]).T)
-            cols.append(M.ravel())
-    K = np.stack(cols, axis=1)
+    K = _locator_matrix(inst, c)
     ker = la.right_kernel(F, K)
     if ker.shape[0] == 0:
         raise PromiseViolation("no nonzero error locator e0 exists")
@@ -351,14 +358,7 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     cp = np.where(T, c, 0).astype(np.int64)
     off = np.argwhere(~T)
     if off.shape[0]:
-        m1, m2 = H1p.shape[0], H2p.shape[0]
-        cols = []
-        for start in range(0, off.shape[0], 4096):
-            blk = off[start:start + 4096]
-            R = H1p[:, blk[:, 0]].T
-            S = H2p[:, blk[:, 1]].T
-            cols.append(F.mul(R[:, :, None], S[:, None, :]).reshape(blk.shape[0], m1 * m2))
-        A = np.concatenate(cols, axis=0).T  # (m1*m2) x cells
+        A = _off_cell_columns(inst, T)
         rhs = F.neg(la.matmul(F, la.matmul(F, H1p, cp), H2p.T).ravel())
         sol = la.solve_right(F, A, rhs)
         if sol is None:

@@ -91,16 +91,21 @@ class Decomposition:
                 "column_weights": self.column_weights}
 
 
-def base_decompositions(F: Field, codes: list[LinearCode],
-                        cwords: np.ndarray) -> list[np.ndarray]:
-    """A particular decomposition of each row of cwords, found by solving
-    against the canonical generator matrix: parts[i][r] lies in C^(i) and
-    the parts of row r sum to cwords[r]."""
+def decomposer(F: Field, codes: list[LinearCode]):
+    """The function mapping a block of words cwords to a particular
+    decomposition of each row, found by solving against the canonical
+    generator matrix (row-reduced once, for every block): parts[i][r] lies in
+    C^(i) and the parts of row r sum to cwords[r]."""
     G, spans = canonical_generator(F, codes)
-    X = la.solve_left(F, G, cwords)
-    if X is None:
-        raise ValueError("word outside the dual tensor code")
-    return [la.matmul(F, X[:, a:b], G[a:b]) for a, b in spans]
+    solve = la.left_solver(F, G)
+
+    def decompose(cwords: np.ndarray) -> list[np.ndarray]:
+        X = solve(cwords)
+        if X is None:
+            raise ValueError("word outside the dual tensor code")
+        return [la.matmul(F, X[:, a:b], G[a:b]) for a, b in spans]
+
+    return decompose
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +209,13 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
     assert dt_gen.shape[0] == dt_dim
     best = (Fraction(0), None, None)
     scanned = 0
+    decompose = decomposer(F, codes)
     for _, words in la.enumerate_span(F, dt_gen, chunk=512):
         words = words[np.any(words, axis=1)]
         if words.shape[0] == 0:
             continue
         costs, parts = _cheapest_decompositions(
-            F, pair_bases, lengths, base_decompositions(F, codes, words))
+            F, pair_bases, lengths, decompose(words))
         best = _first_min_ratio(best, words, costs, parts, lengths)
         scanned += words.shape[0]
     return PeResult(best[0], True, best[1], best[2], scanned)
@@ -263,7 +269,7 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
         samples.append(la.matmul(F, coef[None, :], dt_gen)[0])
 
     words = np.array([w for w in samples if w.any()]).reshape(-1, N)
-    parts = base_decompositions(F, codes, words)
+    parts = decomposer(F, codes)(words)
     if t > 1 and math.prod(F.q ** B.shape[0] for _, B in pair_bases) <= lattice_budget:
         costs, parts = _cheapest_decompositions(F, pair_bases, lengths, parts)
     else:

@@ -92,14 +92,13 @@ def row_space(F: Field, M: np.ndarray) -> np.ndarray:
 def right_kernel(F: Field, M: np.ndarray) -> np.ndarray:
     """Basis (as rows) of {x : M x = 0}."""
     M = np.atleast_2d(np.asarray(M, dtype=np.int64))
-    m, n = M.shape
+    n = M.shape[1]
     R, piv = rref(F, M)
-    free = [c for c in range(n) if c not in set(piv)]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(piv):
-            basis[i, pc] = F.neg(R[r, fc])
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    basis = np.zeros((int(free.sum()), n), dtype=np.int64)
+    basis[np.arange(basis.shape[0]), free] = 1
+    basis[:, piv] = F.neg(R[: len(piv), free].T)
     return basis
 
 
@@ -142,6 +141,30 @@ def solve_left(F: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         return x
     x = solve_right(F, A.T, b.T)
     return None if x is None else x.T
+
+
+def left_solver(F: Field, A: np.ndarray):
+    """solve_left for many right-hand sides against one A, row-reducing A
+    once: the returned function maps rows b (2-D) to the same solution rows
+    x with x A = b that solve_left gives, or None if some row is outside the
+    row space of A.  rref([A^T | I]) stores the transform P with P A^T in
+    rref; P b^T then holds the pivot coordinates and, below the rank, zeros
+    exactly when the system is consistent."""
+    At = np.atleast_2d(np.asarray(A, dtype=np.int64)).T
+    m, n = At.shape
+    R, piv = rref(F, np.concatenate([At, identity(m)], axis=1))
+    pivots = [c for c in piv if c < n]
+    P = R[:, n:]
+
+    def solve(b: np.ndarray) -> np.ndarray | None:
+        Y = matmul(F, P, np.atleast_2d(np.asarray(b, dtype=np.int64)).T)
+        if Y[len(pivots):].any():
+            return None
+        X = np.zeros((n, Y.shape[1]), dtype=np.int64)
+        X[pivots] = Y[: len(pivots)]
+        return X.T
+
+    return solve
 
 
 def in_row_space(F: Field, M: np.ndarray, v: np.ndarray) -> bool:
@@ -201,53 +224,3 @@ def enumerate_span(F: Field, basis: np.ndarray, chunk: int = 1 << 14):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         coefs = (idx[:, None] // radix[None, :]) % F.q
         yield coefs, matmul(F, coefs, basis)
-
-
-class Matrix:
-    """Thin immutable wrapper pairing a Field with a dense code array."""
-
-    __slots__ = ("field", "array")
-
-    def __init__(self, field: Field, array) -> None:
-        arr = np.atleast_2d(np.asarray(array, dtype=np.int64))
-        if np.any(arr < 0) or np.any(arr >= field.q):
-            raise ValueError("entries out of range for field")
-        arr.setflags(write=False)
-        self.field = field
-        self.array = arr
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    @property
-    def entries(self) -> list[int]:
-        return [int(x) for x in self.array.ravel()]
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-        return Matrix(self.field, matmul(self.field, self.array, other.array))
-
-    def rank(self) -> int:
-        return rank(self.field, self.array)
-
-    def kernel(self) -> "Matrix":
-        return Matrix(self.field, right_kernel(self.field, self.array))
-
-    def solve(self, b) -> np.ndarray | None:
-        return solve_right(self.field, self.array, b)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.array.T)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
-                and np.array_equal(self.array, other.array))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.field}, {self.rows}x{self.cols})"

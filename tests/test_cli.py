@@ -244,3 +244,51 @@ def test_trials_csv_header_covers_every_row(tmp_path):
                {"trial": 1, "path": "fallback", "reason": "no locator"}], str(path))
     assert path.read_text().splitlines() == ["trial,path,reason", "0,membership,",
                                              "1,fallback,no locator"]
+
+
+def test_decode_one_rejects_malformed_words(tmp_path, capsys):
+    inst = tmp_path / "dt.json"
+    main(["build-code", "--kind", "dual-tensor", "--q", "16", "--n", "16",
+          "--k", "2", "--k2", "4", "--seed", "5", "--out", str(inst)])
+    good = [0] * 256
+    wf = tmp_path / "w.json"
+    for word in ([-1] + good[1:], [16] + good[1:], good[1:], good + [0],
+                 [0.5] + good[1:], [True] + good[1:], ["1"] + good[1:],
+                 [good[:16]] * 16, {"c_x": good}):
+        wf.write_text(json.dumps(word))
+        assert main(["decode-one", "--instance", str(inst), "--word", str(wf),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert "word must be a flat list of 256 integers in [0, 16)" in capsys.readouterr().err
+    wf.write_text(json.dumps([15] + good[1:]))
+    assert main(["decode-one", "--instance", str(inst), "--word", str(wf),
+                 "--out", str(tmp_path / "r.json")]) in (0, 2)
+
+
+def test_decode_one_rejects_malformed_quantum_payloads(tmp_path, capsys):
+    inst = tmp_path / "sp.json"
+    main(["build-code", "--kind", "subsystem-product", "--q", "16", "--n", "16",
+          "--kx", "12", "--kz", "12", "--kx2", "8", "--kz2", "9",
+          "--eps", "3/16", "--seed", "1", "--out", str(inst)])
+    from prodcodes.qdecoder import SubsystemProductInstance
+    from prodcodes.subsystem import check_matrices
+    sub = SubsystemProductInstance.from_json(json.loads(inst.read_text())["results"])
+    cm = check_matrices(sub.product, "tensor")
+    zero = [0] * 256
+    cases = [("--word", {"c_x": [-1] + zero[1:], "c_z": zero}, "c_x"),
+             ("--word", {"c_x": zero, "c_z": [16] + zero[1:]}, "c_z"),
+             ("--word", {"c_x": zero}, "c_z"),
+             ("--word", [zero, zero], "c_x"),
+             ("--syndrome", {"s_x": [0] * (cm.hx.shape[0] + 1),
+                             "s_z": [0] * cm.hz.shape[0]}, "s_x"),
+             ("--syndrome", {"s_x": [0] * cm.hx.shape[0],
+                             "s_z": [-3] * cm.hz.shape[0]}, "s_z")]
+    pf = tmp_path / "p.json"
+    for flag, payload, bad in cases:
+        pf.write_text(json.dumps(payload))
+        assert main(["decode-one", "--instance", str(inst), flag, str(pf),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert f"error: {bad} must be a flat list of" in capsys.readouterr().err
+    # the zero syndrome and the zero word are in range and decode
+    pf.write_text(json.dumps({"s_x": [0] * cm.hx.shape[0], "s_z": [0] * cm.hz.shape[0]}))
+    assert main(["decode-one", "--instance", str(inst), "--syndrome", str(pf),
+                 "--out", str(tmp_path / "r.json")]) == 0

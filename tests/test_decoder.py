@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import rs_code
-from prodcodes.decoder import (AlphaResult, DualTensorInstance, alpha_decode,
-                               berlekamp_welch, dec_close, dec_finish,
-                               dec_init, random_codeword, random_error)
+from prodcodes.decoder import (AlphaResult, DualTensorInstance, _e_coeff_basis,
+                               _locator_matrix, alpha_decode, berlekamp_welch,
+                               dec_close, dec_finish, dec_init, random_codeword,
+                               random_error)
 from prodcodes.rng import stream
 
 
@@ -224,3 +226,85 @@ def test_rational_function_error_stage1():
     assert diff <= inst.stage1_bound
     agree_a = int(np.count_nonzero(F.sub(cp, a) == 0))
     assert agree_a >= 64 * 64 - float(inst.stage1_bound) - 64
+
+
+# ---------------------------------------------------------------------------
+# stage-1 kernel against the dense dual-support path
+# ---------------------------------------------------------------------------
+
+
+def _reference_e_coeff_basis(inst, K, T):
+    """The dense path: a basis Zker of all dual vectors H1'^T Z H2' supported
+    on T, built from one Kronecker row per off cell, then right_kernel(Zker K)."""
+    F = inst.field
+    H1p = inst.C1p.parity_check()
+    H2p = inst.C2p.parity_check()
+    m1, m2 = H1p.shape[0], H2p.shape[0]
+    off = np.argwhere(~T)
+    if off.shape[0] == 0:
+        Zker = la.identity(m1 * m2)
+    else:
+        R = H1p[:, off[:, 0]].T
+        S = H2p[:, off[:, 1]].T
+        rows = F.mul(R[:, :, None], S[:, None, :]).reshape(off.shape[0], m1 * m2)
+        Zker = la.right_kernel(F, rows)
+    if Zker.shape[0] == 0:
+        return la.identity((inst.s + 1) ** 2)
+    return la.right_kernel(F, la.matmul(F, Zker, K))
+
+
+@st.composite
+def stage1_cases(draw):
+    """A small instance over GF(2^e), GF(p^e) or GF(p) with 1 <= s <= n/2, a
+    planted word with a random number of errors, and a random cell set T
+    whose off-cell density runs from none to all cells."""
+    F = GF(draw(st.sampled_from([7, 8, 9, 13, 16])))
+    n = draw(st.integers(4, min(F.q, 10)))
+    k1 = draw(st.integers(0, n // 4))
+    k2 = draw(st.integers(0, n // 2 - k1))
+    rho = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(1)]))
+    inst = DualTensorInstance.build(F, n, k1, k2, Fraction(1, 2), rho, gamma=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = F.add(random_codeword(inst, rng),
+              random_error(F, n, draw(st.integers(0, n * n)), rng))
+    T = ~(rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])))
+    return inst, c, T
+
+
+@given(stage1_cases())
+def test_e_coeff_basis_matches_dense_path(case):
+    inst, c, T = case
+    K = _locator_matrix(inst, c)
+    assert np.array_equal(_e_coeff_basis(inst, K, T), _reference_e_coeff_basis(inst, K, T))
+
+
+# ---------------------------------------------------------------------------
+# real noise: every weight inside the promise
+# ---------------------------------------------------------------------------
+
+
+def _planted_decode(inst, weight, rng):
+    F = inst.field
+    word = F.add(random_codeword(inst, rng), random_error(F, inst.n, weight, rng))
+    res = alpha_decode(inst, word)
+    assert inst.member(res.word)
+    assert not res.fallback, res.stages
+    assert res.residual <= inst.alpha * weight
+    return res
+
+
+@pytest.mark.parametrize("q, n", [(64, 64), (49, 40)])
+def test_planted_decode_at_every_weight(q, n):
+    inst = DualTensorInstance.build(GF(q), n, n // 8, n // 4, Fraction(1, 2),
+                                    Fraction(1, 8), gamma=2)
+    assert int(inst.d0) >= 1
+    for weight in range(1, int(inst.d0) + 1):
+        _planted_decode(inst, weight, stream(n, weight))
+
+
+def test_planted_decode_n128():
+    inst = DualTensorInstance.build(GF(128), 128, 16, 32, Fraction(1, 2),
+                                    Fraction(1, 8), gamma=2)
+    assert inst.s == 4 and inst.d0 == 16
+    res = _planted_decode(inst, 4, stream(128, 4))
+    assert res.stages["stage1_residual"] <= inst.stage1_bound

@@ -13,8 +13,8 @@ from prodcodes.gf import GF
 from prodcodes import expansion, linalg as la
 from prodcodes.codes import BudgetExceeded, LinearCode, full_code, rs_code
 from prodcodes.expansion import (Decomposition, PeResult, _descend_decomposition,
-                                 base_decompositions, canonical_generator, ci_basis,
-                                 cij_basis, decomposition_difference_witness,
+                                 canonical_generator, ci_basis, cij_basis,
+                                 decomposer, decomposition_difference_witness,
                                  dir_weights, epsilon_closure, closure_size_bound,
                                  inner_generated_test, pe_exact, pe_monte_carlo)
 from prodcodes.codes import punctured_tensor_rs
@@ -236,7 +236,7 @@ def test_base_decomposition_reconstructs(gf4, rng):
     from prodcodes.codes import dual_tensor
     DT = dual_tensor(codes[0], codes[1])
     words = np.stack([DT.codeword(gf4.random(rng, DT.k)) for _ in range(10)])
-    decs = base_decompositions(gf4, codes, words)
+    decs = decomposer(gf4, codes)(words)
     for r, w in enumerate(words):
         parts = [p[r] for p in decs]
         total = parts[0]
@@ -259,7 +259,7 @@ def test_decomposition_difference_witness_seeded(gf4, rng):
     B = cij_basis(gf4, codes, 0, 1)
     for _ in range(100):
         w = DT.codeword(gf4.random(rng, DT.k))
-        pa = [p[0] for p in base_decompositions(gf4, codes, w[None, :])]
+        pa = [p[0] for p in decomposer(gf4, codes)(w[None, :])]
         z = la.matmul(gf4, gf4.random(rng, B.shape[0])[None, :], B)[0]
         pb = [gf4.add(pa[0], z), gf4.sub(pa[1], z)]
         wit = decomposition_difference_witness(gf4, codes, pa, pb)
@@ -447,6 +447,27 @@ def test_pe_monte_carlo_matches_reference_loop(codes, seed, lattice_budget):
     got = pe_monte_carlo(codes, trials=8, seed=seed, lattice_budget=lattice_budget)
     want = _reference_pe_monte_carlo(codes, 8, seed, lattice_budget)
     assert got.to_json() == want.to_json()
+
+
+@given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))
+def test_decomposer_matches_solve_left(codes, seed):
+    """One reduction of the canonical generator serves block after block and
+    gives the parts of the per-block solve_left, including its refusal of a
+    word outside the dual tensor code."""
+    F = codes[0].field
+    G, spans = canonical_generator(F, codes)
+    decompose = decomposer(F, codes)
+    rng = np.random.default_rng(seed)
+    for words in (la.matmul(F, F.random(rng, (5, G.shape[0])), G),
+                  F.random(rng, (3, G.shape[1])),
+                  la.matmul(F, F.random(rng, (7, G.shape[0])), G)):
+        X = la.solve_left(F, G, words)
+        if X is None:
+            with pytest.raises(ValueError):
+                decompose(words)
+            continue
+        want = [la.matmul(F, X[:, a:b], G[a:b]) for a, b in spans]
+        assert all(np.array_equal(g, w) for g, w in zip(decompose(words), want))
 
 
 @pytest.mark.parametrize("block", [1, 50, 250])

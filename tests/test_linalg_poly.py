@@ -4,10 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
-from prodcodes.linalg import Matrix
 from prodcodes.poly import (Poly, uni_divmod, uni_ext_gcd, uni_eval, uni_gcd,
                             uni_mul, uni_trim)
 
@@ -116,13 +116,52 @@ def test_row_space_intersection(gf4):
     assert inter.shape[0] == ra + rb - rsum
 
 
-def test_matrix_wrapper(gf5):
-    M = Matrix(gf5, [[1, 2], [3, 4]])
-    assert M.rows == 2 and M.cols == 2 and M.rank() == 2
-    assert (M @ Matrix(gf5, la.identity(2))) == M
-    assert M.entries == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        Matrix(gf5, [[7, 0]])
+def _reference_right_kernel(F, M):
+    """right_kernel with the per-entry fill loop it had before the free
+    columns were filled as one block."""
+    M = np.atleast_2d(np.asarray(M, dtype=np.int64))
+    m, n = M.shape
+    R, piv = la.rref(F, M)
+    free = [c for c in range(n) if c not in set(piv)]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(piv):
+            basis[i, pc] = F.neg(R[r, fc])
+    return basis
+
+
+@st.composite
+def ranked_matrices(draw):
+    """A random m x n product of an m x r and an r x n factor over GF(2),
+    GF(9), GF(64) or GF(97): zero rows, rank 0 and full rank all occur."""
+    F = GF(draw(st.sampled_from([2, 9, 64, 97])))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    r = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return F, la.matmul(F, F.random(rng, (m, r)), F.random(rng, (r, n))), rng
+
+
+@given(ranked_matrices())
+def test_right_kernel_matches_reference_loop(case):
+    F, M, _ = case
+    assert np.array_equal(la.right_kernel(F, M), _reference_right_kernel(F, M))
+
+
+@given(ranked_matrices(), st.booleans())
+def test_left_solver_matches_solve_left(case, consistent):
+    F, A, rng = case
+    solve = la.left_solver(F, A)
+    for _ in range(3):
+        if consistent:
+            b = la.matmul(F, F.random(rng, (4, A.shape[0])), A)
+        else:
+            b = F.random(rng, (4, A.shape[1]))
+        want = la.solve_left(F, A, b)
+        got = solve(b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
