@@ -41,11 +41,18 @@ class PromiseViolation(RuntimeError):
 
 def berlekamp_welch(F: Field, points: np.ndarray, k: int, word: np.ndarray,
                     max_errors: int) -> np.ndarray | None:
-    """Unique decoding of RS_points(k): the codeword within max_errors of
-    word, or None when no consistent codeword exists.
+    """Unique decoding of RS_points(k) on distinct points: the codeword
+    within max_errors of word, or None when no consistent codeword exists.
 
     Beyond the unique-decoding radius the routine returns some consistent
     codeword or None, never a wrong-radius claim.
+
+    Light-word rule: when k + 2t <= n, a word of weight <= t lies within t
+    of the zero codeword, and within the unique-decoding radius every
+    solution (Q, E) of the key equation gives Q / E = 0 (Welch-Berlekamp:
+    Q E0 - Q0 E has degree < k + 2t <= n and vanishes on all n points).
+    Such a word gets the zero codeword without a solve.  When k + 2t > n the
+    rule does not hold and every word is solved.
     """
     points = np.asarray(points, dtype=np.int64)
     word = np.asarray(word, dtype=np.int64)
@@ -53,10 +60,12 @@ def berlekamp_welch(F: Field, points: np.ndarray, k: int, word: np.ndarray,
     t = int(max_errors)
     if t < 0 or k < 0 or k > n:
         return None
+    if k + 2 * t <= n and np.count_nonzero(word) <= t:
+        return np.zeros(n, dtype=np.int64)
     # unknowns: Q of degree < k + t and monic E of degree t with
     # Q(x) = word(x) * E(x) at every point
     Vq = vandermonde(F, points, k + t)
-    Ve = vandermonde(F, points, t)
+    Ve = Vq[:, :t]
     lhs = np.concatenate([Vq, F.neg(F.mul(word[:, None], Ve))], axis=1)
     rhs = F.mul(word, F.power(points, t))
     sol = la.solve_right(F, lhs, rhs)
@@ -100,6 +109,13 @@ class DualTensorInstance:
         self.E2 = np.asarray(self.E2, dtype=np.int64)
         if self.E1.size != self.n or self.E2.size != self.n:
             raise ValueError("evaluation sets must have size n")
+        for name, pts in (("E1", self.E1), ("E2", self.E2)):
+            if np.any((pts < 0) | (pts >= self.field.q)) or np.unique(pts).size != pts.size:
+                raise ValueError(f"{name} must hold n distinct elements of GF({self.field.q})")
+        if self.s >= self.n:
+            # stage 1 evaluates locators of degree s in each variable through
+            # the first s + 1 columns of the n x n Vandermonde matrices
+            raise ValueError("the locator degree s must stay below n")
 
     @staticmethod
     def build(F: Field, n: int, k1: int, k2: int, eps: Fraction,
@@ -165,6 +181,25 @@ class DualTensorInstance:
     def C2p(self) -> ReedSolomon:
         return rs_code(self.field, self.n, self.k2 + self.s, self.E2)
 
+    @cached_property
+    def V1(self) -> np.ndarray:
+        """n x n Vandermonde matrix of E1: entry (x1, j) = E1[x1]^j."""
+        return vandermonde(self.field, self.E1, self.n)
+
+    @cached_property
+    def V2(self) -> np.ndarray:
+        return vandermonde(self.field, self.E2, self.n)
+
+    @cached_property
+    def V1_inv(self) -> np.ndarray:
+        """Interpolation matrix: V1_inv @ v holds the X1 coefficients of the
+        polynomial of degree < n that takes the values v on E1."""
+        return la.solve_right(self.field, self.V1, la.identity(self.n))
+
+    @cached_property
+    def V2_inv(self) -> np.ndarray:
+        return la.solve_right(self.field, self.V2, la.identity(self.n))
+
     def member(self, c: np.ndarray) -> bool:
         H1 = self.C1.parity_check()
         H2 = self.C2.parity_check()
@@ -208,8 +243,8 @@ def _locator_matrix(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     F = inst.field
     H1p = inst.C1p.parity_check()
     H2p = inst.C2p.parity_check()
-    V1s = vandermonde(F, inst.E1, inst.s + 1)
-    V2s = vandermonde(F, inst.E2, inst.s + 1)
+    V1s = inst.V1[:, :inst.s + 1]
+    V2s = inst.V2[:, :inst.s + 1]
     cols = []
     for a in range(inst.s + 1):
         Ca = la.matmul(F, F.mul(H1p, V1s[None, :, a]), c)
@@ -249,10 +284,8 @@ def _e_coeff_basis(inst: DualTensorInstance, K: np.ndarray,
 def _row_polys(inst: DualTensorInstance, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(per-x1 coefficient rows in X2, per-x2 coefficient columns in X1)."""
     F = inst.field
-    V1s = vandermonde(F, inst.E1, inst.s + 1)
-    V2s = vandermonde(F, inst.E2, inst.s + 1)
-    rows = la.matmul(F, V1s, U)          # n x (s+1): e(x1, X2) coefficients
-    cols = la.matmul(F, U, V2s.T)        # (s+1) x n: e(X1, x2) coefficients
+    rows = la.matmul(F, inst.V1[:, :inst.s + 1], U)    # n x (s+1): e(x1, X2) coefficients
+    cols = la.matmul(F, U, inst.V2[:, :inst.s + 1].T)  # (s+1) x n: e(X1, x2) coefficients
     return rows, cols
 
 
@@ -284,8 +317,8 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=np.int64).reshape(n, n)
     H1p = inst.C1p.parity_check()
     H2p = inst.C2p.parity_check()
-    V1s = vandermonde(F, inst.E1, s + 1)
-    V2s = vandermonde(F, inst.E2, s + 1)
+    V1s = inst.V1[:, :s + 1]
+    V2s = inst.V2[:, :s + 1]
 
     # nonzero e0 with (e0 * c) in C1' [+] C2': kernel of a linear system in
     # the (s+1)^2 coefficients
@@ -374,44 +407,34 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bivariate_coeffs(F: Field, E1: np.ndarray, E2: np.ndarray,
-                     c: np.ndarray) -> np.ndarray:
-    """The unique coefficient matrix with ev(f) = c on the grid E1 x E2."""
-    n = E1.size
-    V1 = vandermonde(F, E1, n)
-    V2 = vandermonde(F, E2, n)
-    T1 = la.solve_right(F, V1, c)
-    Fc = la.solve_right(F, V2, T1.T)
-    assert T1 is not None and Fc is not None
-    return Fc.T
-
-
 def dec_close(inst: DualTensorInstance, cp: np.ndarray) -> np.ndarray:
     """Stage 2: strip the s extra coefficient rows/columns by per-stripe RS
-    decoding, landing in C1 [+] C2."""
+    decoding, landing in C1 [+] C2.
+
+    With Fc = V1^-1 cp V2^-T the coefficient matrix of cp, the stripe word of
+    coefficient row j1 is V2 Fc[j1] = (V1^-1 cp)[j1], and that of coefficient
+    column j2 is V1 Fc[:, j2] = (cp V2^-T)[:, j2]: both come straight from the
+    s interpolation rows that the stage needs."""
     F = inst.field
     n, s, k1, k2 = inst.n, inst.s, inst.k1, inst.k2
     cp = np.asarray(cp, dtype=np.int64).reshape(n, n)
-    Fc = bivariate_coeffs(F, inst.E1, inst.E2, cp)
-    V1 = vandermonde(F, inst.E1, n)
-    V2 = vandermonde(F, inst.E2, n)
+    R = la.matmul(F, inst.V1_inv[k1:k1 + s], cp)      # row i: stripe word of row k1 + i
+    C = la.matmul(F, cp, inst.V2_inv[k2:k2 + s].T)    # column i: of column k2 + i
     out = cp.copy()
     rad2 = inst.stripe_radius(k2 + s)
-    for j1 in range(k1, k1 + s):
-        v = la.matvec(F, V2, Fc[j1, :])
+    for i, v in enumerate(R):
         cw = berlekamp_welch(F, inst.E2, k2 + s, v, rad2)
         if cw is None:
-            raise PromiseViolation(f"stripe decode failed on coefficient row {j1}")
+            raise PromiseViolation(f"stripe decode failed on coefficient row {k1 + i}")
         r = F.sub(v, cw)
-        out = F.sub(out, F.mul(V1[:, j1][:, None], r[None, :]))
+        out = F.sub(out, F.mul(inst.V1[:, k1 + i][:, None], r[None, :]))
     rad1 = inst.stripe_radius(k1 + s)
-    for j2 in range(k2, k2 + s):
-        v = la.matvec(F, V1, Fc[:, j2])
+    for i, v in enumerate(C.T):
         cw = berlekamp_welch(F, inst.E1, k1 + s, v, rad1)
         if cw is None:
-            raise PromiseViolation(f"stripe decode failed on coefficient column {j2}")
+            raise PromiseViolation(f"stripe decode failed on coefficient column {k2 + i}")
         r = F.sub(v, cw)
-        out = F.sub(out, F.mul(r[:, None], V2[:, j2][None, :]))
+        out = F.sub(out, F.mul(r[:, None], inst.V2[:, k2 + i][None, :]))
     if not inst.member(out):
         raise PromiseViolation("stage-2 output is not in C1 [+] C2")
     return out
@@ -424,7 +447,15 @@ def dec_close(inst: DualTensorInstance, cp: np.ndarray) -> np.ndarray:
 
 def dec_finish(inst: DualTensorInstance, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Stage 3: repeatedly peel single-column/row codewords within the peel
-    radius; strictly decreases |y| each step, at most n^2 iterations."""
+    radius t; strictly decreases |y| each step, at most n^2 iterations.
+
+    Each sweep peels the first column, then the first row, in index order
+    whose Berlekamp-Welch decode is a nonzero codeword.  By the light-word
+    rule of berlekamp_welch, a line of weight <= t decodes to the zero
+    codeword when k + 2t <= n for its code.  That condition always holds
+    here: t = ceil(eps n / 2) - 1 < eps n / 2 and k1 + k2 <= (1 - eps) n
+    give k1 + 2t < n and k2 + 2t < n.  So only lines heavier than t are
+    decoded, and line weights are counted once per scan."""
     F = inst.field
     n = inst.n
     y = np.asarray(y, dtype=np.int64).reshape(n, n).copy()
@@ -432,19 +463,15 @@ def dec_finish(inst: DualTensorInstance, y: np.ndarray) -> tuple[np.ndarray, int
     iters = 0
     while True:
         progressed = False
-        for x2 in range(n):
+        for x2 in np.nonzero(np.count_nonzero(y, axis=0) > t)[0]:
             col = y[:, x2]
-            if not col.any():
-                continue
             cw = berlekamp_welch(F, inst.E1, inst.k1, col, t)
             if cw is not None and cw.any():
                 y[:, x2] = F.sub(col, cw)
                 progressed = True
                 break
-        for x1 in range(n):
+        for x1 in np.nonzero(np.count_nonzero(y, axis=1) > t)[0]:
             row = y[x1, :]
-            if not row.any():
-                continue
             cw = berlekamp_welch(F, inst.E2, inst.k2, row, t)
             if cw is not None and cw.any():
                 y[x1, :] = F.sub(row, cw)

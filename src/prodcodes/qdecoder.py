@@ -22,7 +22,7 @@ from . import linalg as la
 from .codes import BudgetExceeded
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
-                      berlekamp_welch, bivariate_coeffs)
+                      berlekamp_welch)
 from .subsystem import CheckMatrices, CssPair, check_matrices, quantum_rs, \
     subsystem_product
 from .codes import vandermonde
@@ -62,15 +62,17 @@ def dec_quantum(F: Field, E1: np.ndarray, E2: np.ndarray,
     Q_Z' = ev^{([0,k1) x [0,n)) u ([0,n) x [0,k2)) u ([0,k1p) x [0,k2p))}
     by decoding each coefficient column j2 in [k2, k2p) against the length-n
     RS code of dimension k1p.
+
+    The stripe word of coefficient column j2 is (c0 V2^-T)[:, j2], so only
+    the interpolation rows [k2, k2p) of V2 are needed.
     """
     n = E1.size
     c0 = np.asarray(c0, dtype=np.int64).reshape(n, n)
-    Fc = bivariate_coeffs(F, E1, E2, c0)
-    V1 = vandermonde(F, E1, n)
     V2 = vandermonde(F, E2, n)
+    V2_inv = la.solve_right(F, V2, la.identity(n))
+    C = la.matmul(F, c0, V2_inv[k2:k2p].T)
     out = c0.copy()
-    for j2 in range(k2, k2p):
-        v = la.matvec(F, V1, Fc[:, j2])
+    for j2, v in zip(range(k2, k2p), C.T):
         cw = berlekamp_welch(F, E1, k1p, v, radius)
         if cw is None:
             raise PromiseViolation(f"quantum stripe decode failed at column {j2}")

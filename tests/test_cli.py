@@ -264,6 +264,21 @@ def test_decode_one_rejects_malformed_words(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")]) in (0, 2)
 
 
+def test_decode_one_rejects_bad_evaluation_points(tmp_path, capsys):
+    inst = tmp_path / "dt.json"
+    main(["build-code", "--kind", "dual-tensor", "--q", "64", "--n", "16",
+          "--k", "2", "--k2", "4", "--seed", "5", "--out", str(inst)])
+    doc = json.loads(inst.read_text())["results"]
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps([0] * 256))
+    for axis, points in (("E1", [64] + doc["E1"][1:]), ("E2", [doc["E2"][1]] + doc["E2"][1:])):
+        bad = tmp_path / f"bad_{axis}.json"
+        bad.write_text(json.dumps({**doc, axis: points}))
+        assert main(["decode-one", "--instance", str(bad), "--word", str(wf),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert f"{axis} must hold n distinct elements of GF(64)" in capsys.readouterr().err
+
+
 def test_decode_one_rejects_malformed_quantum_payloads(tmp_path, capsys):
     inst = tmp_path / "sp.json"
     main(["build-code", "--kind", "subsystem-product", "--q", "16", "--n", "16",

@@ -2,19 +2,135 @@
 planted instances, the total alpha-decoder contract, and determinism."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
-from prodcodes import linalg as la
-from prodcodes.codes import rs_code
-from prodcodes.decoder import (AlphaResult, DualTensorInstance, _e_coeff_basis,
-                               _locator_matrix, alpha_decode, berlekamp_welch,
-                               dec_close, dec_finish, dec_init, random_codeword,
-                               random_error)
+from prodcodes import decoder, linalg as la
+from prodcodes.codes import rs_code, vandermonde
+from prodcodes.decoder import (AlphaResult, DualTensorInstance, PromiseViolation,
+                               _e_coeff_basis, _locator_matrix, alpha_decode,
+                               berlekamp_welch, dec_close, dec_finish, dec_init,
+                               random_codeword, random_error)
+from prodcodes.poly import uni_divmod, uni_eval, uni_trim
 from prodcodes.rng import stream
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: stages 2-3 with every solve done in full, through the
+# full bivariate coefficient matrix
+# ---------------------------------------------------------------------------
+
+
+def bivariate_coeffs(F, E1, E2, c):
+    """The unique coefficient matrix with ev(f) = c on the grid E1 x E2."""
+    n = E1.size
+    V1 = vandermonde(F, E1, n)
+    V2 = vandermonde(F, E2, n)
+    T1 = la.solve_right(F, V1, c)
+    Fc = la.solve_right(F, V2, T1.T)
+    assert T1 is not None and Fc is not None
+    return Fc.T
+
+
+def _reference_berlekamp_welch(F, points, k, word, max_errors):
+    """Berlekamp-Welch with a full key-equation solve for every word."""
+    points = np.asarray(points, dtype=np.int64)
+    word = np.asarray(word, dtype=np.int64)
+    n = points.size
+    t = int(max_errors)
+    if t < 0 or k < 0 or k > n:
+        return None
+    Vq = vandermonde(F, points, k + t)
+    Ve = vandermonde(F, points, t)
+    lhs = np.concatenate([Vq, F.neg(F.mul(word[:, None], Ve))], axis=1)
+    rhs = F.mul(word, F.power(points, t))
+    sol = la.solve_right(F, lhs, rhs)
+    if sol is None:
+        return None
+    Q = uni_trim(sol[: k + t])
+    E = np.concatenate([sol[k + t:], np.array([1], dtype=np.int64)])
+    P, rem = uni_divmod(F, Q, E)
+    if uni_trim(rem).size or P.size > k:
+        return None
+    cw = uni_eval(F, P, points)
+    if int(np.count_nonzero(F.sub(word, cw))) > t:
+        return None
+    return cw
+
+
+def _reference_dec_close(inst, cp):
+    """Stage 2 through the full bivariate coefficient matrix."""
+    F = inst.field
+    n, s, k1, k2 = inst.n, inst.s, inst.k1, inst.k2
+    cp = np.asarray(cp, dtype=np.int64).reshape(n, n)
+    Fc = bivariate_coeffs(F, inst.E1, inst.E2, cp)
+    V1 = vandermonde(F, inst.E1, n)
+    V2 = vandermonde(F, inst.E2, n)
+    out = cp.copy()
+    rad2 = inst.stripe_radius(k2 + s)
+    for j1 in range(k1, k1 + s):
+        v = la.matvec(F, V2, Fc[j1, :])
+        cw = _reference_berlekamp_welch(F, inst.E2, k2 + s, v, rad2)
+        if cw is None:
+            raise PromiseViolation(f"stripe decode failed on coefficient row {j1}")
+        r = F.sub(v, cw)
+        out = F.sub(out, F.mul(V1[:, j1][:, None], r[None, :]))
+    rad1 = inst.stripe_radius(k1 + s)
+    for j2 in range(k2, k2 + s):
+        v = la.matvec(F, V1, Fc[:, j2])
+        cw = _reference_berlekamp_welch(F, inst.E1, k1 + s, v, rad1)
+        if cw is None:
+            raise PromiseViolation(f"stripe decode failed on coefficient column {j2}")
+        r = F.sub(v, cw)
+        out = F.sub(out, F.mul(r[:, None], V2[:, j2][None, :]))
+    if not inst.member(out):
+        raise PromiseViolation("stage-2 output is not in C1 [+] C2")
+    return out
+
+
+def _reference_dec_finish(inst, y):
+    """Stage 3 decoding every nonzero line of every sweep."""
+    F = inst.field
+    n = inst.n
+    y = np.asarray(y, dtype=np.int64).reshape(n, n).copy()
+    t = inst.peel_radius
+    iters = 0
+    while True:
+        progressed = False
+        for x2 in range(n):
+            col = y[:, x2]
+            if not col.any():
+                continue
+            cw = _reference_berlekamp_welch(F, inst.E1, inst.k1, col, t)
+            if cw is not None and cw.any():
+                y[:, x2] = F.sub(col, cw)
+                progressed = True
+                break
+        for x1 in range(n):
+            row = y[x1, :]
+            if not row.any():
+                continue
+            cw = _reference_berlekamp_welch(F, inst.E2, inst.k2, row, t)
+            if cw is not None and cw.any():
+                y[x1, :] = F.sub(row, cw)
+                progressed = True
+                break
+        if not progressed:
+            return y, iters
+        iters += 1
+        if iters > n * n:
+            raise AssertionError("peeling exceeded the n^2 iteration bound")
+
+
+def _reference_alpha_decode(inst, c):
+    """alpha_decode with the reference stages 2 and 3."""
+    with mock.patch.object(decoder, "dec_close", _reference_dec_close), \
+            mock.patch.object(decoder, "dec_finish", _reference_dec_finish):
+        return alpha_decode(inst, c)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +164,36 @@ def test_bw_against_exhaustive_nearest():
         assert np.array_equal(got, cw)
 
 
+@st.composite
+def bw_cases(draw):
+    """Distinct points over GF(p), GF(2^e) or GF(p^e), a dimension and a
+    radius on both sides of k + 2t = n, and a word at distance 0..t+2 from a
+    random codeword (the zero codeword one time in four)."""
+    F = GF(draw(st.sampled_from([7, 8, 9, 13, 16])))
+    n = draw(st.integers(1, min(F.q, 16)))
+    k = draw(st.integers(0, n))
+    t = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.permutation(F.q)[:n].astype(np.int64)
+    msg = F.random(rng, k) if draw(st.integers(0, 3)) else np.zeros(k, dtype=np.int64)
+    cw = la.matvec(F, vandermonde(F, points, k), msg)
+    d = min(n, draw(st.integers(0, t + 2)))
+    e = np.zeros(n, dtype=np.int64)
+    e[rng.permutation(n)[:d]] = F.random(rng, d, nonzero=True)
+    return F, points, k, F.add(cw, e), t
+
+
+@given(bw_cases())
+@settings(max_examples=300)
+def test_bw_light_word_rule_matches_full_solve(case):
+    F, points, k, word, t = case
+    got = berlekamp_welch(F, points, k, word, t)
+    want = _reference_berlekamp_welch(F, points, k, word, t)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_bw_failure_beyond_radius(gf8, rng):
     C = rs_code(gf8, 8, 3)
     cw = C.codeword(gf8.random(rng, 3))
@@ -79,6 +225,9 @@ def test_instance_rate_validation():
     F = GF(64)
     with pytest.raises(ValueError):
         DualTensorInstance.build(F, 64, 20, 16, Fraction(1, 2))
+    # s = ceil(rho eps n / gamma) = n: locators of degree n on n points
+    with pytest.raises(ValueError, match="locator degree"):
+        DualTensorInstance.build(GF(8), 8, 0, 0, Fraction(1), Fraction(1), gamma=1)
 
 
 def test_instance_json_roundtrip():
@@ -276,6 +425,52 @@ def test_e_coeff_basis_matches_dense_path(case):
     inst, c, T = case
     K = _locator_matrix(inst, c)
     assert np.array_equal(_e_coeff_basis(inst, K, T), _reference_e_coeff_basis(inst, K, T))
+
+
+# ---------------------------------------------------------------------------
+# stages 2-3 against the reference stages, in and beyond the promise
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A small instance with promise radius d0 >= 1 over GF(2^e), GF(p^e) or
+    GF(p), and a planted word at any weight up to d0 + 3 or a uniformly
+    random word."""
+    F = GF(draw(st.sampled_from([16, 25, 29, 32])))
+    n = draw(st.integers(8, 16))
+    k1 = draw(st.integers(0, n // 4))
+    k2 = draw(st.integers(0, n // 2 - k1))
+    rho = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
+    inst = DualTensorInstance.build(F, n, k1, k2, Fraction(1, 2), rho, gamma=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 7)):
+        weight = draw(st.integers(0, int(inst.d0) + 3))
+        c = F.add(random_codeword(inst, rng), random_error(F, n, weight, rng))
+    else:
+        c = F.random(rng, (n, n))
+    return inst, c
+
+
+@given(pipeline_cases())
+@settings(max_examples=150)
+def test_alpha_decode_matches_reference_stages(case):
+    inst, c = case
+    got = alpha_decode(inst, c)
+    want = _reference_alpha_decode(inst, c)
+    assert np.array_equal(got.word, want.word)
+    assert (got.fallback, got.residual, got.stages) == \
+        (want.fallback, want.residual, want.stages)
+
+
+def test_instance_rejects_bad_evaluation_points():
+    F = GF(16)
+    pts = np.arange(8)
+    for bad in (np.array([16, *range(1, 8)]), np.array([-1, *range(1, 8)]),
+                np.array([0, 0, *range(2, 8)])):
+        for E1, E2 in ((bad, pts), (pts, bad)):
+            with pytest.raises(ValueError, match="distinct elements of GF"):
+                DualTensorInstance(F, 8, 1, 2, E1, E2, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

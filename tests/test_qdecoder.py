@@ -9,7 +9,7 @@ import pytest
 from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import tensor
-from prodcodes.decoder import bivariate_coeffs
+from test_decoder import bivariate_coeffs
 from prodcodes.qdecoder import (CssProductInstance, InconsistentInput,
                                 QdecParams, SubsystemProductInstance,
                                 bounded_syndrome_search, coset_min_weight,
