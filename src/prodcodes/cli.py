@@ -431,8 +431,7 @@ def cmd_gate_verify(args) -> int:
         doc = _load_instance(args.instance)
         if doc.get("kind") != "triple-product":
             raise ValueError("gate-verify --instance expects a triple-product document")
-        f = doc["field"]
-        F = Field.get(f["p"], f["e"], tuple(f["modulus"]))
+        F = Field.from_json(doc["field"])
         gate = tv.triple_product_build(F, doc["params"]["m"], doc["params"]["u"],
                                        seed=args.seed)
         phase = tv.triple_phase_identity_test(gate, args.trials, args.seed) \

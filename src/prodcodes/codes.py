@@ -174,8 +174,7 @@ class LinearCode:
 
     @staticmethod
     def from_json(doc: dict) -> "LinearCode":
-        f = doc["field"]
-        F = Field.get(f["p"], f["e"], tuple(f["modulus"]))
+        F = Field.from_json(doc["field"])
         if "rs" in doc:
             code = ReedSolomon(F, doc["n"], doc["rs"]["k"],
                                np.array(doc["rs"]["points"], dtype=np.int64),
@@ -296,6 +295,18 @@ def box_exponents(lo: int, hi: int, u: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(lo, hi), repeat=u))
 
 
+def distinct_points(F: Field, n: int, u: int, rng: np.random.Generator) -> np.ndarray:
+    """n distinct points of F^u, drawn independently with collision rejection."""
+    seen: set[tuple[int, ...]] = set()
+    rows = []
+    while len(rows) < n:
+        cand = tuple(int(x) for x in rng.integers(0, F.q, size=u))
+        if cand not in seen:
+            seen.add(cand)
+            rows.append(cand)
+    return np.array(rows, dtype=np.int64)
+
+
 def punctured_tensor_rs(F: Field, m: int, u: int, k: int,
                         points: np.ndarray | None = None,
                         seed: int | None = None) -> EvalCode:
@@ -317,14 +328,7 @@ def punctured_tensor_rs(F: Field, m: int, u: int, k: int,
             sel = rng.permutation(grid.shape[0])[:n]
             points = grid[sel]
         else:
-            seen: set[tuple[int, ...]] = set()
-            rows = []
-            while len(rows) < n:
-                cand = tuple(int(x) for x in rng.integers(0, F.q, size=u))
-                if cand not in seen:
-                    seen.add(cand)
-                    rows.append(cand)
-            points = np.array(rows, dtype=np.int64)
+            points = distinct_points(F, n, u, rng)
     else:
         points = np.atleast_2d(np.asarray(points, dtype=np.int64))
         if points.shape[0] != n:

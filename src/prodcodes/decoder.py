@@ -223,8 +223,7 @@ class DualTensorInstance:
 
     @staticmethod
     def from_json(doc: dict) -> "DualTensorInstance":
-        f = doc["field"]
-        F = Field.get(f["p"], f["e"], tuple(f["modulus"]))
+        F = Field.from_json(doc["field"])
         return DualTensorInstance(
             F, doc["n"], doc["k1"], doc["k2"],
             np.array(doc["E1"], dtype=np.int64), np.array(doc["E2"], dtype=np.int64),

@@ -83,7 +83,7 @@ class Decomposition:
         return sum(n * w for n, w in zip(self.lengths, self.column_weights))
 
     def total(self, F: Field) -> np.ndarray:
-        return reduce(F.add, self.parts)
+        return F.sum(np.stack(self.parts), axis=0)
 
     def to_json(self) -> dict:
         return {"parts": [[int(x) for x in p] for p in self.parts],

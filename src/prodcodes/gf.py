@@ -222,8 +222,22 @@ class Field:
     def get(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> "Field":
         key = (p, e, tuple(modulus) if modulus is not None else None)
         if key not in _FIELD_CACHE:
-            _FIELD_CACHE[key] = Field(p, e, tuple(modulus) if modulus else None)
+            _FIELD_CACHE[key] = Field(p, e, key[2])
         return _FIELD_CACHE[key]
+
+    @staticmethod
+    def from_json(doc) -> "Field":
+        """The field of a serialized {"p", "e", "modulus"} description; a
+        malformed one raises ValueError before any table is built."""
+        f = doc if isinstance(doc, dict) else {}
+        p, e, modulus = f.get("p"), f.get("e"), f.get("modulus")
+        # type(...) is int: JSON true/false are not integers here
+        if not (type(p) is int and type(e) is int and isinstance(modulus, list)
+                and all(type(c) is int for c in modulus)):
+            raise ValueError(f"field must be {{p: int, e: int, modulus: [int]}}, got {doc!r}")
+        if p < 2 or not 1 <= e < MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+            raise ValueError(f"field order {p}^{e} is outside [2, 2^20]")
+        return Field.get(p, e, modulus)
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Table-free multiply of two element codes (used to build tables)."""
@@ -349,6 +363,16 @@ class Field:
         if self._add_table is not None:
             return self._add_table[a, b]
         return self._undigits((self._digits(a) + self._digits(b)) % self.p)
+
+    def sum(self, a, axis: int = -1):
+        """Field sum of the entries of a along axis (0 when there are none)."""
+        a = np.asarray(a, dtype=np.int64)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(a, axis=axis)
+        if self.e == 1:
+            return a.sum(axis=axis) % self.p
+        # the digit axis goes last, so a normalized axis still names the same one
+        return self._undigits(self._digits(a).sum(axis=axis % a.ndim) % self.p)
 
     def neg(self, a):
         a = np.asarray(a, dtype=np.int64)

@@ -91,9 +91,13 @@ def row_space(F: Field, M: np.ndarray) -> np.ndarray:
 
 def right_kernel(F: Field, M: np.ndarray) -> np.ndarray:
     """Basis (as rows) of {x : M x = 0}."""
-    M = np.atleast_2d(np.asarray(M, dtype=np.int64))
-    n = M.shape[1]
-    R, piv = rref(F, M)
+    return rref_kernel(F, *rref(F, M))
+
+
+def rref_kernel(F: Field, R: np.ndarray, piv: list[int]) -> np.ndarray:
+    """right_kernel from a matrix already in rref with pivot columns piv: the
+    basis is the identity on the free columns."""
+    n = R.shape[1]
     free = np.ones(n, dtype=bool)
     free[piv] = False
     basis = np.zeros((int(free.sum()), n), dtype=np.int64)

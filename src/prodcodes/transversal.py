@@ -24,7 +24,7 @@ import numpy as np
 from .gf import Field
 from . import linalg as la
 from .codes import (BudgetExceeded, LinearCode, box_exponents, canonical_points,
-                    eval_code, monomial_eval_matrix, rs_code)
+                    distinct_points, monomial_eval_matrix, vandermonde)
 from .subsystem import CssPair, quantum_rs, subsystem_product
 
 
@@ -332,28 +332,14 @@ def synthesize_gate(factors: list[CssPair], L_list: list[LinearCode], r: int,
         obst = star_span(F, obst, LS, pair_cap)
     obst = la.row_space(F, obst)
 
-    # information sets and unit-message encodings
-    A_sets = [first_information_set(L) for L in L_list]
-    enc_factors = []
-    for L, A in zip(L_list, A_sets):
-        coefs = la.solve_right(F, L.gen[:, A].T, la.identity(len(A)))
-        assert coefs is not None
-        enc_factors.append(la.matmul(F, coefs.T, L.gen))
-    enc_basis = reduce(lambda a, b: la.kron(F, a, b), enc_factors)
-    A_flat = np.array([
-        np.ravel_multi_index(idx, tuple(f.n for f in factors))
-        for idx in itertools.product(*A_sets)], dtype=np.int64)
+    A_sets, A_flat, enc_basis = _unit_encodings(F, factors, L_list)
 
     # eta = projection onto span(lpow) along span(obst), zero on the
     # pivot-ordered complement; a._z = indicator(A) . eta(z)
     partial = np.concatenate([lpow, obst], axis=0)
     _, piv = la.rref(F, partial)
-    pivset = set(piv)
-    free = [c for c in range(N) if c not in pivset][: N - partial.shape[0]]
-    comp = np.zeros((N - partial.shape[0], N), dtype=np.int64)
-    for i, c in enumerate(free):
-        comp[i, c] = 1
-    M = np.concatenate([partial, comp], axis=0)
+    free = np.setdiff1d(np.arange(N), piv)[: N - partial.shape[0]]
+    M = np.concatenate([partial, la.identity(N)[free]], axis=0)
     if M.shape[0] != N or la.rank(F, M) != N:
         raise RuntimeError("complement completion failed")
     w = np.zeros(N, dtype=np.int64)
@@ -363,8 +349,23 @@ def synthesize_gate(factors: list[CssPair], L_list: list[LinearCode], r: int,
     a = la.solve_right(F, M, w)
     if a is None:
         raise RuntimeError("coefficient solve failed")
-    return GateInstance(r, factors, L_list, S_basis, [list(map(int, A)) for A in A_sets],
-                        A_flat, enc_basis, a, certificate, label)
+    return GateInstance(r, factors, L_list, S_basis, A_sets, A_flat, enc_basis, a,
+                        certificate, label)
+
+
+def _unit_encodings(F: Field, factors: list[CssPair], L_list: list[LinearCode]):
+    """Per-factor information sets, their flat product indices in message
+    order, and the encodings of the unit messages."""
+    A_sets = [first_information_set(L) for L in L_list]
+    enc_factors = []
+    for L, A in zip(L_list, A_sets):
+        coefs = la.solve_right(F, L.gen[:, A].T, la.identity(len(A)))
+        assert coefs is not None
+        enc_factors.append(la.matmul(F, coefs.T, L.gen))
+    enc_basis = reduce(lambda a, b: la.kron(F, a, b), enc_factors)
+    A_flat = np.array([np.ravel_multi_index(idx, tuple(f.n for f in factors))
+                       for idx in itertools.product(*A_sets)], dtype=np.int64)
+    return [list(map(int, A)) for A in A_sets], A_flat, enc_basis
 
 
 @dataclass
@@ -386,21 +387,13 @@ def phase_identity_test(gate: GateInstance, trials: int, seed: int) -> PhaseRepo
     ell = gate.n_logical
     S = gate.S_basis
     for trial in range(trials):
-        msgs = [F.random(rng, ell) for _ in range(gate.r)]
-        reps = []
-        for z in msgs:
-            rep = la.matmul(F, z[None, :], gate.enc_basis)[0]
-            if S.shape[0]:
-                rep = F.add(rep, la.matmul(F, F.random(rng, S.shape[0])[None, :], S)[0])
-            reps.append(rep)
-        lhs = np.int64(0)
-        prod_msgs = reduce(F.mul, msgs)
-        lhs = reduce(F.add, [prod_msgs[j] for j in range(ell)], np.int64(0))
-        prod_reps = reduce(F.mul, reps)
-        rhs = np.int64(0)
-        terms = F.mul(gate.a, prod_reps)
-        for j in range(terms.size):
-            rhs = F.add(rhs, terms[j])
+        msgs = np.stack([F.random(rng, ell) for _ in range(gate.r)])
+        reps = la.matmul(F, msgs, gate.enc_basis)
+        if S.shape[0]:
+            stab = np.stack([F.random(rng, S.shape[0]) for _ in range(gate.r)])
+            reps = F.add(reps, la.matmul(F, stab, S))
+        lhs = F.sum(reduce(F.mul, msgs))
+        rhs = F.sum(F.mul(gate.a, reduce(F.mul, reps)))
         if int(lhs) != int(rhs):
             return PhaseReport(trials, trial, {
                 "trial": trial, "lhs": int(lhs), "rhs": int(rhs),
@@ -437,18 +430,13 @@ def _certify_monomial_stabilizer(F: Field, factors: list[CssPair],
         if np.any(la.matmul(F, la.matmul(F, g1x, V), g2x.T)):
             raise RuntimeError("monomial stabilizer row escapes Q_X^perp")
     pts = canonical_points(F, F.q)
-    V1 = vandermonde_full(F, pts)
+    V1 = vandermonde(F, pts, pts.size)
     if la.rank(F, V1) != F.q:
         raise RuntimeError("full-grid Vandermonde is singular")
     k = factors[0].dimension * factors[1].dimension
     dim_s = factors[0].qz.k * factors[1].qz.k - k
     if len(t_exps) != dim_s:
         raise RuntimeError(f"monomial count {len(t_exps)} != dim S = {dim_s}")
-
-
-def vandermonde_full(F: Field, points: np.ndarray) -> np.ndarray:
-    from .codes import vandermonde
-    return vandermonde(F, points, points.size)
 
 
 def build_transrs_gate(F: Field, r: int, use_monomial_structure: bool | None = None,
@@ -512,31 +500,19 @@ def _synthesize_monomial(F: Field, factors: list[CssPair],
     a = sum_d (1_A . ev(X^d)) * (V1^{-1}[d1, :] (x) V2^{-1}[d2, :])."""
     q = F.q
     pts = canonical_points(F, q)
-    V = vandermonde_full(F, pts)
+    V = vandermonde(F, pts, pts.size)
     Vinv = la.solve_right(F, V, la.identity(q))
     assert Vinv is not None
-    A_sets = [first_information_set(L) for L in L_list]
-    enc_factors = []
-    for L, A in zip(L_list, A_sets):
-        coefs = la.solve_right(F, L.gen[:, A].T, la.identity(len(A)))
-        assert coefs is not None
-        enc_factors.append(la.matmul(F, coefs.T, L.gen))
-    enc_basis = la.kron(F, enc_factors[0], enc_factors[1])
-    A_flat = np.array([np.ravel_multi_index(idx, (q, q))
-                       for idx in itertools.product(*A_sets)], dtype=np.int64)
+    A_sets, A_flat, enc_basis = _unit_encodings(F, factors, L_list)
     grid = grid_points(F, 2)
     a = np.zeros(q * q, dtype=np.int64)
     for (d1, d2) in lpow_exps:
-        mono = monomial_eval_matrix(F, grid, [(d1, d2)])[0]
-        beta = np.int64(0)
-        for j in A_flat:
-            beta = F.add(beta, mono[j])
+        beta = F.sum(monomial_eval_matrix(F, grid, [(d1, d2)])[0][A_flat])
         if beta:
             a = F.add(a, F.mul(np.int64(beta),
                                la.kron(F, Vinv[d1][None, :], Vinv[d2][None, :])[0]))
-    return GateInstance(p.r, factors, L_list, S_basis,
-                        [list(map(int, A)) for A in A_sets], A_flat,
-                        enc_basis, a, cert, label)
+    return GateInstance(p.r, factors, L_list, S_basis, A_sets, A_flat, enc_basis, a,
+                        cert, label)
 
 
 def rs_window(F: Field, points: np.ndarray, lo: int, hi: int) -> LinearCode:
@@ -720,14 +696,17 @@ def _solve_gamma(F: Field, points: np.ndarray, k0: int, u: int,
     [0, 2k0]^u, randomized inside the solution coset until entrywise nonzero."""
     exps = box_exponents(0, 2 * k0 + 1, u)
     M = monomial_eval_matrix(F, points, exps)
-    if la.rank(F, M) != len(exps):
-        raise GammaSolveError("monomial box evaluations are not independent")
-    target = np.zeros(len(exps), dtype=np.int64)
+    n = M.shape[1]
+    target = np.zeros((len(exps), 1), dtype=np.int64)
     target[exps.index(tuple([k0] * u))] = 1
-    g0 = la.solve_right(F, M, target)
-    if g0 is None:
-        raise GammaSolveError("gamma system is infeasible")
-    K = la.right_kernel(F, M)
+    # one reduction of [M | target]: its first n columns are rref(M), and a
+    # full row rank M leaves no pivot on the target, so the system is solvable
+    R, piv = la.rref(F, np.concatenate([M, target], axis=1))
+    if len(piv) != len(exps) or piv[-1] >= n:
+        raise GammaSolveError("monomial box evaluations are not independent")
+    g0 = np.zeros(n, dtype=np.int64)
+    g0[piv] = R[:, n]
+    K = la.rref_kernel(F, R[:, :n], piv)
     for _ in range(retries):
         g = g0
         if K.shape[0]:
@@ -759,10 +738,7 @@ def triple_product_build(F: Field, m: int, u: int, seed: int,
             "dense route")
     n = p.n
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    points = []
-    for i in range(3):
-        E = _sample_points(F, n, u, rng)
-        points.append(E)
+    points = [distinct_points(F, n, u, rng) for _ in range(3)]
     gammas = [_solve_gamma(F, E, p.k0, u, rng) for E in points]
     for i, (E, g) in enumerate(zip(points, gammas)):
         exps = box_exponents(0, 2 * p.k0 + 1, u)
@@ -797,7 +773,7 @@ def triple_product_build(F: Field, m: int, u: int, seed: int,
     phi_u = 1
     for g, E in zip(gammas, points):
         cube = monomial_eval_matrix(F, E, [tuple([3 * p.ell_lo + shift] * u)])[0]
-        phi_u = int(F.mul(np.int64(phi_u), _dot(F, g, cube)))
+        phi_u = int(F.mul(np.int64(phi_u), F.sum(F.mul(g, cube))))
     checks["phi_on_Lpower"] = phi_u == 1
     holds = all(bool(v) for k, v in checks.items()
                 if k not in ("window_size", "degraded_regime")) and phi_u == 1
@@ -808,87 +784,80 @@ def triple_product_build(F: Field, m: int, u: int, seed: int,
                              label=f"triple(m={m},u={u},q={F.q})")
 
 
-def _dot(F: Field, a: np.ndarray, b: np.ndarray) -> np.int64:
-    terms = F.mul(a, b)
-    if F.p == 2:
-        return np.bitwise_xor.reduce(terms)
-    out = np.int64(0)
-    for t in terms:
-        out = F.add(out, t)
-    return out
-
-
-def _sample_points(F: Field, n: int, u: int, rng: np.random.Generator) -> np.ndarray:
-    seen: set[tuple[int, ...]] = set()
-    rows = []
-    while len(rows) < n:
-        cand = tuple(int(x) for x in rng.integers(0, F.q, size=u))
-        if cand not in seen:
-            seen.add(cand)
-            rows.append(cand)
-    return np.array(rows, dtype=np.int64)
-
-
 def _triple_block_bases(F: Field, p: TripleProductParams,
                         points: list[np.ndarray],
                         gammas: list[np.ndarray]) -> dict:
-    """Generator bases of every factor slot appearing in L and S1..S3."""
+    """Generator bases of every factor slot appearing in L and S1..S3; the
+    first two Z-codes are kernel bases, and "qz_split" keeps their (free
+    columns, pivots, pivot block) for _span_rows (None for an ev basis)."""
     def ev_box(i: int, k: int) -> np.ndarray:
         return monomial_eval_matrix(F, points[i], box_exponents(0, k, p.u))
 
-    qz = []
-    for i in range(3):
-        if i < 2:
-            scaled = F.mul(gammas[i][None, :], ev_box(i, p.kz[i]))
-            qz.append(la.right_kernel(F, scaled))
-        else:
-            qz.append(ev_box(2, p.kz[2]))
+    qz, split = [], []
+    for i in range(2):
+        R, piv = la.rref(F, F.mul(gammas[i][None, :], ev_box(i, p.kz[i])))
+        K = la.rref_kernel(F, R, piv)
+        free = np.setdiff1d(np.arange(K.shape[1]), piv)
+        qz.append(K)
+        split.append((free, np.asarray(piv, dtype=np.int64), K[:, piv]))
+    qz.append(ev_box(2, p.kz[2]))
+    split.append(None)
     qx_perp = [ev_box(i, p.kx[i]) for i in range(3)]
-    return {"qz": qz, "qx_perp": qx_perp}
+    return {"qz": qz, "qx_perp": qx_perp, "qz_split": split}
+
+
+def _span_rows(F: Field, C: np.ndarray, basis: np.ndarray, split) -> np.ndarray:
+    """The rows C @ basis; with a kernel split, only C @ K[:, pivots] is
+    computed and the free columns are C itself."""
+    if split is None:
+        return la.matmul(F, C, basis)
+    free, piv, Kp = split
+    out = np.empty((C.shape[0], basis.shape[1]), dtype=np.int64)
+    out[:, free] = C
+    out[:, piv] = la.matmul(F, C, Kp)
+    return out
 
 
 def triple_phase_identity_test(gate: TripleProductGate, trials: int, seed: int,
                                terms_per_block: int = 2) -> PhaseReport:
     """Phase identity over the factored representation: coset representatives
     are encoded messages plus random low-tensor-rank stabilizer elements, and
-    both sides are evaluated exactly through per-factor inner products."""
+    both sides are evaluated exactly through per-factor inner products.
+
+    A representative is a sum of T elementary tensors, held as one (T, n)
+    array per axis.  The right-hand side over all T^3 term triples factors
+    per axis into D[i, j, k] = a_parts . (T1[i] * T2[j] * T3[k]), one matmul
+    each, and is a_scale times the sum of D_0 * D_1 * D_2.
+    """
     F = gate.field
-    p = gate.params
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    qz = gate.block_bases["qz"]
-    qx_perp = gate.block_bases["qx_perp"]
-    slots = {
-        "S1": (qx_perp[0], qz[1], qz[2]),
-        "S2": (qz[0], qx_perp[1], qz[2]),
-        "S3": (qz[0], qz[1], qx_perp[2]),
-    }
+    qz = list(zip(gate.block_bases["qz"], gate.block_bases["qz_split"]))
+    qx_perp = [(b, None) for b in gate.block_bases["qx_perp"]]
+    # slot S_{s+1} takes its axis-s part from (Q_X)^perp, the rest from Q_Z
+    slots = [[qx_perp[i] if i == s else qz[i] for i in range(3)] for s in range(3)]
     vhat = [F.div(v, v[j]) for v, j in zip(gate.L_vectors, gate.j_star)]
 
-    def sample_rep(z: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        terms = [(F.mul(np.int64(z), vhat[0]), vhat[1], vhat[2])]
-        for name in ("S1", "S2", "S3"):
-            b1, b2, b3 = slots[name]
-            for _ in range(terms_per_block):
-                t1 = la.matmul(F, F.random(rng, b1.shape[0])[None, :], b1)[0]
-                t2 = la.matmul(F, F.random(rng, b2.shape[0])[None, :], b2)[0]
-                t3 = la.matmul(F, F.random(rng, b3.shape[0])[None, :], b3)[0]
-                terms.append((t1, t2, t3))
-        return terms
+    def sample_rep(z: int) -> list[np.ndarray]:
+        rows = [[F.mul(np.int64(z), vhat[0])], [vhat[1]], [vhat[2]]]
+        for slot in slots:
+            coefs = [[F.random(rng, b.shape[0]) for b, _ in slot]
+                     for _ in range(terms_per_block)]
+            for axis, (b, sp) in enumerate(slot):
+                C = np.stack([c[axis] for c in coefs])
+                rows[axis].append(_span_rows(F, C, b, sp))
+        return [np.vstack(r) for r in rows]
 
     for trial in range(trials):
         msgs = [int(F.random(rng, None)) for _ in range(3)]
-        reps = [sample_rep(z) for z in msgs]
+        T1, T2, T3 = (sample_rep(z) for z in msgs)
         lhs = int(F.mul(F.mul(np.int64(msgs[0]), np.int64(msgs[1])),
                         np.int64(msgs[2])))
-        rhs = np.int64(0)
-        for t1 in reps[0]:
-            for t2 in reps[1]:
-                for t3 in reps[2]:
-                    term = np.int64(gate.a_scale)
-                    for axis in range(3):
-                        prod = F.mul(F.mul(t1[axis], t2[axis]), t3[axis])
-                        term = F.mul(term, _dot(F, gate.a_parts[axis], prod))
-                    rhs = F.add(rhs, term)
+        D = np.int64(1)
+        for axis in range(3):
+            W = F.mul(gate.a_parts[axis], T1[axis])
+            U = F.mul(W[:, None], T2[axis][None]).reshape(-1, W.shape[1])
+            D = F.mul(D, la.matmul(F, U, T3[axis].T))
+        rhs = F.mul(np.int64(gate.a_scale), F.sum(D.ravel()))
         if int(rhs) != lhs:
             return PhaseReport(trials, trial,
                                {"trial": trial, "lhs": lhs, "rhs": int(rhs),

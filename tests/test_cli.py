@@ -166,6 +166,22 @@ def test_usage_errors(tmp_path):
     assert main(["no-such-command"]) == 1
 
 
+def test_distance_rejects_malformed_fields(tmp_path, capsys):
+    inst = tmp_path / "qrs.json"
+    main(["build-code", "--kind", "qrs", "--q", "4", "--n", "3", "--kx", "2",
+          "--kz", "2", "--seed", "1", "--out", str(inst)])
+    doc = json.loads(inst.read_text())["results"]
+    capsys.readouterr()
+    good = doc["pair"]["qx"]["field"]
+    for field in ({**good, "p": "2"}, {**good, "modulus": None}, [2, 1]):
+        pair = {axis: {**doc["pair"][axis], "field": field} for axis in ("qx", "qz")}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "pair": {**doc["pair"], **pair}}))
+        assert main(["distance", "--instance", str(bad),
+                     "--out", str(tmp_path / "d.json")]) == 1
+        assert "error: field" in capsys.readouterr().err
+
+
 def test_build_punctured_tensor(tmp_path):
     out = tmp_path / "pt.json"
     assert main(["build-code", "--kind", "punctured-tensor-rs",

@@ -243,6 +243,7 @@ def test_base_decomposition_reconstructs(gf4, rng):
         for p in parts[1:]:
             total = gf4.add(total, p)
         assert np.array_equal(total, w)
+        assert np.array_equal(Decomposition(parts, (3, 3)).total(gf4), w)
         # each part lies in its C^(i)
         assert all(gf4.mul(parts[0].reshape(3, 3), np.int64(1)) is not None
                    for _ in [0])

@@ -1,7 +1,10 @@
 """Field arithmetic: axioms, trace/Frobenius behavior, canonical moduli."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF, Field, FieldElement, canonical_modulus, is_irreducible
 
@@ -103,3 +106,31 @@ def test_field_order_validation():
         GF(1)
     with pytest.raises(ValueError):
         Field.get(4, 1)
+
+
+@given(st.sampled_from([2, 256, 97, 49, 3 ** 8]), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from([0, -1]), st.integers(0, 2 ** 32 - 1))
+def test_sum_matches_add_loop(q, rows, cols, axis, seed):
+    """Field.sum against a fold of F.add: XOR for p = 2, mod p for prime
+    fields, the add table for GF(49) and digits for GF(3^8); an empty
+    reduction is 0."""
+    F = GF(q)
+    a = F.random(np.random.default_rng(seed), (rows, cols))
+    lanes = np.moveaxis(a, axis, 0)
+    want = reduce(F.add, lanes, np.zeros(lanes.shape[1:], dtype=np.int64))
+    assert np.array_equal(F.sum(a, axis=axis), want)
+    flat = a.ravel()
+    assert int(F.sum(flat)) == int(reduce(F.add, flat, np.int64(0)))
+
+
+def test_from_json_round_trip_and_rejections():
+    F = GF(49)
+    assert Field.from_json({"p": 7, "e": 2, "modulus": list(F.modulus)}) == F
+    bad = [[2, 1], {"p": "2", "e": 1, "modulus": [1, 1]},
+           {"p": 2, "e": True, "modulus": [1, 1]}, {"p": 2, "e": 1, "modulus": None},
+           {"p": 2, "e": 1, "modulus": [1, 1.0]}, {"e": 1, "modulus": [1, 1]},
+           {"p": 2, "e": 1, "modulus": []}, {"p": 2, "e": 40, "modulus": [1] * 41},
+           {"p": 4, "e": 1, "modulus": [1, 1]}, {"p": 2, "e": 2, "modulus": [1, 0, 1]}]
+    for doc in bad:
+        with pytest.raises(ValueError):
+            Field.from_json(doc)

@@ -1,14 +1,109 @@
 """Transversal gate machinery: star spans, multiplication property, exponent
 checks, gate synthesis, phase identity, sabotage, and the triple product."""
 
+import hashlib
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from prodcodes.cli import canonical_json
 from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import BudgetExceeded, LinearCode, rs_code
 from prodcodes import transversal as tv
 from prodcodes.subsystem import quantum_rs
+
+
+def _sha(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the scalar-loop phase tests the batched ones replaced
+# ---------------------------------------------------------------------------
+
+
+def _dot(F, a, b):
+    terms = F.mul(a, b)
+    if F.p == 2:
+        return np.bitwise_xor.reduce(terms)
+    out = np.int64(0)
+    for t in terms:
+        out = F.add(out, t)
+    return out
+
+
+def _reference_phase_identity_test(gate, trials, seed):
+    F = gate.field
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    ell = gate.n_logical
+    S = gate.S_basis
+    for trial in range(trials):
+        msgs = [F.random(rng, ell) for _ in range(gate.r)]
+        reps = []
+        for z in msgs:
+            rep = la.matmul(F, z[None, :], gate.enc_basis)[0]
+            if S.shape[0]:
+                rep = F.add(rep, la.matmul(F, F.random(rng, S.shape[0])[None, :], S)[0])
+            reps.append(rep)
+        prod_msgs = reduce(F.mul, msgs)
+        lhs = reduce(F.add, [prod_msgs[j] for j in range(ell)], np.int64(0))
+        prod_reps = reduce(F.mul, reps)
+        rhs = np.int64(0)
+        terms = F.mul(gate.a, prod_reps)
+        for j in range(terms.size):
+            rhs = F.add(rhs, terms[j])
+        if int(lhs) != int(rhs):
+            return tv.PhaseReport(trials, trial, {
+                "trial": trial, "lhs": int(lhs), "rhs": int(rhs),
+                "messages": [[int(x) for x in z] for z in msgs]})
+    return tv.PhaseReport(trials, trials, None)
+
+
+def _reference_triple_phase_identity_test(gate, trials, seed, terms_per_block=2):
+    F = gate.field
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    qz = gate.block_bases["qz"]
+    qx_perp = gate.block_bases["qx_perp"]
+    slots = {
+        "S1": (qx_perp[0], qz[1], qz[2]),
+        "S2": (qz[0], qx_perp[1], qz[2]),
+        "S3": (qz[0], qz[1], qx_perp[2]),
+    }
+    vhat = [F.div(v, v[j]) for v, j in zip(gate.L_vectors, gate.j_star)]
+
+    def sample_rep(z):
+        terms = [(F.mul(np.int64(z), vhat[0]), vhat[1], vhat[2])]
+        for name in ("S1", "S2", "S3"):
+            b1, b2, b3 = slots[name]
+            for _ in range(terms_per_block):
+                t1 = la.matmul(F, F.random(rng, b1.shape[0])[None, :], b1)[0]
+                t2 = la.matmul(F, F.random(rng, b2.shape[0])[None, :], b2)[0]
+                t3 = la.matmul(F, F.random(rng, b3.shape[0])[None, :], b3)[0]
+                terms.append((t1, t2, t3))
+        return terms
+
+    for trial in range(trials):
+        msgs = [int(F.random(rng, None)) for _ in range(3)]
+        reps = [sample_rep(z) for z in msgs]
+        lhs = int(F.mul(F.mul(np.int64(msgs[0]), np.int64(msgs[1])),
+                        np.int64(msgs[2])))
+        rhs = np.int64(0)
+        for t1 in reps[0]:
+            for t2 in reps[1]:
+                for t3 in reps[2]:
+                    term = np.int64(gate.a_scale)
+                    for axis in range(3):
+                        prod = F.mul(F.mul(t1[axis], t2[axis]), t3[axis])
+                        term = F.mul(term, _dot(F, gate.a_parts[axis], prod))
+                    rhs = F.add(rhs, term)
+        if int(rhs) != lhs:
+            return tv.PhaseReport(trials, trial,
+                                  {"trial": trial, "lhs": lhs, "rhs": int(rhs),
+                                   "messages": msgs})
+    return tv.PhaseReport(trials, trials, None)
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +228,38 @@ def test_enc_injectivity(gate16, gate37):
         assert la.rank(F, gate.enc_basis) == gate.n_logical
 
 
+def _perturbed_gate(gate, pos, delta):
+    bad_a = gate.a.copy()
+    bad_a[pos] = int(gate.field.add(bad_a[pos], np.int64(delta)))
+    return tv.GateInstance(gate.r, gate.factors, gate.L_list,
+                           gate.S_basis, gate.A_sets, gate.A_flat,
+                           gate.enc_basis, bad_a, gate.certificate)
+
+
 def test_phase_sabotage_perturbed_a(gate16):
-    bad_a = gate16.a.copy()
-    bad_a[5] = int(gate16.field.add(bad_a[5], np.int64(3)))
-    bad = tv.GateInstance(gate16.r, gate16.factors, gate16.L_list,
-                          gate16.S_basis, gate16.A_sets, gate16.A_flat,
-                          gate16.enc_basis, bad_a, gate16.certificate)
-    rep = tv.phase_identity_test(bad, 300, seed=5)
+    rep = tv.phase_identity_test(_perturbed_gate(gate16, 5, 3), 300, seed=5)
     assert not rep.all_passed
+
+
+def test_gate_coefficients_pinned():
+    """The GF(37) r = 3 coefficients vector of the monomial synthesis, pinned
+    by hash."""
+    gate = tv.build_transrs_gate(GF(37), 3)
+    assert _sha([int(x) for x in gate.a]) == \
+        "50b773d325c2204b25c40e867c95c75213032e4d6bb094923a9f089a07859d2f"
+
+
+@settings(max_examples=12)
+@given(st.booleans(), st.booleans(), st.integers(0, 10 ** 6), st.integers(1, 10 ** 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_phase_identity_matches_reference(gate16, gate37, big, perturb, pos, delta, seed):
+    """Whole reports, counterexample included, agree with the scalar-loop
+    oracle on correct gates and on gates with one perturbed coefficient."""
+    gate = gate37 if big else gate16
+    if perturb:
+        gate = _perturbed_gate(gate, pos % gate.a.size, 1 + delta % (gate.field.q - 1))
+    assert tv.phase_identity_test(gate, 8, seed) == \
+        _reference_phase_identity_test(gate, 8, seed)
 
 
 def test_property_sabotage_enlarged_s(gate16):
@@ -236,15 +355,61 @@ def test_triple_phase_identity(triple_gate):
     assert rep.all_passed
 
 
+def _triple_with(gate, a_parts=None, a_scale=None):
+    return tv.TripleProductGate(
+        gate.field, gate.params, gate.points, gate.gammas, gate.L_vectors,
+        gate.j_star, gate.a_parts if a_parts is None else a_parts,
+        gate.a_scale if a_scale is None else a_scale,
+        gate.certificate, gate.block_bases)
+
+
+def _perturbed_part(gate, axis, pos, delta):
+    parts = [a.copy() for a in gate.a_parts]
+    parts[axis][pos] = int(gate.field.add(parts[axis][pos], np.int64(delta)))
+    return parts
+
+
 def test_triple_phase_detects_sabotage(triple_gate):
-    bad = tv.TripleProductGate(
-        triple_gate.field, triple_gate.params, triple_gate.points,
-        triple_gate.gammas, triple_gate.L_vectors, triple_gate.j_star,
-        triple_gate.a_parts,
-        int(triple_gate.field.add(np.int64(triple_gate.a_scale), np.int64(1))),
-        triple_gate.certificate, triple_gate.block_bases)
+    bad = _triple_with(triple_gate, a_scale=int(
+        triple_gate.field.add(np.int64(triple_gate.a_scale), np.int64(1))))
     rep = tv.triple_phase_identity_test(bad, 25, seed=7)
     assert not rep.all_passed
+
+
+def test_triple_phase_detects_perturbed_part(triple_gate):
+    bad = _triple_with(triple_gate, a_parts=_perturbed_part(triple_gate, 1, 17, 5))
+    rep = tv.triple_phase_identity_test(bad, 25, seed=7)
+    assert not rep.all_passed
+
+
+@settings(max_examples=6)
+@given(st.sampled_from(["none", "scale", "part"]), st.integers(0, 2),
+       st.integers(0, 10 ** 6), st.integers(1, 10 ** 6), st.integers(0, 2 ** 32 - 1))
+def test_triple_phase_identity_matches_reference(triple_gate, kind, axis, pos, delta, seed):
+    F = triple_gate.field
+    delta = 1 + delta % (F.q - 1)
+    gate = triple_gate
+    if kind == "scale":
+        gate = _triple_with(gate, a_scale=int(F.add(np.int64(gate.a_scale), np.int64(delta))))
+    elif kind == "part":
+        gate = _triple_with(gate, a_parts=_perturbed_part(gate, axis, pos % gate.n, delta))
+    assert tv.triple_phase_identity_test(gate, 2, seed) == \
+        _reference_triple_phase_identity_test(gate, 2, seed)
+
+
+def test_triple_build_pinned(triple_gate):
+    """The seed-2024 build (points, gammas, parts, certificate), pinned by
+    hash: it guards the point sampling and the gamma solve."""
+    assert _sha(triple_gate.to_json()) == \
+        "9f44f65b647d1a92258d79b33c709779cdb34b53580ffd8e5d23426dd4054a53"
+
+
+def test_solve_gamma_rejects_dependent_box():
+    F = GF(1 << 17)
+    points = np.array([[1], [2], [3], [3], [4], [4]], dtype=np.int64)
+    rng = np.random.default_rng(0)
+    with pytest.raises(tv.GammaSolveError):
+        tv._solve_gamma(F, points, 2, 1, rng)
 
 
 def test_triple_determinism():
