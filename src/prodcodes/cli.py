@@ -6,13 +6,15 @@ the resolved configuration and a fixture hash over the canonical JSON bytes;
 wall-clock timings are only attached on request and never hashed, keeping
 identical configurations byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 in-promise decoding failure,
-3 inconsistent input.
+Exit codes: 0 success, 1 usage error (bad arguments or input files, found
+while reading and constructing the input), 2 in-promise decoding failure,
+3 inconsistent input.  Any other exception propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -39,6 +41,35 @@ from .subsystem import (CssPair, check_matrices, logical_coset_equal,
 from . import transversal as tv
 
 EXIT_OK, EXIT_USAGE, EXIT_PROMISE, EXIT_INCONSISTENT = 0, 1, 2, 3
+
+
+class UsageError(ValueError):
+    """Bad input found at the JSON/CLI boundary; main exits 1 on it."""
+
+
+@contextlib.contextmanager
+def _boundary():
+    """Parse and validate command-line or JSON input: the ValueError or
+    KeyError raised on malformed input is a UsageError.  Only the parsing,
+    parameter checks and instance constructors run inside it; gate and
+    punctured-code builds, and everything after, run outside."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"missing key {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _read_json(path: str):
+    """The parsed JSON of an input file; a missing or malformed file is a
+    UsageError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
 # a trial runner's result: aggregate, trial rows, no in-promise failure,
 # seconds per trial
 Trials = tuple[dict, list[dict], bool, list[float]]
@@ -88,8 +119,36 @@ def _fraction(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_code(args) -> int:
-    F = GF(args.q)
+def _check_triple_params(m: int, u: int) -> None:
+    """UsageError unless tv.triple_product_build accepts (m, u)."""
+    with _boundary():
+        p = tv.triple_product_params(m, u)
+    if p.window_size == 0:
+        raise UsageError(f"logical window [{p.ell_lo}, {p.ell_hi}) is empty at m={m}")
+
+
+def _build_document(args) -> dict:
+    """The instance document that build-code writes."""
+    with _boundary():
+        F = GF(args.q)
+        if args.kind not in ("punctured-tensor-rs", "triple-product"):
+            return _instance_document(F, args)
+    if args.kind == "punctured-tensor-rs":
+        if not 1 <= args.k < args.m <= F.q:
+            raise UsageError("need 1 <= k < m <= q")
+        ec = punctured_tensor_rs(F, args.m, args.u, args.k, seed=args.seed)
+        return {"kind": "punctured-tensor-rs", "code": ec.base.to_json(),
+                "points": [int(x) for x in ec.points.ravel()], "u": args.u,
+                "m": args.m, "box_k": args.k, "is_mds": bool(ec.base.is_mds())}
+    _check_triple_params(args.m, args.u)
+    doc = tv.triple_product_build(F, args.m, args.u, args.seed).to_json()
+    doc["kind"] = "triple-product"
+    return doc
+
+
+def _instance_document(F: Field, args) -> dict:
+    """The document of an instance whose constructor validates its
+    parameters."""
     if args.kind == "rs":
         code = rs_code(F, args.n, args.k)
         doc = {"kind": "rs", "code": code.to_json()}
@@ -114,17 +173,13 @@ def cmd_build_code(args) -> int:
                                         args.gamma)
         doc = inst.to_json()
         doc["kind"] = "dual-tensor"
-    elif args.kind == "punctured-tensor-rs":
-        ec = punctured_tensor_rs(F, args.m, args.u, args.k, seed=args.seed)
-        doc = {"kind": "punctured-tensor-rs", "code": ec.base.to_json(),
-               "points": [int(x) for x in ec.points.ravel()], "u": args.u,
-               "m": args.m, "box_k": args.k, "is_mds": bool(ec.base.is_mds())}
-    elif args.kind == "triple-product":
-        gate = tv.triple_product_build(F, args.m, args.u, args.seed)
-        doc = gate.to_json()
-        doc["kind"] = "triple-product"
     else:
         raise ValueError(f"unknown kind {args.kind}")
+    return doc
+
+
+def cmd_build_code(args) -> int:
+    doc = _build_document(args)
     report = finalize_report({"command": "build-code", "kind": args.kind,
                               "q": args.q, "seed": args.seed}, doc)
     write_report(report, args.out)
@@ -134,6 +189,14 @@ def cmd_build_code(args) -> int:
 # ---------------------------------------------------------------------------
 # decode-trials
 # ---------------------------------------------------------------------------
+
+
+def _check_noise(n_cells: int, args) -> None:
+    """UsageError unless the noise options fit n_cells cells."""
+    if args.noise_weight is not None and not 0 <= args.noise_weight <= n_cells:
+        raise UsageError(f"--noise-weight must lie in [0, {n_cells}]")
+    if args.noise_rate is not None and not 0 <= args.noise_rate <= 1:
+        raise UsageError("--noise-rate must lie in [0, 1]")
 
 
 def _noise_weight(n_cells: int, args, rng: np.random.Generator) -> int:
@@ -153,6 +216,7 @@ def _error_vector(F: Field, n_cells: int, weight: int, rng) -> np.ndarray:
 def _dual_tensor_trials(inst: DualTensorInstance, args) -> Trials:
     F = inst.field
     n = inst.n
+    _check_noise(n * n, args)
     rows = []
     trial_seconds: list[float] = []
     promise_radius = int(inst.d0) if inst.d0 >= 1 else 0
@@ -190,6 +254,7 @@ def _subsystem_trials(inst: SubsystemProductInstance, args) -> Trials:
     F = inst.field
     prod = inst.product
     N = prod.n
+    _check_noise(N, args)
     QZp = prod.logical_z_space()
     QXp = prod.logical_x_space()
     cm = check_matrices(prod, "tensor")
@@ -241,6 +306,7 @@ def _css_trials(inst: CssProductInstance, args) -> Trials:
     F = inst.field
     code = inst.code
     N = code.n
+    _check_noise(N, args)
     promise_radius = math.floor(inst.params.delta * N)
     rows = []
     trial_seconds: list[float] = []
@@ -278,28 +344,30 @@ def _css_trials(inst: CssProductInstance, args) -> Trials:
 
 def _load_instance(path: str) -> dict:
     """Accept either a bare instance document or a build-code report."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "kind" not in doc and "results" in doc:
+    doc = _read_json(path)
+    if isinstance(doc, dict) and "kind" not in doc and "results" in doc:
         doc = doc["results"]
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path} must hold a JSON object")
     return doc
+
+
+# instance kind -> (loader, trial runner)
+TRIAL_KINDS = {"dual-tensor": (DualTensorInstance.from_json, _dual_tensor_trials),
+               "subsystem-product": (SubsystemProductInstance.from_json, _subsystem_trials),
+               "css-product": (CssProductInstance.from_json, _css_trials)}
 
 
 def cmd_decode_trials(args) -> int:
     doc = _load_instance(args.instance)
     kind = doc.get("kind")
     t0 = time.time()
-    if kind == "dual-tensor":
-        inst = DualTensorInstance.from_json(doc)
-        agg, rows, clean, secs = _dual_tensor_trials(inst, args)
-    elif kind == "subsystem-product":
-        inst = SubsystemProductInstance.from_json(doc)
-        agg, rows, clean, secs = _subsystem_trials(inst, args)
-    elif kind == "css-product":
-        inst = CssProductInstance.from_json(doc)
-        agg, rows, clean, secs = _css_trials(inst, args)
-    else:
-        raise ValueError(f"cannot decode instances of kind {kind}")
+    if kind not in TRIAL_KINDS:
+        raise UsageError(f"cannot decode instances of kind {kind}")
+    load, run_trials = TRIAL_KINDS[kind]
+    with _boundary():
+        inst = load(doc)
+    agg, rows, clean, secs = run_trials(inst, args)
     config = {"command": "decode-trials", "instance_kind": kind,
               "instance": doc, "trials": args.trials, "seed": args.seed,
               "noise_weight": args.noise_weight, "noise_rate": args.noise_rate}
@@ -325,7 +393,7 @@ def _payload_vector(F: Field, payload, key: str | None, size: int) -> np.ndarray
         payload = payload.get(key) if isinstance(payload, dict) else None
     if not (isinstance(payload, list) and len(payload) == size
             and all(type(x) is int and 0 <= x < F.q for x in payload)):
-        raise ValueError(f"{key or 'word'} must be a flat list of {size} integers in [0, {F.q})")
+        raise UsageError(f"{key or 'word'} must be a flat list of {size} integers in [0, {F.q})")
     return np.array(payload, dtype=np.int64)
 
 
@@ -333,13 +401,13 @@ def cmd_decode_one(args) -> int:
     """Decode a single word (or syndrome pair) and emit a DecodeReport."""
     doc = _load_instance(args.instance)
     kind = doc.get("kind")
-    with open(args.word if args.word else args.syndrome) as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.word if args.word else args.syndrome)
     t0 = time.time()
     if kind == "dual-tensor":
         if args.syndrome:
-            raise ValueError("dual-tensor instances decode words, not syndromes")
-        inst = DualTensorInstance.from_json(doc)
+            raise UsageError("dual-tensor instances decode words, not syndromes")
+        with _boundary():
+            inst = DualTensorInstance.from_json(doc)
         res = alpha_decode(inst, _payload_vector(inst.field, payload, None, inst.n ** 2))
         results = {"residual": res.residual, "fallback": res.fallback,
                    "stage_bounds": {
@@ -350,7 +418,8 @@ def cmd_decode_one(args) -> int:
                    "word": [int(x) for x in res.word.ravel()]}
         ok = not res.fallback
     elif kind == "subsystem-product":
-        inst = SubsystemProductInstance.from_json(doc)
+        with _boundary():
+            inst = SubsystemProductInstance.from_json(doc)
         F = inst.field
         if args.syndrome:
             cm = check_matrices(inst.product, "tensor")
@@ -364,7 +433,7 @@ def cmd_decode_one(args) -> int:
                    "coset_z": [int(x) for x in res.coset_z.representative]}
         ok = not res.fallback
     else:
-        raise ValueError(f"cannot decode instances of kind {kind}")
+        raise UsageError(f"cannot decode instances of kind {kind}")
     if args.timings:
         results["millis"] = (time.time() - t0) * 1000.0
     report = finalize_report({"command": "decode-one", "instance_kind": kind},
@@ -381,9 +450,11 @@ def cmd_decode_one(args) -> int:
 
 
 def cmd_pe_exact(args) -> int:
-    with open(args.codes) as fh:
-        docs = json.load(fh)
-    codes = [LinearCode.from_json(d) for d in docs]
+    docs = _read_json(args.codes)
+    if not isinstance(docs, list):
+        raise UsageError(f"{args.codes} must hold a JSON list of codes")
+    with _boundary():
+        codes = [LinearCode.from_json(d) for d in docs]
     try:
         res = pe_exact(codes, budget=args.budget)
     except BudgetExceeded as exc:
@@ -399,10 +470,12 @@ def cmd_pe_exact(args) -> int:
 def cmd_distance(args) -> int:
     doc = _load_instance(args.instance)
     if doc.get("kind") == "rs" or "gen" in doc:
-        code = LinearCode.from_json(doc.get("code", doc))
+        with _boundary():
+            code = LinearCode.from_json(doc.get("code", doc))
         d = code.min_distance(budget=args.budget)
     else:
-        pair = CssPair.from_json(doc["pair"] if "pair" in doc else doc)
+        with _boundary():
+            pair = CssPair.from_json(doc["pair"] if "pair" in doc else doc)
         d = subsystem_distance(pair, budget=args.budget, seed=args.seed)
     report = finalize_report(
         {"command": "distance", "budget": args.budget, "instance": doc},
@@ -415,8 +488,12 @@ def cmd_distance(args) -> int:
 def cmd_gate_verify(args) -> int:
     t0 = time.time()
     if args.params:
-        r, q = (int(x) for x in args.params.split(","))
-        F = GF(q)
+        with _boundary():
+            r, q = (int(x) for x in args.params.split(","))
+            if r < 2:
+                raise UsageError("gate arity r must be >= 2")
+            F = GF(q)
+            tv.transrs_params(r, q)
         gate = tv.build_transrs_gate(F, r)
         phase = tv.phase_identity_test(gate, args.trials, args.seed)
         sym = tv.exponent_set_check(r, q)
@@ -430,10 +507,12 @@ def cmd_gate_verify(args) -> int:
     else:
         doc = _load_instance(args.instance)
         if doc.get("kind") != "triple-product":
-            raise ValueError("gate-verify --instance expects a triple-product document")
-        F = Field.from_json(doc["field"])
-        gate = tv.triple_product_build(F, doc["params"]["m"], doc["params"]["u"],
-                                       seed=args.seed)
+            raise UsageError("gate-verify --instance expects a triple-product document")
+        with _boundary():
+            F = Field.from_json(doc["field"])
+            m, u = doc["params"]["m"], doc["params"]["u"]
+        _check_triple_params(m, u)
+        gate = tv.triple_product_build(F, m, u, seed=args.seed)
         phase = tv.triple_phase_identity_test(gate, args.trials, args.seed) \
             if gate.certificate.holds else None
         results = {"certificate": gate.certificate.to_json(),
@@ -450,10 +529,16 @@ def cmd_gate_verify(args) -> int:
 
 def cmd_single_shot_trials(args) -> int:
     doc = _load_instance(args.instance)
-    inst = SubsystemProductInstance.from_json(doc)
+    with _boundary():
+        inst = SubsystemProductInstance.from_json(doc)
+        cm = check_matrices(inst.product, "amplified")
     F = inst.field
     prod = inst.product
-    cm = check_matrices(prod, "amplified")
+    if not 0 <= args.error_weight <= prod.n:
+        raise UsageError(f"--error-weight must lie in [0, {prod.n}]")
+    # _stripe_safe_noise hits distinct stripes, 2n of them
+    if not 0 <= args.syndrome_noise <= 2 * inst.n:
+        raise UsageError(f"--syndrome-noise must lie in [0, {2 * inst.n}]")
     gauge = prod.qx.dual().gen
     rows = []
     ok_n = 0
@@ -614,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,7 +10,6 @@ reduced row echelon form so that equal subspaces have identical generators.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field as dfield
 from typing import Iterable, Sequence
@@ -473,19 +472,3 @@ def ltc_soundness_estimate(F: Field, H: np.ndarray, trials: int, seed: int,
     note = ("exact coset minimization" if exact
             else "injected-weight approximation (upper bound only for coset-minimal errors)")
     return SoundnessEstimate(best, trials, exact, note, samples)
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-# ---------------------------------------------------------------------------
-
-
-def dump_code(C: LinearCode, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(C.to_json(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_code(path: str) -> LinearCode:
-    with open(path) as fh:
-        return LinearCode.from_json(json.load(fh))

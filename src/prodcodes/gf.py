@@ -5,8 +5,9 @@ Elements are encoded as integers in [0, q): the coefficient vector
 in mixed radix as sum(c_i * p^i).  All bulk operations act on numpy int64
 arrays of such codes.
 
-Fields with q = p^e <= 2^20 are supported; multiplication goes through
-discrete log/antilog tables built from a primitive modulus, so the canonical
+Fields with q = p^e <= 2^20 are supported.  Extension-field multiplication
+goes through a full table or through discrete log/antilog tables (see
+Field).  Those tables are built from a primitive modulus, so the canonical
 modulus for each (p, e) is the first *primitive* monic polynomial in a fixed
 enumeration order (for e = 1 this is X - g with g the smallest primitive
 root mod p).  The canonical ordering of field elements is 0, 1, g, g^2, ...
@@ -21,6 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_ORDER = 1 << 20
+# extension fields up to this order multiply through a flat q*q table
+# (512 KB of int64 at q = 2^8); larger ones go through log/exp
+MUL_TABLE_MAX_ORDER = 1 << 8
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +173,14 @@ _FIELD_CACHE: dict[tuple, "Field"] = {}
 
 
 class Field:
-    """The finite field GF(p^e), with vectorized arithmetic on element codes."""
+    """The finite field GF(p^e), with vectorized arithmetic on element codes.
+
+    Every field keeps a q-entry inverse table, so ``inv`` is one zero check
+    and one gather.  Prime fields multiply as ``(a * b) % p``.  Extension
+    fields with q <= MUL_TABLE_MAX_ORDER (2^8) multiply through a flat q*q
+    table, ``table[a * q + b]`` (at most 512 KB); larger extension fields
+    multiply through the log/exp tables.
+    """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
@@ -307,6 +318,13 @@ class Field:
         exp[q - 1:] = exp[: q - 1]
         self._exp = exp
         self._log = log
+        # _inv[0] is a placeholder: inv rejects zero before the gather
+        self._inv = np.zeros(q, dtype=np.int64)
+        self._inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
+        self._mul_table = None
+        if e > 1 and q <= MUL_TABLE_MAX_ORDER:
+            codes = np.arange(q, dtype=np.int64)
+            self._mul_table = self.mul(codes[:, None], codes[None, :]).ravel()
         if p != 2 and e > 1 and q <= 1 << 12:
             codes = np.arange(q, dtype=np.int64)
             dig = (codes[:, None] // self._powers[None, :]) % p
@@ -392,6 +410,8 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.e == 1:
             return (a * b) % self.p
+        if self._mul_table is not None:
+            return self._mul_table[a * self.q + b]
         la, lb = self._log[a], self._log[b]
         out = self._exp[np.maximum(la, 0) + np.maximum(lb, 0)]
         zero = (la < 0) | (lb < 0)
@@ -399,9 +419,9 @@ class Field:
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if not a.all():
             raise ZeroDivisionError("zero has no inverse")
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._inv[a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -4,6 +4,17 @@ All functions take the field first and operate on numpy int64 arrays of
 element codes.  Row reduction uses a fixed deterministic pivot rule (first
 nonzero entry scanning columns left to right, rows top to bottom) so that
 every basis this module produces is bit-reproducible.
+
+Two prime-field kernels skip reductions and rely on exactness bounds:
+
+- ``matmul`` multiplies in float64 through BLAS.  Integers below 2^53 are
+  exact in float64, so the inner dimension is cut into blocks of ``step``
+  terms with (p-1) + step * (p-1)^2 < 2^53 (8192 terms at p = 1048573), and
+  the result is reduced with ``fmod`` after each block.
+- ``rref`` adds each pivot's updates without ``%``: one pivot adds at most
+  (p-1)^2 to an entry, so entries stay below p + min(m, n) * (p-1)^2, under
+  2^63 for any matrix of fewer than 2^46 entries at p < 2^20, and the int64
+  block is reduced once at the end.
 """
 
 from __future__ import annotations
@@ -26,14 +37,18 @@ def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if k == 0 or m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.int64)
     if F.e == 1:
-        # int64 is safe: p < 2^20 so each product < 2^40; block the inner
-        # dimension to keep the accumulated sum below 2^62
-        out = np.zeros((m, n), dtype=np.int64)
-        step = max(1, (1 << 22) // max(1, F.p))
-        for i in range(0, k, step):
-            out += A[:, i:i + step] @ B[i:i + step, :]
-            out %= F.p
-        return out
+        # float64 BLAS is exact while every partial sum stays below 2^53:
+        # a reduced carry (< p) plus step products of at most (p-1)^2 each
+        p = F.p
+        step = ((1 << 53) - p) // (p - 1) ** 2
+        Af = A.astype(np.float64)
+        Bf = B.astype(np.float64)
+        out = Af[:, :step] @ Bf[:step]
+        np.fmod(out, p, out=out)
+        for i in range(step, k, step):
+            out += Af[:, i:i + step] @ Bf[i:i + step]
+            np.fmod(out, p, out=out)
+        return out.astype(np.int64)
     out = np.zeros((m, n), dtype=np.int64)
     step = max(1, _MATMUL_BLOCK // max(1, m * n))
     for i in range(0, k, step):
@@ -51,31 +66,51 @@ def matvec(F: Field, A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def rref(F: Field, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Odd prime fields delay the reduction: the other rows get
+    (p - f) * pivot_row added with no %, and only the pivot column, the
+    pivot row and, at the end, the whole block are reduced (the int64 bound
+    is in the module docstring).  Other fields subtract the products with
+    F.sub.
+    """
     R = np.atleast_2d(np.asarray(M, dtype=np.int64)).copy()
     m, n = R.shape
+    p = F.p
+    delayed = F.e == 1 and p != 2
+    assert not delayed or min(m, n) * (p - 1) ** 2 < (1 << 63) - p
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r >= m:
             break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
+        col = R[:, c] % p if delayed else R[:, c].copy()
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
-        pv = R[r, c]
-        if pv != 1:
-            R[r] = F.mul(R[r], F.inv(pv))
-        factors = R[:, c].copy()
-        factors[r] = 0
-        rows = np.nonzero(factors)[0]
+            col[[r, pr]] = col[[pr, r]]
+        # rows r.. vanish (mod p) left of c, so the pivot row is R[r, c:]
+        row = R[r, c:]
+        inv = int(F._inv[col[r]])
+        if delayed:
+            row[:] = row % p * inv % p
+        elif inv != 1:
+            row[:] = F.mul(row, inv)
+        col[r] = 0
+        rows = col.nonzero()[0]
         if rows.size:
-            R[rows] = F.sub(R[rows], F.mul(factors[rows, None], R[r][None, :]))
+            f = col[rows, None]
+            if delayed:
+                R[rows, c:] += (p - f) * row
+            else:
+                R[rows, c:] = F.sub(R[rows, c:], F.mul(f, row))
         pivots.append(c)
         r += 1
+    if delayed:
+        R %= p
     return R, pivots
 
 

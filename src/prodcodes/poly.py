@@ -25,11 +25,6 @@ def uni_trim(coeffs: np.ndarray) -> np.ndarray:
     return c[: int(nz[-1]) + 1] if nz.size else c[:0]
 
 
-def uni_deg(coeffs: np.ndarray) -> int:
-    """Degree, with deg(0) = -1."""
-    return uni_trim(coeffs).shape[0] - 1
-
-
 def uni_mul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = uni_trim(a), uni_trim(b)
     if a.size == 0 or b.size == 0:

@@ -33,18 +33,6 @@ class InconsistentInput(RuntimeError):
 
 
 @dataclass
-class SyndromeInput:
-    s_x: np.ndarray
-    s_z: np.ndarray
-    checks: CheckMatrices
-
-    def __post_init__(self):
-        if self.s_x.size != self.checks.hx.shape[0] or \
-                self.s_z.size != self.checks.hz.shape[0]:
-            raise ValueError("syndrome lengths do not match the check matrices")
-
-
-@dataclass
 class CorrectionCoset:
     representative: np.ndarray
     modulus: str  # "qx_perp" or "qz_perp"

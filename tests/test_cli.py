@@ -164,6 +164,80 @@ def test_usage_errors(tmp_path):
     assert main(["decode-trials", "--instance", "/nonexistent.json",
                  "--noise-weight", "0", "--trials", "1", "--seed", "1"]) == 1
     assert main(["no-such-command"]) == 1
+    bad = tmp_path / "bad.json"
+    for text in ("{not json", "[1, 2]", json.dumps({"kind": "rs"}),
+                 json.dumps({"kind": "nonesuch"})):
+        bad.write_text(text)
+        assert main(["decode-trials", "--instance", str(bad), "--noise-weight", "0",
+                     "--trials", "1", "--seed", "1"]) == 1
+        assert main(["distance", "--instance", str(bad)]) == 1
+    assert main(["build-code", "--kind", "rs", "--q", "6", "--n", "4", "--k", "2",
+                 "--seed", "1"]) == 1
+    assert main(["build-code", "--kind", "rs", "--q", "7", "--n", "9", "--k", "2",
+                 "--seed", "1"]) == 1
+    for params in ("2", "1,16", "2,15", "2,8"):
+        assert main(["gate-verify", "--params", params]) == 1
+    assert main(["pe-exact", "--codes", str(bad)]) == 1
+    assert main(["build-code", "--kind", "triple-product", "--q", "64", "--m", "4",
+                 "--seed", "1"]) == 1
+    assert main(["build-code", "--kind", "punctured-tensor-rs", "--q", "16", "--m", "3",
+                 "--u", "2", "--k", "3", "--seed", "1"]) == 1
+
+
+def test_noise_options_out_of_range(tmp_path):
+    dt = tmp_path / "dt.json"
+    assert main(["build-code", "--kind", "dual-tensor", "--q", "16", "--n", "16",
+                 "--k", "2", "--k2", "4", "--seed", "5", "--out", str(dt)]) == 0
+    for noise in (["--noise-weight", "257"], ["--noise-weight", "-1"],
+                  ["--noise-rate", "1.5"], ["--noise-rate", "-0.1"]):
+        assert main(["decode-trials", "--instance", str(dt), *noise,
+                     "--trials", "1", "--seed", "1"]) == 1
+    sp = tmp_path / "sp.json"
+    assert main(["build-code", "--kind", "subsystem-product", "--q", "8", "--n", "8",
+                 "--kx", "6", "--kz", "6", "--kx2", "4", "--kz2", "5",
+                 "--eps", "1/8", "--seed", "1", "--out", str(sp)]) == 0
+    for weight, noise in (("65", "1"), ("-1", "1"), ("1", "17")):
+        assert main(["single-shot-trials", "--instance", str(sp),
+                     "--syndrome-noise", noise, "--error-weight", weight,
+                     "--distance", "4", "--trials", "1", "--seed", "3"]) == 1
+
+
+@pytest.mark.parametrize("exc", [KeyError("internal"), ValueError("internal")])
+def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch, exc):
+    """Only input checks give exit 1; an internal error keeps its traceback."""
+    inst = tmp_path / "dt.json"
+    assert main(["build-code", "--kind", "dual-tensor", "--q", "16", "--n", "16",
+                 "--k", "2", "--k2", "4", "--seed", "5", "--out", str(inst)]) == 0
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps([0] * 256))
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("prodcodes.cli.alpha_decode", broken)
+    with pytest.raises(type(exc), match="internal"):
+        main(["decode-one", "--instance", str(inst), "--word", str(wf),
+              "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("prodcodes.transversal.build_transrs_gate", ["gate-verify", "--params", "2,16"]),
+    ("prodcodes.transversal.triple_product_build",
+     ["build-code", "--kind", "triple-product", "--q", str(1 << 17), "--m", "408",
+      "--seed", "11"]),
+    ("prodcodes.cli.punctured_tensor_rs",
+     ["build-code", "--kind", "punctured-tensor-rs", "--q", "16", "--m", "3",
+      "--u", "2", "--k", "2", "--seed", "9"]),
+])
+def test_build_failures_are_not_usage_errors(tmp_path, monkeypatch, target, argv):
+    """Gate and code builds run outside the input checks: a ValueError they
+    raise on valid parameters is a bug and keeps its traceback."""
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(target, broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(argv + ["--out", str(tmp_path / "r.json")])
 
 
 def test_distance_rejects_malformed_fields(tmp_path, capsys):

@@ -142,7 +142,7 @@ def test_filling_estimate_bounds():
     C, _ = qrs_complex(4, 4, 3)
     est = filling_constant_estimate(C, trials=30, seed=2)
     assert est.trials == 30 and est.exact_preimages
-    assert all(r >= 1 / b for b, _, r in [(s[0], s[1], s[2]) for s in est.samples]) or True
+    assert all(r >= 1 / b for b, _, r in est.samples)
     # the preimage of boundary(unit vector) has weight <= 1, so each sampled
     # ratio with |b| = |boundary(e_i)| is at most 1/|b| for those samples
     F = C.field

@@ -1,0 +1,174 @@
+"""Table-driven field kernels against the log/exp and int64 bodies they replaced.
+
+The reference functions below are the earlier `Field.mul`, `Field.inv`,
+`linalg.matmul` and `linalg.rref`, kept verbatim in behaviour: the fast
+paths must return bit-identical arrays (the rref of a matrix is unique)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prodcodes import linalg as la
+from prodcodes.gf import GF, MUL_TABLE_MAX_ORDER
+
+# both sides of the multiplication-table cut, odd extensions, primes, and
+# the two large fields the transversal and BLAS paths use
+FIELD_ORDERS = [2, 4, 8, 9, 16, 49, 97, 243, 256, 512, 3 ** 6, 1 << 17, 1048573]
+
+
+def ref_mul(F, a, b):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if F.e == 1:
+        return (a * b) % F.p
+    la_, lb = F._log[a], F._log[b]
+    out = F._exp[np.maximum(la_, 0) + np.maximum(lb, 0)]
+    zero = (la_ < 0) | (lb < 0)
+    return np.where(zero, 0, out)
+
+
+def ref_inv(F, a):
+    a = np.asarray(a, dtype=np.int64)
+    if np.any(a == 0):
+        raise ZeroDivisionError("zero has no inverse")
+    return F._exp[(F.q - 1 - F._log[a]) % (F.q - 1)]
+
+
+def ref_matmul(F, A, B):
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    B = np.atleast_2d(np.asarray(B, dtype=np.int64))
+    m, k = A.shape
+    n = B.shape[1]
+    if k == 0 or m == 0 or n == 0:
+        return np.zeros((m, n), dtype=np.int64)
+    out = np.zeros((m, n), dtype=np.int64)
+    if F.e == 1:
+        step = max(1, (1 << 22) // max(1, F.p))
+        for i in range(0, k, step):
+            out += A[:, i:i + step] @ B[i:i + step, :]
+            out %= F.p
+        return out
+    step = max(1, (1 << 22) // max(1, m * n))
+    for i in range(0, k, step):
+        terms = ref_mul(F, A[:, i:i + step, None], B[None, i:i + step, :])
+        if F.p == 2:
+            out ^= np.bitwise_xor.reduce(terms, axis=1)
+        else:
+            for j in range(terms.shape[1]):
+                out = F.add(out, terms[:, j, :])
+    return out
+
+
+def ref_rref(F, M):
+    R = np.atleast_2d(np.asarray(M, dtype=np.int64)).copy()
+    m, n = R.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        pv = R[r, c]
+        if pv != 1:
+            R[r] = ref_mul(F, R[r], ref_inv(F, pv))
+        factors = R[:, c].copy()
+        factors[r] = 0
+        rows = np.nonzero(factors)[0]
+        if rows.size:
+            R[rows] = F.sub(R[rows], ref_mul(F, factors[rows, None], R[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def assert_rref_matches(F, M):
+    R, piv = la.rref(F, M)
+    R0, piv0 = ref_rref(F, M)
+    assert piv == piv0
+    assert R.dtype == np.int64 and np.array_equal(R, R0)
+
+
+def ranked(F, rng, m, n, r):
+    """An m x n matrix of rank <= r, with a zero column when n allows."""
+    M = ref_matmul(F, F.random(rng, (m, r)), F.random(rng, (r, n)))
+    if n > 2:
+        M[:, rng.integers(n)] = 0
+    return M
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_mul_and_inv_tables_match_log_exp(q):
+    F = GF(q)
+    assert (F._mul_table is not None) == (F.e > 1 and q <= MUL_TABLE_MAX_ORDER)
+    rng = np.random.default_rng(q)
+    if q <= 512:
+        a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+        units = np.arange(1, q, dtype=np.int64)
+    else:
+        a, b = F.random(rng, (2, 50_000))
+        units = F.random(rng, 50_000, nonzero=True)
+    assert np.array_equal(F.mul(a, b), ref_mul(F, a, b))
+    assert np.array_equal(F.mul(a.reshape(-1, 1)[:64], b[:64]),
+                          ref_mul(F, a.reshape(-1, 1)[:64], b[:64]))
+    assert np.array_equal(F.inv(units), ref_inv(F, units))
+    x, y = int(a[-1]), int(units[-1])
+    assert int(F.mul(x, y)) == int(ref_mul(F, x, y))
+    assert int(F.inv(y)) == int(ref_inv(F, y))
+    with pytest.raises(ZeroDivisionError):
+        F.inv(np.array([1, 0]))
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+@given(st.sampled_from(FIELD_ORDERS), st.integers(0, 12), st.integers(0, 12),
+       st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150)
+def test_rref_and_matmul_match_reference(q, m, n, r, seed):
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    assert_rref_matches(F, ranked(F, rng, m, n, min(r, m, n)))
+    A, B = F.random(rng, (m, r)), F.random(rng, (r, n))
+    assert np.array_equal(la.matmul(F, A, B), ref_matmul(F, A, B))
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_rref_edge_shapes(q):
+    F = GF(q)
+    rng = np.random.default_rng(7)
+    for M in (np.zeros((0, 5), dtype=np.int64), np.zeros((4, 0), dtype=np.int64),
+              np.zeros((0, 0), dtype=np.int64), np.zeros((3, 6), dtype=np.int64),
+              F.random(rng, (6, 6), nonzero=True), F.random(rng, (5, 9)),
+              F.random(rng, (9, 5)), np.full((4, 4), F.q - 1, dtype=np.int64)):
+        assert_rref_matches(F, M)
+
+
+@pytest.mark.parametrize("q", [97, 1048573])
+def test_rref_with_hundreds_of_pivots(q):
+    """Delayed reduction stays exact over hundreds of unreduced updates."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    M = F.random(rng, (260, 300))
+    M[:, 10] = 0
+    R, piv = la.rref(F, M)
+    assert len(piv) == 260
+    R0, piv0 = ref_rref(F, M)
+    assert piv == piv0 and np.array_equal(R, R0)
+
+
+def test_prime_matmul_blocks_the_inner_dimension():
+    """Above 8192 terms at p = 1048573 the float64 product runs in several
+    blocks.  Every entry p - 1 gives the largest sums, every entry p - 2 odd
+    products, which float64 would round past 2^53; both stay exact."""
+    F = GF(1048573)
+    rng = np.random.default_rng(3)
+    k = 3 * 8192 + 5
+    A, B = F.random(rng, (3, k)), F.random(rng, (k, 4))
+    assert np.array_equal(la.matmul(F, A, B), ref_matmul(F, A, B))
+    for v in (F.q - 1, F.q - 2):
+        A[:], B[:] = v, v
+        assert np.array_equal(la.matmul(F, A, B), ref_matmul(F, A, B))

@@ -304,7 +304,9 @@ def test_triple_params_match_formulas():
     assert (p.ell_lo, p.ell_hi) == (33, 33) and p.window_size == 0
     p100 = tv.triple_product_params(100, 1)
     assert p100.k0 == 25 and p100.kx[0] == 0  # degenerate regime
-    assert tv.triple_product_params(99, 2).degraded is False or True
+    # the window regime starts at m = 100
+    assert tv.triple_product_params(99, 2).degraded is True
+    assert tv.triple_product_params(100, 2).degraded is False
 
 
 def test_smallest_window_m():
