@@ -5,14 +5,13 @@ verification of transversal multi-controlled-Z gates."""
 
 __version__ = "0.1.0"
 
-from .gf import GF, Field, FieldElement
-from .poly import Poly
-from .codes import LinearCode, ReedSolomon, EvalCode, TensorIndex
+from .gf import GF, Field
+from .codes import LinearCode, ReedSolomon, EvalCode
 from .subsystem import CssPair
 from .complexes import SingleSectorComplex
 
 __all__ = [
-    "GF", "Field", "FieldElement", "Poly", "LinearCode",
-    "ReedSolomon", "EvalCode", "TensorIndex", "CssPair", "SingleSectorComplex",
+    "GF", "Field", "LinearCode", "ReedSolomon", "EvalCode", "CssPair",
+    "SingleSectorComplex",
     "__version__",
 ]

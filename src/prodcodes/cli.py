@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from . import __version__
 from .gf import GF, Field
 from . import linalg as la
 from .codes import (BudgetExceeded, LinearCode, punctured_tensor_rs, rs_code)
-from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode, random_codeword,
-                      random_error)
+from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode, params_from_json,
+                      random_codeword)
 from .expansion import pe_exact
 from .qdecoder import (CssProductInstance, InconsistentInput, QdecParams,
                        SubsystemProductInstance, coset_min_weight, css_decode,
@@ -70,10 +71,6 @@ def _read_json(path: str):
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
-# a trial runner's result: aggregate, trial rows, no in-promise failure,
-# seconds per trial
-Trials = tuple[dict, list[dict], bool, list[float]]
-
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -107,11 +104,22 @@ def write_csv(rows: list[dict], path: str) -> None:
         writer.writerows(rows)
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str) -> list[int]:
+    """[numerator, denominator] in lowest terms of "a/b" or a decimal."""
     if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+        num, den = (int(x) for x in text.split("/"))
+        if den == 0:
+            raise ValueError(f"{text} has a zero denominator")
+        f = Fraction(num, den)
+    else:
+        f = Fraction(text)
+    return [f.numerator, f.denominator]
+
+
+def _decoder_params(args) -> tuple[Fraction, Fraction, int]:
+    """build-code's eps, rho and gamma, under the checks of an instance document."""
+    return params_from_json({"eps": _fraction(args.eps), "rho": _fraction(args.rho),
+                             "gamma": args.gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +166,15 @@ def _instance_document(F: Field, args) -> dict:
     elif args.kind == "subsystem-product":
         f1 = quantum_rs(F, args.n, args.kx, args.kz)
         f2 = quantum_rs(F, args.n, args.kx2, args.kz2)
-        inst = SubsystemProductInstance(
-            [f1, f2], QdecParams(_fraction(args.eps), _fraction(args.rho), args.gamma))
+        inst = SubsystemProductInstance([f1, f2], QdecParams(*_decoder_params(args)))
         doc = inst.to_json()
     elif args.kind == "css-product":
         f1 = quantum_rs(F, args.n, args.k, args.k)
         f2 = quantum_rs(F, args.n, args.k2, args.k2)
-        inst = CssProductInstance(
-            [f1, f2], QdecParams(_fraction(args.eps), _fraction(args.rho), args.gamma))
+        inst = CssProductInstance([f1, f2], QdecParams(*_decoder_params(args)))
         doc = inst.to_json()
     elif args.kind == "dual-tensor":
-        inst = DualTensorInstance.build(F, args.n, args.k, args.k2,
-                                        _fraction(args.eps), _fraction(args.rho),
-                                        args.gamma)
+        inst = DualTensorInstance.build(F, args.n, args.k, args.k2, *_decoder_params(args))
         doc = inst.to_json()
         doc["kind"] = "dual-tensor"
     else:
@@ -213,133 +217,116 @@ def _error_vector(F: Field, n_cells: int, weight: int, rng) -> np.ndarray:
     return e
 
 
-def _dual_tensor_trials(inst: DualTensorInstance, args) -> Trials:
-    F = inst.field
-    n = inst.n
-    _check_noise(n * n, args)
-    rows = []
-    trial_seconds: list[float] = []
-    promise_radius = int(inst.d0) if inst.d0 >= 1 else 0
-    in_ok = in_fail = out_n = 0
-    for trial in range(args.trials):
-        rng = stream(args.seed, trial)
+def _run_trials(args, trial: Callable) -> tuple[list[dict], list[float]]:
+    """Run args.trials trials.  Trial i maps its own stream (seed, i) and a
+    timer to its row: timed(decode, *a) returns decode(*a) and records its
+    seconds.  Returns the rows, numbered from 0, and the decode times."""
+    seconds: list[float] = []
+
+    def timed(decode, *a):
+        t0 = time.time()
+        try:
+            return decode(*a)
+        finally:
+            seconds.append(time.time() - t0)
+
+    rows = [{"trial": i, **trial(stream(args.seed, i), timed)} for i in range(args.trials)]
+    return rows, seconds
+
+
+class TrialKind(NamedTuple):
+    """What one instance kind gives decode-trials: the number of noisy
+    cells, the promise radius, the trial function of _run_trials (its rows
+    carry "in_promise" and "success") and the kind's extra aggregate fields
+    of the rows."""
+
+    cells: int
+    promise_radius: int
+    trial: Callable
+    extra: Callable[[list[dict]], dict]
+
+
+def _dual_tensor_trials(inst: DualTensorInstance, args) -> TrialKind:
+    F, n = inst.field, inst.n
+    radius = int(inst.d0) if inst.d0 >= 1 else 0
+
+    def trial(rng, timed) -> dict:
         a = random_codeword(inst, rng)
-        w = _noise_weight(n * n, args, rng)
-        b = _error_vector(F, n * n, w, rng).reshape(n, n)
+        b = _error_vector(F, n * n, _noise_weight(n * n, args, rng), rng).reshape(n, n)
         w = int(np.count_nonzero(b))
-        t_trial = time.time()
-        res = alpha_decode(inst, F.add(a, b))
-        trial_seconds.append(time.time() - t_trial)
+        res = timed(alpha_decode, inst, F.add(a, b))
         member = inst.member(res.word)
-        in_promise = w <= promise_radius
-        ok = member and not res.fallback and res.residual <= inst.alpha * max(w, 0) \
+        ok = member and not res.fallback and res.residual <= inst.alpha * w \
             and (w > 0 or res.residual == 0)
-        if in_promise:
-            in_ok += ok
-            in_fail += not ok
-        else:
-            out_n += 1
-        rows.append({"trial": trial, "weight": w, "residual": res.residual,
-                     "fallback": res.fallback, "member": member,
-                     "in_promise": in_promise, "success": bool(ok), **res.stages})
-    agg = {"trials": args.trials, "in_promise_success": in_ok,
-           "in_promise_failure": in_fail, "out_of_promise": out_n,
-           "promise_radius": promise_radius,
-           "alpha": [inst.alpha.numerator, inst.alpha.denominator],
-           "mean_residual": sum(r["residual"] for r in rows) / max(len(rows), 1)}
-    return agg, rows, in_fail == 0, trial_seconds
+        return {"weight": w, "residual": res.residual, "fallback": res.fallback,
+                "member": member, "in_promise": w <= radius, "success": bool(ok),
+                **res.stages}
+
+    def extra(rows: list[dict]) -> dict:
+        return {"alpha": [inst.alpha.numerator, inst.alpha.denominator],
+                "mean_residual": sum(r["residual"] for r in rows) / max(len(rows), 1)}
+
+    return TrialKind(n * n, radius, trial, extra)
 
 
-def _subsystem_trials(inst: SubsystemProductInstance, args) -> Trials:
-    F = inst.field
-    prod = inst.product
+def _subsystem_trials(inst: SubsystemProductInstance, args) -> TrialKind:
+    F, prod = inst.field, inst.product
     N = prod.n
-    _check_noise(N, args)
     QZp = prod.logical_z_space()
     QXp = prod.logical_x_space()
     cm = check_matrices(prod, "tensor")
-    promise_radius = math.floor(inst.params.delta * N)
-    rows = []
-    trial_seconds: list[float] = []
-    in_ok = in_fail = out_n = 0
-    for trial in range(args.trials):
-        rng = stream(args.seed, trial)
+    radius = math.floor(inst.params.delta * N)
+
+    def trial(rng, timed) -> dict:
         cz = la.matmul(F, F.random(rng, QZp.shape[0])[None, :], QZp)[0]
         cx = la.matmul(F, F.random(rng, QXp.shape[0])[None, :], QXp)[0]
         w = _noise_weight(N, args, rng)
         ez = _error_vector(F, N, w, rng)
         ex = _error_vector(F, N, w, rng)
-        t_trial = time.time()
-        res = subsystem_decode(inst, F.add(cx, ex), F.add(cz, ez))
-        trial_seconds.append(time.time() - t_trial)
+        res = timed(subsystem_decode, inst, F.add(cx, ex), F.add(cz, ez))
         ok_z = logical_coset_equal(prod, "z", res.coset_z.representative, cz)
         ok_x = logical_coset_equal(prod, "x", res.coset_x.representative, cx)
         # syndrome path must land in the same logical cosets
-        s_x = la.matvec(F, cm.hx, F.add(cx, ex))
-        s_z = la.matvec(F, cm.hz, F.add(cz, ez))
-        sres = syndrome_decode(inst, cm, s_x, s_z)
+        sres = syndrome_decode(inst, cm, la.matvec(F, cm.hx, F.add(cx, ex)),
+                               la.matvec(F, cm.hz, F.add(cz, ez)))
         agree_z = logical_coset_equal(prod, "z",
                                       F.sub(F.add(cz, ez), sres.coset_z.representative),
                                       res.coset_z.representative)
         agree_x = logical_coset_equal(prod, "x",
                                       F.sub(F.add(cx, ex), sres.coset_x.representative),
                                       res.coset_x.representative)
-        in_promise = w <= promise_radius
-        ok = ok_z and ok_x and agree_z and agree_x
-        if in_promise:
-            in_ok += ok
-            in_fail += not ok
-        else:
-            out_n += 1
-        rows.append({"trial": trial, "weight": w, "success": bool(ok),
-                     "coset_z_ok": bool(ok_z), "coset_x_ok": bool(ok_x),
-                     "syndrome_path_agrees": bool(agree_z and agree_x),
-                     "fallback": res.fallback, "in_promise": in_promise})
-    agg = {"trials": args.trials, "in_promise_success": in_ok,
-           "in_promise_failure": in_fail, "out_of_promise": out_n,
-           "promise_radius": promise_radius,
-           "delta": [inst.params.delta.numerator, inst.params.delta.denominator]}
-    return agg, rows, in_fail == 0, trial_seconds
+        return {"weight": w, "success": bool(ok_z and ok_x and agree_z and agree_x),
+                "coset_z_ok": bool(ok_z), "coset_x_ok": bool(ok_x),
+                "syndrome_path_agrees": bool(agree_z and agree_x),
+                "fallback": res.fallback, "in_promise": w <= radius}
+
+    delta = inst.params.delta
+    return TrialKind(N, radius, trial,
+                     lambda rows: {"delta": [delta.numerator, delta.denominator]})
 
 
-def _css_trials(inst: CssProductInstance, args) -> Trials:
-    F = inst.field
-    code = inst.code
+def _css_trials(inst: CssProductInstance, args) -> TrialKind:
+    F, code = inst.field, inst.code
     N = code.n
-    _check_noise(N, args)
-    promise_radius = math.floor(inst.params.delta * N)
-    rows = []
-    trial_seconds: list[float] = []
-    in_ok = in_fail = out_n = 0
-    for trial in range(args.trials):
-        rng = stream(args.seed, trial)
+    radius = math.floor(inst.params.delta * N)
+
+    def trial(rng, timed) -> dict:
         cz = code.qz.codeword(F.random(rng, code.qz.k))
         cx = code.qx.codeword(F.random(rng, code.qx.k))
         w = _noise_weight(N, args, rng)
         ez = _error_vector(F, N, w, rng)
         ex = _error_vector(F, N, w, rng)
-        t_trial = time.time()
-        reason = {}
         try:
-            res = css_decode(inst, F.add(cx, ex), F.add(cz, ez))
-            ok = (logical_coset_equal(code, "z", res.coset_z.representative, cz)
-                  and logical_coset_equal(code, "x", res.coset_x.representative, cx))
-            fb = res.fallback
+            res = timed(css_decode, inst, F.add(cx, ex), F.add(cz, ez))
         except PromiseViolation as exc:
-            ok, fb, reason = False, True, {"reason": str(exc)}
-        trial_seconds.append(time.time() - t_trial)
-        in_promise = w <= promise_radius
-        if in_promise:
-            in_ok += ok
-            in_fail += not ok
-        else:
-            out_n += 1
-        rows.append({"trial": trial, "weight": w, "success": bool(ok),
-                     "fallback": bool(fb), "in_promise": in_promise, **reason})
-    agg = {"trials": args.trials, "in_promise_success": in_ok,
-           "in_promise_failure": in_fail, "out_of_promise": out_n,
-           "promise_radius": promise_radius}
-    return agg, rows, in_fail == 0, trial_seconds
+            return {"weight": w, "success": False, "fallback": True,
+                    "in_promise": w <= radius, "reason": str(exc)}
+        ok = (logical_coset_equal(code, "z", res.coset_z.representative, cz)
+              and logical_coset_equal(code, "x", res.coset_x.representative, cx))
+        return {"weight": w, "success": bool(ok), "fallback": bool(res.fallback),
+                "in_promise": w <= radius}
+
+    return TrialKind(N, radius, trial, lambda rows: {})
 
 
 def _load_instance(path: str) -> dict:
@@ -352,22 +339,33 @@ def _load_instance(path: str) -> dict:
     return doc
 
 
-# instance kind -> (loader, trial runner)
-TRIAL_KINDS = {"dual-tensor": (DualTensorInstance.from_json, _dual_tensor_trials),
-               "subsystem-product": (SubsystemProductInstance.from_json, _subsystem_trials),
-               "css-product": (CssProductInstance.from_json, _css_trials)}
+# decodable instance kind -> (loader of its document, decode-trials kind)
+DECODE_KINDS = {"dual-tensor": (DualTensorInstance.from_json, _dual_tensor_trials),
+                "subsystem-product": (SubsystemProductInstance.from_json, _subsystem_trials),
+                "css-product": (CssProductInstance.from_json, _css_trials)}
+
+
+def _decodable_instance(doc: dict, kinds) -> tuple[str, object]:
+    """The kind and the instance of a document whose kind is among kinds."""
+    kind = doc.get("kind")
+    if not (isinstance(kind, str) and kind in kinds):
+        raise UsageError(f"cannot decode instances of kind {kind}")
+    with _boundary():
+        return kind, DECODE_KINDS[kind][0](doc)
 
 
 def cmd_decode_trials(args) -> int:
     doc = _load_instance(args.instance)
-    kind = doc.get("kind")
     t0 = time.time()
-    if kind not in TRIAL_KINDS:
-        raise UsageError(f"cannot decode instances of kind {kind}")
-    load, run_trials = TRIAL_KINDS[kind]
-    with _boundary():
-        inst = load(doc)
-    agg, rows, clean, secs = run_trials(inst, args)
+    kind, inst = _decodable_instance(doc, DECODE_KINDS)
+    spec = DECODE_KINDS[kind][1](inst, args)
+    _check_noise(spec.cells, args)
+    rows, secs = _run_trials(args, spec.trial)
+    fail = sum(r["in_promise"] and not r["success"] for r in rows)
+    inside = sum(r["in_promise"] for r in rows)
+    agg = {"trials": args.trials, "in_promise_success": inside - fail,
+           "in_promise_failure": fail, "out_of_promise": len(rows) - inside,
+           "promise_radius": spec.promise_radius, **spec.extra(rows)}
     config = {"command": "decode-trials", "instance_kind": kind,
               "instance": doc, "trials": args.trials, "seed": args.seed,
               "noise_weight": args.noise_weight, "noise_rate": args.noise_rate}
@@ -383,7 +381,7 @@ def cmd_decode_trials(args) -> int:
     write_report(report, args.out)
     if args.csv:
         write_csv(rows, args.csv)
-    return EXIT_OK if clean else EXIT_PROMISE
+    return EXIT_OK if fail == 0 else EXIT_PROMISE
 
 
 def _payload_vector(F: Field, payload, key: str | None, size: int) -> np.ndarray:
@@ -400,15 +398,14 @@ def _payload_vector(F: Field, payload, key: str | None, size: int) -> np.ndarray
 def cmd_decode_one(args) -> int:
     """Decode a single word (or syndrome pair) and emit a DecodeReport."""
     doc = _load_instance(args.instance)
-    kind = doc.get("kind")
     payload = _read_json(args.word if args.word else args.syndrome)
     t0 = time.time()
+    kind, inst = _decodable_instance(doc, ("dual-tensor", "subsystem-product"))
+    F = inst.field
     if kind == "dual-tensor":
         if args.syndrome:
             raise UsageError("dual-tensor instances decode words, not syndromes")
-        with _boundary():
-            inst = DualTensorInstance.from_json(doc)
-        res = alpha_decode(inst, _payload_vector(inst.field, payload, None, inst.n ** 2))
+        res = alpha_decode(inst, _payload_vector(F, payload, None, inst.n ** 2))
         results = {"residual": res.residual, "fallback": res.fallback,
                    "stage_bounds": {
                        "stage1": [inst.stage1_bound.numerator, inst.stage1_bound.denominator],
@@ -416,11 +413,7 @@ def cmd_decode_one(args) -> int:
                        "d0": [inst.d0.numerator, inst.d0.denominator]},
                    "stages": res.stages,
                    "word": [int(x) for x in res.word.ravel()]}
-        ok = not res.fallback
-    elif kind == "subsystem-product":
-        with _boundary():
-            inst = SubsystemProductInstance.from_json(doc)
-        F = inst.field
+    else:
         if args.syndrome:
             cm = check_matrices(inst.product, "tensor")
             res = syndrome_decode(inst, cm, _payload_vector(F, payload, "s_x", cm.hx.shape[0]),
@@ -431,17 +424,10 @@ def cmd_decode_one(args) -> int:
         results = {"fallback": res.fallback,
                    "coset_x": [int(x) for x in res.coset_x.representative],
                    "coset_z": [int(x) for x in res.coset_z.representative]}
-        ok = not res.fallback
-    else:
-        raise UsageError(f"cannot decode instances of kind {kind}")
-    if args.timings:
-        results["millis"] = (time.time() - t0) * 1000.0
-    report = finalize_report({"command": "decode-one", "instance_kind": kind},
-                             {k: v for k, v in results.items() if k != "millis"})
-    if args.timings:
-        report["timing"] = {"millis": results["millis"]}
-    write_report(report, args.out)
-    return EXIT_OK if ok else EXIT_PROMISE
+    timings = {"millis": (time.time() - t0) * 1000.0} if args.timings else None
+    write_report(finalize_report({"command": "decode-one", "instance_kind": kind},
+                                 results, timings), args.out)
+    return EXIT_PROMISE if res.fallback else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -540,27 +526,25 @@ def cmd_single_shot_trials(args) -> int:
     if not 0 <= args.syndrome_noise <= 2 * inst.n:
         raise UsageError(f"--syndrome-noise must lie in [0, {2 * inst.n}]")
     gauge = prod.qx.dual().gen
-    rows = []
-    ok_n = 0
-    for trial in range(args.trials):
-        rng = stream(args.seed, trial)
+
+    def trial(rng, timed) -> dict:
         e = _error_vector(F, prod.n, args.error_weight, rng)
         g = la.matmul(F, F.random(rng, gauge.shape[0])[None, :], gauge)[0]
         s = la.matvec(F, cm.hz, F.add(e, g))
         v = _stripe_safe_noise(F, inst, args.syndrome_noise, rng)
-        res = single_shot_decode(inst, cm, F.add(s, v), args.distance)
-        if res.correction is None:
-            ok = False
-            resid = None
-        else:
+        res = timed(single_shot_decode, inst, cm, F.add(s, v), args.distance)
+        ok, resid = False, None
+        if res.correction is not None:
             diff = F.sub(res.correction.representative, e)
             ok = bool(not diff.any() or la.in_row_space(F, gauge, diff))
             resid = coset_min_weight(F, gauge, diff, cap=3)
-        ok_n += ok
-        rows.append({"trial": trial, "error_weight": int(np.count_nonzero(e)),
-                     "syndrome_noise": int(np.count_nonzero(v)),
-                     "success": bool(ok), "residual_weight": resid,
-                     "denoise_failures": res.denoise_failures})
+        return {"error_weight": int(np.count_nonzero(e)),
+                "syndrome_noise": int(np.count_nonzero(v)),
+                "success": ok, "residual_weight": resid,
+                "denoise_failures": res.denoise_failures}
+
+    rows, _ = _run_trials(args, trial)
+    ok_n = sum(r["success"] for r in rows)
     agg = {"trials": args.trials, "successes": ok_n,
            "success_rate": ok_n / max(args.trials, 1)}
     config = {"command": "single-shot-trials", "instance": doc,

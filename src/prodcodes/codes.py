@@ -364,14 +364,6 @@ def dual_tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:
     return out
 
 
-def dual_tensor_contains(F: Field, H1: np.ndarray, H2: np.ndarray,
-                         cmat: np.ndarray) -> bool:
-    """Membership c in C1 [+] C2 via H1 c H2^T = 0 (c as an n1 x n2 matrix)."""
-    if H1.shape[0] == 0 or H2.shape[0] == 0:
-        return True
-    return not np.any(la.matmul(F, la.matmul(F, H1, cmat), H2.T))
-
-
 def star_product(A: LinearCode, B: LinearCode, cap: int | None = None) -> LinearCode:
     """Span of component-wise products of all generator-row pairs."""
     if A.field != B.field:
@@ -385,33 +377,6 @@ def star_product(A: LinearCode, B: LinearCode, cap: int | None = None) -> Linear
         raise BudgetExceeded(f"star product with {A.k * B.k} generator pairs exceeds cap {cap}")
     rows = F.mul(A.gen[:, None, :], B.gen[None, :, :]).reshape(A.k * B.k, A.n)
     return LinearCode(F, A.n, rows, label=f"{A.label}*{B.label}")
-
-
-@dataclass(frozen=True)
-class TensorIndex:
-    """Bijection between flat indices and coordinate tuples of a t-axis grid."""
-
-    lengths: tuple[int, ...]
-
-    @property
-    def arity(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.lengths))
-
-    def ravel(self, coords: np.ndarray) -> np.ndarray:
-        return np.ravel_multi_index(tuple(np.asarray(coords).T), self.lengths)
-
-    def unravel(self, flat: np.ndarray) -> np.ndarray:
-        return np.stack(np.unravel_index(np.asarray(flat), self.lengths), axis=-1)
-
-    def columns(self, i: int) -> np.ndarray:
-        """Flat indices of every direction-i column, shape (#columns, n_i)."""
-        grid = np.arange(self.size).reshape(self.lengths)
-        moved = np.moveaxis(grid, i, -1)
-        return moved.reshape(-1, self.lengths[i])
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,12 @@ class DualTensorInstance:
     gamma: int = 1000
 
     def __post_init__(self):
+        for name, v in (("n", self.n), ("k1", self.k1), ("k2", self.k2)):
+            # type(...) is int: JSON true/false are not integers here
+            if type(v) is not int or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer")
+        if not all(isinstance(pts, (list, np.ndarray)) for pts in (self.E1, self.E2)):
+            raise ValueError("E1 and E2 must be lists of field elements")
         if self.k1 + self.k2 > (1 - self.eps) * self.n:
             raise ValueError("rates must satisfy k1 + k2 <= (1 - eps) n")
         self.E1 = np.asarray(self.E1, dtype=np.int64)
@@ -224,10 +230,22 @@ class DualTensorInstance:
     @staticmethod
     def from_json(doc: dict) -> "DualTensorInstance":
         F = Field.from_json(doc["field"])
-        return DualTensorInstance(
-            F, doc["n"], doc["k1"], doc["k2"],
-            np.array(doc["E1"], dtype=np.int64), np.array(doc["E2"], dtype=np.int64),
-            Fraction(*doc["eps"]), Fraction(*doc["rho"]), doc["gamma"])
+        return DualTensorInstance(F, doc["n"], doc["k1"], doc["k2"], doc["E1"], doc["E2"],
+                                  *params_from_json(doc))
+
+
+def params_from_json(doc: dict) -> tuple[Fraction, Fraction, int]:
+    """(eps, rho, gamma) of an instance document, where eps and rho are
+    [numerator, denominator] pairs of a positive fraction and gamma is an
+    integer >= 1; anything else raises ValueError."""
+    eps, rho, gamma = doc["eps"], doc["rho"], doc["gamma"]
+    for name, frac in (("eps", eps), ("rho", rho)):
+        if not (isinstance(frac, list) and len(frac) == 2
+                and all(type(x) is int and x > 0 for x in frac)):
+            raise ValueError(f"{name} must be [numerator, denominator] of a positive fraction")
+    if type(gamma) is not int or gamma < 1:
+        raise ValueError("gamma must be an integer >= 1")
+    return Fraction(*eps), Fraction(*rho), gamma
 
 
 # ---------------------------------------------------------------------------

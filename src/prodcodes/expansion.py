@@ -274,7 +274,7 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
         costs, parts = _cheapest_decompositions(F, pair_bases, lengths, parts)
     else:
         parts = [np.array(col) for col in zip(*(
-            _descend_decomposition(F, [p[r] for p in parts], pair_bases, lengths, rng)
+            _descend_decomposition(F, [p[r] for p in parts], pair_bases, lengths)
             for r in range(words.shape[0])))]
         costs = sum(lengths[i] * dir_weights(parts[i], i, lengths) for i in range(t))
     ratio, word, dec = _first_min_ratio((Fraction(0), None, None), words, costs, parts, lengths)
@@ -298,8 +298,9 @@ def _first_min_ratio(best, words, costs, parts, lengths):
     return best
 
 
-def _descend_decomposition(F: Field, parts, pair_bases, lengths, rng,
-                           sweeps: int = 3):
+def _descend_decomposition(F: Field, parts, pair_bases, lengths, sweeps: int = 3):
+    """Greedy coordinate descent: move each scalar multiple of each C^(i,j)
+    generator from part j to part i while that lowers the cost."""
     t = len(parts)
     cur = [p.copy() for p in parts]
 
@@ -313,9 +314,10 @@ def _descend_decomposition(F: Field, parts, pair_bases, lengths, rng,
             for row in B:
                 for scalar in range(1, F.q):
                     z = F.mul(np.int64(scalar), row)
-                    cand = [p.copy() for p in cur]
-                    cand[i] = F.add(cand[i], z)
-                    cand[j] = F.sub(cand[j], z)
+                    # only parts i and j change; the others are shared, never written
+                    cand = list(cur)
+                    cand[i] = F.add(cur[i], z)
+                    cand[j] = F.sub(cur[j], z)
                     cc = cost(cand)
                     if cc < cur_cost:
                         cur, cur_cost = cand, cc

@@ -17,7 +17,7 @@ for the generator g = X mod modulus.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -349,13 +349,6 @@ class Field:
     def generator(self) -> int:
         return self._gen
 
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, int(code))
-
-    def from_coeffs(self, coeffs: Iterable[int]) -> "FieldElement":
-        code = sum((c % self.p) * self.p ** i for i, c in enumerate(coeffs))
-        return FieldElement(self, code)
-
     def elements(self) -> np.ndarray:
         return np.arange(self.q, dtype=np.int64)
 
@@ -464,75 +457,6 @@ def min_primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
             return g
     raise RuntimeError("no primitive root")
-
-
-class FieldElement:
-    """Scalar element of a Field, wrapping an integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        if not 0 <= code < field.q:
-            raise ValueError(f"code {code} out of range for {field}")
-        self.field = field
-        self.code = int(code)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        p = self.field.p
-        return tuple((self.code // p ** i) % p for i in range(self.field.e))
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements from different fields")
-            return other
-        return FieldElement(self.field, int(other) % self.field.q)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.add(self.code, o.code)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.sub(self.code, o.code)))
-
-    def __neg__(self):
-        return FieldElement(self.field, int(self.field.neg(self.code)))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.mul(self.code, o.code)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, int(self.field.div(self.code, o.code)))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, int(self.field.power(self.code, k)))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def trace(self) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.trace(self.code)))
-
-    def __repr__(self):
-        return f"{self.field}:{self.code}"
 
 
 def GF(q: int) -> Field:

@@ -22,7 +22,7 @@ from . import linalg as la
 from .codes import BudgetExceeded
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
-                      berlekamp_welch)
+                      berlekamp_welch, params_from_json)
 from .subsystem import CheckMatrices, CssPair, check_matrices, quantum_rs, \
     subsystem_product
 from .codes import vandermonde
@@ -98,8 +98,19 @@ class QdecParams:
         return min(int(exact), (n - kdim) // 2)
 
 
+class _TwoFactorDocument:
+    """Reading of the instance documents of the two-factor quantum products."""
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        factors = doc["factors"]
+        if not (isinstance(factors, list) and all(isinstance(f, dict) for f in factors)):
+            raise ValueError("factors must be a list of CSS pair objects")
+        return cls([CssPair.from_json(f) for f in factors], QdecParams(*params_from_json(doc)))
+
+
 @dataclass
-class SubsystemProductInstance:
+class SubsystemProductInstance(_TwoFactorDocument):
     """Subsystem product of two quantum RS pairs plus decoding parameters."""
 
     factors: list[CssPair]
@@ -154,13 +165,6 @@ class SubsystemProductInstance:
                 "rho": [self.params.rho.numerator, self.params.rho.denominator],
                 "gamma": self.params.gamma}
 
-    @staticmethod
-    def from_json(doc: dict) -> "SubsystemProductInstance":
-        factors = [CssPair.from_json(d) for d in doc["factors"]]
-        return SubsystemProductInstance(
-            factors, QdecParams(Fraction(*doc["eps"]), Fraction(*doc["rho"]),
-                                doc["gamma"]))
-
 
 @dataclass
 class QuantumDecodeResult:
@@ -208,7 +212,7 @@ def subsystem_decode(inst: SubsystemProductInstance, c_x: np.ndarray,
 
 
 @dataclass
-class CssProductInstance:
+class CssProductInstance(_TwoFactorDocument):
     """Homological product of the single-sector complexes of two quantum RS
     pairs with dim Q_X = dim Q_Z (so the boundary map construction applies)."""
 
@@ -251,13 +255,6 @@ class CssProductInstance:
         doc = self._sub.to_json()
         doc["kind"] = "css-product"
         return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "CssProductInstance":
-        factors = [CssPair.from_json(d) for d in doc["factors"]]
-        return CssProductInstance(
-            factors, QdecParams(Fraction(*doc["eps"]), Fraction(*doc["rho"]),
-                                doc["gamma"]))
 
 
 def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray

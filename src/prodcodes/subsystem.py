@@ -54,13 +54,6 @@ class CssPair:
     def dimension(self) -> int:
         return self.qz.k - self.stabilizer_basis().shape[0]
 
-    def gauge_z_basis(self) -> np.ndarray:
-        """Z-gauge span Q_X^perp (acts trivially on encoded information)."""
-        return self.qx.dual().gen
-
-    def gauge_x_basis(self) -> np.ndarray:
-        return self.qz.dual().gen
-
     def logical_z_space(self) -> np.ndarray:
         """Basis of Q_Z' = Q_Z + Q_X^perp."""
         return la.row_space(self.field,

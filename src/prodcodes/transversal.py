@@ -554,10 +554,6 @@ class TripleProductParams:
     def degraded(self) -> bool:
         return self.m < 100
 
-    @property
-    def logical_qudits(self) -> int:
-        return self.window_size ** self.u
-
     def to_json(self) -> dict:
         return {"m": self.m, "u": self.u, "k0": self.k0,
                 "eps": [self.eps.numerator, self.eps.denominator],

@@ -1,9 +1,11 @@
 """CLI: subcommands, reports, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodcodes.cli import main, canonical_json
 from prodcodes.gf import GF
@@ -182,6 +184,22 @@ def test_usage_errors(tmp_path):
                  "--seed", "1"]) == 1
     assert main(["build-code", "--kind", "punctured-tensor-rs", "--q", "16", "--m", "3",
                  "--u", "2", "--k", "3", "--seed", "1"]) == 1
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("dual-tensor", ["--q", "16", "--n", "16", "--k", "2", "--k2", "4"]),
+    ("subsystem-product", ["--q", "8", "--n", "8", "--kx", "6", "--kz", "6", "--kx2", "4",
+                           "--kz2", "5"]),
+    ("css-product", ["--q", "8", "--n", "8", "--k", "6", "--k2", "4"]),
+])
+def test_build_code_checks_decoder_params_like_documents(tmp_path, kind, argv):
+    """eps and rho must be positive fractions and gamma >= 1, as in an
+    instance document: build-code writes no document that decode-trials
+    would refuse."""
+    for bad in (["--eps", "0"], ["--rho", "0"], ["--rho", "1/0"], ["--eps", "-1/2"],
+                ["--gamma", "0"], ["--eps", "x"]):
+        assert main(["build-code", "--kind", kind, *argv, *bad, "--seed", "1",
+                     "--out", str(tmp_path / "x.json")]) == 1
 
 
 def test_noise_options_out_of_range(tmp_path):
@@ -397,3 +415,74 @@ def test_decode_one_rejects_malformed_quantum_payloads(tmp_path, capsys):
     pf.write_text(json.dumps({"s_x": [0] * cm.hx.shape[0], "s_z": [0] * cm.hz.shape[0]}))
     assert main(["decode-one", "--instance", str(inst), "--syndrome", str(pf),
                  "--out", str(tmp_path / "r.json")]) == 0
+
+
+# the instances whose decode-trials reports are pinned below
+TRIAL_BUILDS = {
+    "subsystem-product": ["--q", "8", "--n", "8", "--kx", "6", "--kz", "6", "--kx2", "4",
+                          "--kz2", "5", "--eps", "1/8", "--rho", "1/8", "--gamma", "20",
+                          "--seed", "2"],
+    "css-product": ["--q", "8", "--n", "8", "--k", "6", "--k2", "4", "--eps", "1/8",
+                    "--gamma", "20", "--seed", "1"],
+    "dual-tensor": ["--q", "32", "--n", "32", "--k", "4", "--k2", "8", "--eps", "1/2",
+                    "--rho", "1/8", "--gamma", "2", "--seed", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def trial_instances(tmp_path_factory):
+    """Path of the built instance document of each kind in TRIAL_BUILDS."""
+    out = tmp_path_factory.mktemp("trial-instances")
+    paths = {}
+    for kind, argv in TRIAL_BUILDS.items():
+        paths[kind] = out / f"{kind}.json"
+        assert main(["build-code", "--kind", kind, *argv, "--out", str(paths[kind])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("kind, argv, report_hash, csv_hash", [
+    ("subsystem-product", ["--noise-weight", "0", "--trials", "6", "--seed", "5"],
+     "a754603cdd74a6bb68fccff4aff4edeeb92cd0b3ee14ff5dd1175cc498e4ed9a",
+     "e6060661eb925b56905dc849cb745e21c12d48612598304ee48726a76a406245"),
+    ("subsystem-product", ["--noise-weight", "2", "--trials", "6", "--seed", "5"],
+     "aaf76af0abd60cd373261ffd57f1b5f984f7235610c9cf7f93bc152197919524",
+     "5ca2837ebda14bc7e95408fd8cca274406fa2a8ad6ee90a6d12503f8a36fd2b4"),
+    ("css-product", ["--noise-weight", "0", "--trials", "4", "--seed", "5"],
+     "8a55c158ae66f65237a4704289aedfb1a5906886e4c5d03fb50c48e467088d4a",
+     "c835219d4d489b8e255e79f02d8482b27a74197fca0098443d54d5b42217a58f"),
+    ("css-product", ["--noise-weight", "3", "--trials", "4", "--seed", "5"],
+     "90b4649323532ca9c334e9fa17ee16d0ca5823b25fc4618baddf5d87b1d9e936",
+     "fab46300f7c5d80733ac7efcbd7374b5eb4a6b5e6ba0230f23a7409f8c5dc2a7"),
+    ("dual-tensor", ["--noise-rate", "0.01", "--trials", "4", "--seed", "7"],
+     "5c139626c1467a23e17194e5894016272a736ab638dee5eac84547870f04aa96",
+     "f6ae63513d606f01dfd717d141b8abe80253eed87010c36c4cfd42cd9e76f60a"),
+    ("dual-tensor", ["--noise-weight", "200", "--trials", "2", "--seed", "1"],
+     "6abd9aefe884a380c4a11ffd330466839fb6996606dd53485b8ef46ca2ca68cd",
+     "0143b1ef3facb11bbc4de2143f28e3069a91cb395254f9cba5edc3da52bebf19"),
+])
+def test_decode_trials_reports_are_pinned(tmp_path, trial_instances, kind, argv,
+                                          report_hash, csv_hash):
+    """The report hash and the CSV bytes (column order included) of each
+    instance kind, at and beyond its promise radius."""
+    out, csvp = tmp_path / "rep.json", tmp_path / "rows.csv"
+    assert main(["decode-trials", "--instance", str(trial_instances[kind]), *argv,
+                 "--out", str(out), "--csv", str(csvp)]) == 0
+    assert json.loads(out.read_text())["fixture_hash"] == report_hash
+    assert hashlib.sha256(csvp.read_bytes()).hexdigest() == csv_hash
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_decode_trials_survives_top_level_mutations(trial_instances, data):
+    """One top-level field of a built instance document set to a value of the
+    wrong type or range: decode-trials returns a documented exit code, never
+    an exception."""
+    kind = data.draw(st.sampled_from(sorted(trial_instances)))
+    doc = json.loads(trial_instances[kind].read_text())["results"]
+    key = data.draw(st.sampled_from(sorted(doc)))
+    value = data.draw(st.sampled_from([None, "x", True, -1, [], {}, 10 ** 6]))
+    mutant = trial_instances[kind].with_name("mutant.json")
+    mutant.write_text(json.dumps({**doc, key: value}))
+    assert main(["decode-trials", "--instance", str(mutant), "--noise-weight", "1",
+                 "--trials", "1", "--seed", "1",
+                 "--out", str(mutant.with_name("mutant-report.json"))]) in (0, 1, 2, 3)

@@ -403,7 +403,7 @@ def _reference_pe_monte_carlo(codes, trials, seed, lattice_budget):
         if lattices is not None:
             cost, parts = _reference_min_decomposition(F, lattices, lengths, parts)
         else:
-            parts = _descend_decomposition(F, parts, pair_bases, lengths, rng)
+            parts = _reference_descend_decomposition(F, parts, pair_bases, lengths)
             cost = sum(lengths[i] * _reference_dir_weight(parts[i], i, lengths)
                        for i in range(t))
         ratio = Fraction(int(np.count_nonzero(word)), cost)
@@ -411,6 +411,33 @@ def _reference_pe_monte_carlo(codes, trials, seed, lattice_budget):
             best, best_word, best_dec = ratio, word, Decomposition(parts, lengths)
     return PeResult(best if best is not None else Fraction(0), False,
                     best_word, best_dec, len(samples))
+
+
+def _reference_descend_decomposition(F, parts, pair_bases, lengths, sweeps=3):
+    """Greedy coordinate descent that copies every part for every candidate."""
+    t = len(parts)
+    cur = [p.copy() for p in parts]
+
+    def cost(ps):
+        return sum(lengths[i] * _reference_dir_weight(ps[i], i, lengths) for i in range(t))
+
+    cur_cost = cost(cur)
+    for _ in range(sweeps):
+        improved = False
+        for (i, j), B in pair_bases:
+            for row in B:
+                for scalar in range(1, F.q):
+                    z = F.mul(np.int64(scalar), row)
+                    cand = [p.copy() for p in cur]
+                    cand[i] = F.add(cand[i], z)
+                    cand[j] = F.sub(cand[j], z)
+                    cc = cost(cand)
+                    if cc < cur_cost:
+                        cur, cur_cost = cand, cc
+                        improved = True
+        if not improved:
+            break
+    return cur
 
 
 @st.composite
@@ -448,6 +475,23 @@ def test_pe_monte_carlo_matches_reference_loop(codes, seed, lattice_budget):
     got = pe_monte_carlo(codes, trials=8, seed=seed, lattice_budget=lattice_budget)
     want = _reference_pe_monte_carlo(codes, 8, seed, lattice_budget)
     assert got.to_json() == want.to_json()
+
+
+@given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))
+def test_descend_decomposition_matches_reference(codes, seed):
+    """The descent on arbitrary parts, not only decompositions of a codeword:
+    the same parts in the same order as the copy-everything loop."""
+    F = codes[0].field
+    lengths = tuple(c.n for c in codes)
+    pair_bases = [((i, j), cij_basis(F, codes, i, j))
+                  for i in range(len(codes)) for j in range(i + 1, len(codes))]
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        parts = list(F.random(rng, (len(codes), math.prod(lengths))))
+        got = _descend_decomposition(F, parts, pair_bases, lengths)
+        want = _reference_descend_decomposition(F, parts, pair_bases, lengths)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))
