@@ -496,7 +496,12 @@ def cmd_gate_verify(args) -> int:
             raise UsageError("gate-verify --instance expects a triple-product document")
         with _boundary():
             F = Field.from_json(doc["field"])
-            m, u = doc["params"]["m"], doc["params"]["u"]
+            params = doc["params"]
+            # type(...) is int: JSON true/false are not integers here
+            if not (isinstance(params, dict)
+                    and all(type(params.get(key)) is int for key in ("m", "u"))):
+                raise ValueError(f"params must be {{m: int, u: int}}, got {params!r}")
+            m, u = params["m"], params["u"]
         _check_triple_params(m, u)
         gate = tv.triple_product_build(F, m, u, seed=args.seed)
         phase = tv.triple_phase_identity_test(gate, args.trials, args.seed) \

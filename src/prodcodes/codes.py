@@ -173,6 +173,8 @@ class LinearCode:
 
     @staticmethod
     def from_json(doc: dict) -> "LinearCode":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a code must be a JSON object, got {doc!r}")
         F = Field.from_json(doc["field"])
         if "rs" in doc:
             code = ReedSolomon(F, doc["n"], doc["rs"]["k"],

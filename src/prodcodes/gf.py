@@ -179,7 +179,9 @@ class Field:
     and one gather.  Prime fields multiply as ``(a * b) % p``.  Extension
     fields with q <= MUL_TABLE_MAX_ORDER (2^8) multiply through a flat q*q
     table, ``table[a * q + b]`` (at most 512 KB); larger extension fields
-    multiply through the log/exp tables.
+    multiply through the log/exp tables.  Odd extension fields also keep a
+    q-entry negation table, so ``neg`` is one gather and ``sub`` two where
+    the addition table exists.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
@@ -273,6 +275,28 @@ class Field:
         red = _prem(prod, self.modulus, p)
         return sum(c * p ** i for i, c in enumerate(red))
 
+    def _mul_const(self, a: np.ndarray, c: int) -> np.ndarray:
+        """Table-free product of an array of element codes by the code c
+        (used to build the exp table)."""
+        p, e = self.p, self.e
+        if e == 1:
+            return a * c % p
+        if p == 2:
+            # shift and XOR: a * X^j, reduced, enters once per set bit j of c
+            out = np.zeros_like(a)
+            a = a.copy()
+            while c:
+                if c & 1:
+                    out ^= a
+                c >>= 1
+                a <<= 1
+                a ^= (a >> e & 1) * self._modmask
+            return out
+        # row i of M holds the digits of X^i * c, so digits(a) @ M are the
+        # digits of a * c before reduction mod p
+        M = self._digits([self._mul_raw(p ** i, c) for i in range(e)])
+        return self._undigits(self._digits(a) @ M % p)
+
     def _find_generator(self) -> int:
         # canonical modulus is primitive, so X (code p) generates; for a
         # user-supplied modulus search the smallest generating code instead
@@ -308,14 +332,18 @@ class Field:
             self._gen = p if _x_is_primitive(self.modulus, p, q) else None
             if self._gen is None:
                 self._gen = self._find_generator()
+        # exp by doubling, exp[k:2k] = exp[:k] * g^k: one array-by-constant
+        # multiply per step; log is the inverse permutation of exp[:q - 1]
         exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, self._gen)
+        exp[0] = 1
+        k = 1
+        while k < q - 1:
+            m = min(k, q - 1 - k)
+            exp[k:k + m] = self._mul_const(exp[:m], self._mul_raw(int(exp[k - 1]), self._gen))
+            k += m
         exp[q - 1:] = exp[: q - 1]
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
         self._exp = exp
         self._log = log
         # _inv[0] is a placeholder: inv rejects zero before the gather
@@ -332,6 +360,13 @@ class Field:
             self._add_table = (s * self._powers[None, None, :]).sum(axis=2)
         else:
             self._add_table = None
+        self._neg = None
+        if p != 2 and e > 1:
+            # digit-wise negation of every code, one digit at a time
+            codes = np.arange(q, dtype=np.int64)
+            self._neg = np.zeros(q, dtype=np.int64)
+            for pw in self._powers:
+                self._neg += (-(codes // pw) % p) * pw
 
     # scalar conveniences ----------------------------------------------------
 
@@ -385,13 +420,20 @@ class Field:
         # the digit axis goes last, so a normalized axis still names the same one
         return self._undigits(self._digits(a).sum(axis=axis % a.ndim) % self.p)
 
+    def prod(self, a, axis: int = -1):
+        """Field product of the entries of a along axis (1 when there are
+        none): a sum of discrete logs, and 0 wherever a factor is 0."""
+        lg = self._log[np.asarray(a, dtype=np.int64)]
+        out = self._exp[lg.sum(axis=axis) % (self.q - 1)]
+        return np.where((lg < 0).any(axis=axis), 0, out)
+
     def neg(self, a):
         a = np.asarray(a, dtype=np.int64)
         if self.p == 2:
             return a.copy()
         if self.e == 1:
             return (-a) % self.p
-        return self._undigits((-self._digits(a)) % self.p)
+        return self._neg[a]
 
     def sub(self, a, b):
         if self.p == 2:

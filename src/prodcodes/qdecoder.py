@@ -19,13 +19,12 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .codes import BudgetExceeded
+from .codes import BudgetExceeded, canonical_points
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
                       berlekamp_welch, params_from_json)
 from .subsystem import CheckMatrices, CssPair, check_matrices, quantum_rs, \
     subsystem_product
-from .codes import vandermonde
 
 
 class InconsistentInput(RuntimeError):
@@ -43,30 +42,25 @@ class CorrectionCoset:
 # ---------------------------------------------------------------------------
 
 
-def dec_quantum(F: Field, E1: np.ndarray, E2: np.ndarray,
-                k1: int, k1p: int, k2: int, k2p: int,
+def dec_quantum(dt: DualTensorInstance, k1: int, k1p: int, k2: int, k2p: int,
                 c0: np.ndarray, radius: int) -> np.ndarray:
     """Move c0 in ev^{[0,k1)} [+] ev^{[0,k2p)} into
     Q_Z' = ev^{([0,k1) x [0,n)) u ([0,n) x [0,k2)) u ([0,k1p) x [0,k2p))}
     by decoding each coefficient column j2 in [k2, k2p) against the length-n
-    RS code of dimension k1p.
+    RS code of dimension k1p, on the evaluation points E1 x E2 of dt.
 
     The stripe word of coefficient column j2 is (c0 V2^-T)[:, j2], so only
-    the interpolation rows [k2, k2p) of V2 are needed.
+    the interpolation rows [k2, k2p) of dt's cached V2^-1 are needed; all
+    stripe words decode in one Berlekamp-Welch batch.
     """
-    n = E1.size
+    F, n = dt.field, dt.n
     c0 = np.asarray(c0, dtype=np.int64).reshape(n, n)
-    V2 = vandermonde(F, E2, n)
-    V2_inv = la.solve_right(F, V2, la.identity(n))
-    C = la.matmul(F, c0, V2_inv[k2:k2p].T)
-    out = c0.copy()
-    for j2, v in zip(range(k2, k2p), C.T):
-        cw = berlekamp_welch(F, E1, k1p, v, radius)
-        if cw is None:
-            raise PromiseViolation(f"quantum stripe decode failed at column {j2}")
-        r = F.sub(v, cw)
-        out = F.sub(out, F.mul(r[:, None], V2[:, j2][None, :]))
-    return out
+    C = la.matmul(F, c0, dt.V2_inv[k2:k2p].T)
+    ok, cw = berlekamp_welch(F, dt.E1, k1p, C.T, radius)
+    if not ok.all():
+        raise PromiseViolation(
+            f"quantum stripe decode failed at column {k2 + int(np.argmin(ok))}")
+    return F.sub(c0, la.matmul(F, F.sub(C.T, cw).T, dt.V2[:, k2:k2p].T))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +177,6 @@ def _decode_side(inst: SubsystemProductInstance, word: np.ndarray,
                  side: str) -> tuple[np.ndarray, bool]:
     """Shared pipeline: alpha-decode in the enclosing dual tensor code, then
     stripe cleanup into Q_Z' (or Q_X' for side='x')."""
-    F = inst.field
     n = inst.n
     f1, f2 = inst.factors
     word = np.asarray(word, dtype=np.int64).reshape(n, n)
@@ -197,7 +190,7 @@ def _decode_side(inst: SubsystemProductInstance, word: np.ndarray,
         k2, k2p = n - f2.qz.k, f2.qx.k
     res = alpha_decode(dt, word)
     radius = inst.params.stripe_radius(n, k1p)
-    return dec_quantum(F, dt.E1, dt.E2, k1, k1p, k2, k2p, res.word, radius), res.fallback
+    return dec_quantum(dt, k1, k1p, k2, k2p, res.word, radius), res.fallback
 
 
 def subsystem_decode(inst: SubsystemProductInstance, c_x: np.ndarray,
@@ -412,32 +405,24 @@ def _denoise_product_syndrome(F: Field, factors: list[CssPair], side: str,
     """Per-block Reed-Solomon denoising of an amplified product syndrome.
 
     Block 1 columns lie in the factor-1 outer RS code, block 2 rows in the
-    factor-2 outer code; each stripe decodes within the unique radius.
+    factor-2 outer code; each block decodes its stripes within the unique
+    radius in one Berlekamp-Welch batch.
     """
     n = factors[0].n
     m1 = (factors[0].qx if side == "x" else factors[0].qz).parity_check().shape[0]
     m2 = (factors[1].qx if side == "x" else factors[1].qz).parity_check().shape[0]
-    from .codes import rs_code
     out = np.asarray(s, dtype=np.int64).copy()
     failures = 0
     blk1 = out[: 2 * m1 * n].reshape(2 * m1, n)
     if m1:
-        outer1 = rs_code(F, 2 * m1, m1)
-        for j in range(n):
-            cw = berlekamp_welch(F, outer1.points, m1, blk1[:, j], m1 // 2)
-            if cw is None:
-                failures += 1
-            else:
-                blk1[:, j] = cw
+        ok, cw = berlekamp_welch(F, canonical_points(F, 2 * m1), m1, blk1.T, m1 // 2)
+        failures += int(np.count_nonzero(~ok))
+        blk1[:, ok] = cw[ok].T
     blk2 = out[2 * m1 * n:].reshape(n, 2 * m2)
     if m2:
-        outer2 = rs_code(F, 2 * m2, m2)
-        for i in range(n):
-            cw = berlekamp_welch(F, outer2.points, m2, blk2[i, :], m2 // 2)
-            if cw is None:
-                failures += 1
-            else:
-                blk2[i, :] = cw
+        ok, cw = berlekamp_welch(F, canonical_points(F, 2 * m2), m2, blk2, m2 // 2)
+        failures += int(np.count_nonzero(~ok))
+        blk2[ok] = cw[ok]
     return out, failures
 
 

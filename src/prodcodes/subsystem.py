@@ -73,6 +73,8 @@ class CssPair:
 
     @staticmethod
     def from_json(doc: dict) -> "CssPair":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a CSS pair must be a JSON object, got {doc!r}")
         return CssPair(LinearCode.from_json(doc["qx"]), LinearCode.from_json(doc["qz"]),
                        subsystem=doc["subsystem"], label=doc.get("label", ""))
 

@@ -565,6 +565,8 @@ class TripleProductParams:
 def triple_product_params(m: int, u: int) -> TripleProductParams:
     if m < 8:
         raise ValueError("m >= 8 required")
+    if u < 1:
+        raise ValueError("u >= 1 required")
     k0 = m // 4
     eps = Fraction(1, 100)
     kx = math.floor(eps * k0)

@@ -471,18 +471,62 @@ def test_decode_trials_reports_are_pinned(tmp_path, trial_instances, kind, argv,
     assert hashlib.sha256(csvp.read_bytes()).hexdigest() == csv_hash
 
 
-@settings(max_examples=150)
+# the documents that distance and gate-verify --instance read
+BOUNDARY_BUILDS = {
+    "qrs": ["--q", "4", "--n", "3", "--kx", "2", "--kz", "2", "--seed", "1"],
+    "triple-product": ["--q", str(1 << 17), "--m", "408", "--u", "1", "--seed", "11"],
+}
+# the command line that reads each kind of document
+MUTATION_COMMANDS = {"qrs": ["distance"], "triple-product": ["gate-verify", "--trials", "1"]}
+TRIAL_COMMAND = ["decode-trials", "--noise-weight", "1", "--trials", "1", "--seed", "1"]
+
+
+@pytest.fixture(scope="module")
+def boundary_instances(tmp_path_factory):
+    """Path of the built instance document of each kind in BOUNDARY_BUILDS."""
+    out = tmp_path_factory.mktemp("boundary-instances")
+    paths = {}
+    for kind, argv in BOUNDARY_BUILDS.items():
+        paths[kind] = out / f"{kind}.json"
+        assert main(["build-code", "--kind", kind, *argv, "--out", str(paths[kind])]) == 0
+    return paths
+
+
+@settings(max_examples=250)
 @given(data=st.data())
-def test_decode_trials_survives_top_level_mutations(trial_instances, data):
+def test_decode_trials_survives_top_level_mutations(trial_instances, boundary_instances,
+                                                    data):
     """One top-level field of a built instance document set to a value of the
-    wrong type or range: decode-trials returns a documented exit code, never
-    an exception."""
-    kind = data.draw(st.sampled_from(sorted(trial_instances)))
-    doc = json.loads(trial_instances[kind].read_text())["results"]
-    key = data.draw(st.sampled_from(sorted(doc)))
+    wrong type or range: decode-trials, distance and gate-verify --instance
+    return a documented exit code, never an exception."""
+    paths = {**trial_instances, **boundary_instances}
+    kind = data.draw(st.sampled_from(sorted(paths)))
+    doc = json.loads(paths[kind].read_text())["results"]
+    # gate-verify reads only these keys; a mutation elsewhere would rebuild
+    # the whole gate and check nothing new
+    keys = ["field", "kind", "params"] if kind == "triple-product" else sorted(doc)
+    key = data.draw(st.sampled_from(keys))
     value = data.draw(st.sampled_from([None, "x", True, -1, [], {}, 10 ** 6]))
-    mutant = trial_instances[kind].with_name("mutant.json")
+    mutant = paths[kind].with_name("mutant.json")
     mutant.write_text(json.dumps({**doc, key: value}))
-    assert main(["decode-trials", "--instance", str(mutant), "--noise-weight", "1",
-                 "--trials", "1", "--seed", "1",
+    command, *options = MUTATION_COMMANDS.get(kind, TRIAL_COMMAND)
+    assert main([command, "--instance", str(mutant), *options,
                  "--out", str(mutant.with_name("mutant-report.json"))]) in (0, 1, 2, 3)
+
+
+def test_distance_and_gate_verify_reject_malformed_top_level_fields(boundary_instances,
+                                                                    capsys):
+    """A qrs pair that is not an object, and triple-product params that are
+    not {m: int, u: int} with u >= 1, exit 1 with an error line."""
+    cases = [("qrs", "pair", [7, None, []]),
+             ("triple-product", "params", [[], {"m": "x", "u": 1}, {"m": 408, "u": None},
+                                           {"m": 408, "u": 0}, {"m": 408}])]
+    for kind, key, values in cases:
+        doc = json.loads(boundary_instances[kind].read_text())["results"]
+        mutant = boundary_instances[kind].with_name("malformed.json")
+        for value in values:
+            mutant.write_text(json.dumps({**doc, key: value}))
+            command, *options = MUTATION_COMMANDS[kind]
+            assert main([command, "--instance", str(mutant), *options,
+                         "--out", str(mutant.with_name("malformed-report.json"))]) == 1
+            assert capsys.readouterr().err.startswith("error: ")

@@ -12,9 +12,9 @@ from prodcodes.gf import GF
 from prodcodes import decoder, linalg as la
 from prodcodes.codes import rs_code, vandermonde
 from prodcodes.decoder import (AlphaResult, DualTensorInstance, PromiseViolation,
-                               _e_coeff_basis, _locator_matrix, alpha_decode,
-                               berlekamp_welch, dec_close, dec_finish, dec_init,
-                               random_codeword, random_error)
+                               _e_coeff_basis, _grs_parity_check, _locator_matrix,
+                               alpha_decode, berlekamp_welch, dec_close, dec_finish,
+                               dec_init, random_codeword, random_error)
 from prodcodes.poly import uni_divmod, uni_eval, uni_trim
 from prodcodes.rng import stream
 
@@ -138,10 +138,16 @@ def _reference_alpha_decode(inst, c):
 # ---------------------------------------------------------------------------
 
 
+def bw_one(F, points, k, word, t):
+    """Batched berlekamp_welch on one word: the codeword, or None."""
+    ok, cws = berlekamp_welch(F, points, k, np.asarray(word)[None, :], t)
+    return cws[0] if ok[0] else None
+
+
 def test_bw_zero_errors_identity(gf8, rng):
     C = rs_code(gf8, 8, 3)
     cw = C.codeword(gf8.random(rng, 3))
-    got = berlekamp_welch(gf8, C.points, 3, cw, 2)
+    got = bw_one(gf8, C.points, 3, cw, 2)
     assert got is not None and np.array_equal(got, cw)
 
 
@@ -157,7 +163,7 @@ def test_bw_against_exhaustive_nearest():
         if w:
             e[rng.permutation(7)[:w]] = F.random(rng, w, nonzero=True)
         word = F.add(cw, e)
-        got = berlekamp_welch(F, C.points, 3, word, 2)
+        got = bw_one(F, C.points, 3, word, 2)
         dists = np.count_nonzero(F.sub(allcw, word[None, :]), axis=1)
         assert got is not None
         assert np.count_nonzero(F.sub(got, word)) == int(dists.min())
@@ -187,11 +193,75 @@ def bw_cases(draw):
 @settings(max_examples=300)
 def test_bw_light_word_rule_matches_full_solve(case):
     F, points, k, word, t = case
-    got = berlekamp_welch(F, points, k, word, t)
+    got = bw_one(F, points, k, word, t)
     want = _reference_berlekamp_welch(F, points, k, word, t)
     assert (got is None) == (want is None)
     if want is not None:
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# words of a batch: distance from a random codeword (None: uniform random)
+BW_WORD_KINDS = ("codeword", "light", "within", "beyond", "random")
+
+
+@st.composite
+def bw_batches(draw):
+    """A batch of B = 0..8 words on distinct points over GF(p), GF(2^e) or
+    GF(p^e), with k and t on both sides of k + 2t = n (k = 0, k = n and
+    t = 0 drawn often).  Each word is a codeword, a light word (weight <= t),
+    a codeword plus 1..t errors, a codeword plus more than t errors, or a
+    uniform random word."""
+    F = GF(draw(st.sampled_from([7, 8, 9, 13, 16])))
+    n = draw(st.integers(1, min(F.q, 16)))
+    k = draw(st.sampled_from([0, n]) | st.integers(0, n))
+    t = draw(st.just(0) | st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.permutation(F.q)[:n].astype(np.int64)
+    V = vandermonde(F, points, k)
+    words = np.zeros((draw(st.integers(0, 8)), n), dtype=np.int64)
+    for b in range(words.shape[0]):
+        kind = draw(st.sampled_from(BW_WORD_KINDS))
+        if kind == "random":
+            words[b] = F.random(rng, n)
+            continue
+        cw = np.zeros(n, dtype=np.int64) if kind == "light" else \
+            la.matvec(F, V, F.random(rng, k))
+        d = {"codeword": 0, "light": draw(st.integers(0, t)),
+             "within": draw(st.integers(min(1, t), t)),
+             "beyond": draw(st.integers(min(t + 1, n), n))}[kind]
+        e = np.zeros(n, dtype=np.int64)
+        e[rng.permutation(n)[:d]] = F.random(rng, d, nonzero=True)
+        words[b] = F.add(cw, e)
+    return F, points, k, words, t
+
+
+@given(bw_batches())
+@settings(max_examples=300)
+def test_bw_batch_matches_reference_per_word(case):
+    """The syndrome screen and the light-word rule change no entry: every
+    word of the batch decodes as the full key-equation solve decodes it
+    alone, and a failed word comes back as zeros."""
+    F, points, k, words, t = case
+    ok, cws = berlekamp_welch(F, points, k, words, t)
+    assert ok.shape == (words.shape[0],) and ok.dtype == bool
+    assert cws.shape == words.shape and cws.dtype == np.int64
+    for b, word in enumerate(words):
+        want = _reference_berlekamp_welch(F, points, k, word, t)
+        assert ok[b] == (want is not None)
+        assert np.array_equal(cws[b], np.zeros_like(word) if want is None else want)
+
+
+@pytest.mark.parametrize("q, n", [(7, 1), (7, 7), (8, 8), (9, 6), (16, 11), (49, 20)])
+def test_grs_parity_check_spans_the_dual(q, n):
+    """The closed-form parity check has the row space of the dual code,
+    for every dimension k including 0 and n."""
+    F = GF(q)
+    points = np.random.default_rng(q + n).permutation(q)[:n].astype(np.int64)
+    for k in range(n + 1):
+        H = _grs_parity_check(F, points, k)
+        assert H.shape == (n - k, n)
+        assert la.rank(F, H) == n - k
+        assert la.row_space_equal(F, H, rs_code(F, n, k, points).parity_check())
 
 
 def test_bw_failure_beyond_radius(gf8, rng):
@@ -199,7 +269,7 @@ def test_bw_failure_beyond_radius(gf8, rng):
     cw = C.codeword(gf8.random(rng, 3))
     e = np.zeros(8, dtype=np.int64)
     e[:4] = gf8.random(rng, 4, nonzero=True)
-    got = berlekamp_welch(gf8, C.points, 3, gf8.add(cw, e), 1)
+    got = bw_one(gf8, C.points, 3, gf8.add(cw, e), 1)
     # never a wrong-radius claim: either failure or a codeword within radius
     if got is not None:
         assert np.count_nonzero(gf8.sub(got, gf8.add(cw, e))) <= 1

@@ -1,19 +1,42 @@
 """Table-driven field kernels against the log/exp and int64 bodies they replaced.
 
 The reference functions below are the earlier `Field.mul`, `Field.inv`,
-`linalg.matmul` and `linalg.rref`, kept verbatim in behaviour: the fast
-paths must return bit-identical arrays (the rref of a matrix is unique)."""
+`linalg.matmul` and `linalg.rref`, the exp/log table loop and digit
+negation, kept verbatim in behaviour: the fast paths must return
+bit-identical arrays (the rref of a matrix is unique)."""
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodcodes import linalg as la
-from prodcodes.gf import GF, MUL_TABLE_MAX_ORDER
+from prodcodes.gf import GF, MUL_TABLE_MAX_ORDER, Field, canonical_modulus
 
 # both sides of the multiplication-table cut, odd extensions, primes, and
 # the two large fields the transversal and BLAS paths use
 FIELD_ORDERS = [2, 4, 8, 9, 16, 49, 97, 243, 256, 512, 3 ** 6, 1 << 17, 1048573]
+
+
+def ref_exp_log(F):
+    """The exp/log tables filled one power at a time with table-free
+    multiplies."""
+    q = F.q
+    exp = np.zeros(2 * (q - 1), dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int64)
+    v = 1
+    for i in range(q - 1):
+        exp[i] = v
+        log[v] = i
+        v = F._mul_raw(v, F.generator)
+    exp[q - 1:] = exp[: q - 1]
+    return exp, log
+
+
+def ref_neg(F, a):
+    """Digit-wise negation of element codes."""
+    return F._undigits((-F._digits(a)) % F.p)
 
 
 def ref_mul(F, a, b):
@@ -123,6 +146,44 @@ def test_mul_and_inv_tables_match_log_exp(q):
         F.inv(np.array([1, 0]))
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+@pytest.mark.parametrize("p, e, modulus", [
+    (2, 1, None), (2, 2, None), (2, 10, None), (3, 1, None), (97, 1, None),
+    (65537, 1, None), (3, 2, None), (7, 2, None), (3, 5, None), (5, 4, None),
+    # X^2 + 1 over GF(3) and X^4 + X^3 + X^2 + X + 1 over GF(2): X has order
+    # 4 and 5, so the generator comes from the search
+    (3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1))])
+def test_exp_log_tables_match_power_loop(p, e, modulus):
+    F = Field(p, e, modulus)
+    if modulus is not None:
+        assert F.generator != p
+    exp, log = ref_exp_log(F)
+    assert np.array_equal(F._exp, exp) and np.array_equal(F._log, log)
+
+
+def test_largest_prime_field_builds_fast():
+    canonical_modulus.cache_clear()
+    t0 = time.perf_counter()
+    F = Field(1048573, 1)
+    assert time.perf_counter() - t0 <= 0.5
+    x = np.array([1, 2, 1048572, 777], dtype=np.int64)
+    assert np.array_equal(F._exp[F._log[x]], x)
+
+
+@pytest.mark.parametrize("q", [9, 49, 243, 3 ** 8])
+def test_neg_table_matches_digit_negation(q):
+    """neg over all codes; sub over all pairs up to q = 243 and over a
+    sample at 3^8, which has no addition table."""
+    F = GF(q)
+    codes = F.elements()
+    assert np.array_equal(F.neg(codes), ref_neg(F, codes))
+    if q <= 243:
+        a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    else:
+        a, b = F.random(np.random.default_rng(q), (2, 50_000))
+    assert np.array_equal(F.sub(a, b), F.add(a, ref_neg(F, b)))
+    assert int(F.sub(3, 5)) == int(F.add(3, ref_neg(F, 5)))
 
 
 @given(st.sampled_from(FIELD_ORDERS), st.integers(0, 12), st.integers(0, 12),

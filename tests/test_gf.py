@@ -125,6 +125,22 @@ def test_sum_matches_add_loop(q, rows, cols, axis, seed):
     assert int(F.sum(flat)) == int(reduce(F.add, flat, np.int64(0)))
 
 
+
+@given(st.sampled_from([2, 3, 8, 256, 97, 49, 3 ** 8, 1 << 17]), st.integers(0, 5),
+       st.integers(0, 5), st.sampled_from([0, -1]), st.integers(0, 2 ** 32 - 1))
+def test_prod_matches_mul_loop(q, rows, cols, axis, seed):
+    """Field.prod against a fold of F.mul, with zeros one entry in five; an
+    empty product is 1."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    a = F.random(rng, (rows, cols))
+    a[rng.random(a.shape) < 0.2] = 0
+    lanes = np.moveaxis(a, axis, 0)
+    want = reduce(F.mul, lanes, np.ones(lanes.shape[1:], dtype=np.int64))
+    assert np.array_equal(F.prod(a, axis=axis), want)
+    flat = a.ravel()
+    assert int(F.prod(flat)) == int(reduce(F.mul, flat, np.int64(1)))
+
 def test_from_json_round_trip_and_rejections():
     F = GF(49)
     assert Field.from_json({"p": 7, "e": 2, "modulus": list(F.modulus)}) == F

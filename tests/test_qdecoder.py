@@ -54,13 +54,11 @@ def test_rate_conditions_enforced():
 
 def test_dec_quantum_identity_on_clean(sub16):
     inst = sub16
-    F = inst.field
     rng = stream(1, 0)
     cz = _sample_logical(inst, rng, "z")
     f1, f2 = inst.factors
     n = inst.n
-    out = dec_quantum(F, f1.qx.points, f2.qz.points,
-                      n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k,
+    out = dec_quantum(inst.z_dt, n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k,
                       cz.reshape(n, n), 0)
     assert np.array_equal(out.ravel(), cz)
 
@@ -79,8 +77,7 @@ def test_dec_quantum_confinement(sub16_explore):
     word = F.add(cz, e)
     from prodcodes.decoder import alpha_decode
     res = alpha_decode(inst.z_dt, word)
-    out = dec_quantum(F, f1.qx.points, f2.qz.points,
-                      n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k,
+    out = dec_quantum(inst.z_dt, n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k,
                       res.word, inst.params.stripe_radius(n, f1.qz.k))
     diff = F.sub(out, res.word)
     coeffs = bivariate_coeffs(F, f1.qx.points, f2.qz.points, diff)
