@@ -173,19 +173,35 @@ class LinearCode:
 
     @staticmethod
     def from_json(doc: dict) -> "LinearCode":
+        """The code of a serialized document; a malformed one raises
+        ValueError."""
         if not isinstance(doc, dict):
             raise ValueError(f"a code must be a JSON object, got {doc!r}")
         F = Field.from_json(doc["field"])
+        n, k, gen, label = doc["n"], doc["k"], doc["gen"], doc.get("label", "")
+        # type(...) is int: JSON true/false are not integers here
+        if not (type(n) is int and type(k) is int and n >= 0 and k >= 0):
+            raise ValueError(f"code n and k must be non-negative integers, got {n!r}, {k!r}")
+        if not (_int_list(gen) and len(gen) == k * n):
+            raise ValueError(f"code gen must be a flat list of k*n = {k * n} integers")
+        if not isinstance(label, str):
+            raise ValueError(f"code label must be a string, got {label!r}")
+        gen = np.array(gen, dtype=np.int64).reshape(k, n)
         if "rs" in doc:
-            code = ReedSolomon(F, doc["n"], doc["rs"]["k"],
-                               np.array(doc["rs"]["points"], dtype=np.int64),
-                               label=doc.get("label", ""))
-            expect = np.array(doc["gen"], dtype=np.int64).reshape(doc["k"], doc["n"])
-            if not np.array_equal(code.gen, expect):
+            rs = doc["rs"]
+            if not (isinstance(rs, dict) and type(rs.get("k")) is int
+                    and _int_list(rs.get("points"))):
+                raise ValueError(f"code rs must be {{k: int, points: [int]}}, got {rs!r}")
+            code = ReedSolomon(F, n, rs["k"], np.array(rs["points"], dtype=np.int64),
+                               label=label)
+            if not np.array_equal(code.gen, gen):
                 raise ValueError("serialized RS generator does not match its points")
             return code
-        gen = np.array(doc["gen"], dtype=np.int64).reshape(doc["k"], doc["n"])
-        return LinearCode(F, doc["n"], gen, label=doc.get("label", ""))
+        return LinearCode(F, n, gen, label=label)
+
+
+def _int_list(x) -> bool:
+    return isinstance(x, list) and all(type(v) is int for v in x)
 
 
 def zero_code(F: Field, n: int) -> LinearCode:
@@ -243,7 +259,8 @@ class ReedSolomon(LinearCode):
         if not 0 <= k <= n <= field.q:
             raise ValueError(f"need 0 <= k <= n <= q, got k={k} n={n} q={field.q}")
         points = np.asarray(points, dtype=np.int64)
-        if points.size != n or np.unique(points).size != n:
+        if points.size != n or np.unique(points).size != n or \
+                np.any(points < 0) or np.any(points >= field.q):
             raise ValueError("evaluation points must be n distinct field elements")
         gen = vandermonde(field, points, k).T
         super().__init__(field, n, gen, label=label or f"RS({n},{k})")

@@ -353,17 +353,17 @@ class Field:
         if e > 1 and q <= MUL_TABLE_MAX_ORDER:
             codes = np.arange(q, dtype=np.int64)
             self._mul_table = self.mul(codes[:, None], codes[None, :]).ravel()
-        if p != 2 and e > 1 and q <= 1 << 12:
-            codes = np.arange(q, dtype=np.int64)
-            dig = (codes[:, None] // self._powers[None, :]) % p
-            s = (dig[:, None, :] + dig[None, :, :]) % p
-            self._add_table = (s * self._powers[None, None, :]).sum(axis=2)
-        else:
-            self._add_table = None
+        self._add_table = None
         self._neg = None
         if p != 2 and e > 1:
-            # digit-wise negation of every code, one digit at a time
+            # digit-wise addition of every pair and negation of every code,
+            # one digit at a time: one q x q scratch array beside the table
             codes = np.arange(q, dtype=np.int64)
+            if q <= 1 << 12:
+                self._add_table = np.zeros((q, q), dtype=np.int64)
+                for pw in self._powers:
+                    s = np.add.outer(codes // pw % p, codes // pw % p)
+                    self._add_table += np.multiply(np.remainder(s, p, out=s), pw, out=s)
             self._neg = np.zeros(q, dtype=np.int64)
             for pw in self._powers:
                 self._neg += (-(codes // pw) % p) * pw

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .codes import BudgetExceeded, canonical_points
+from .codes import BudgetExceeded, canonical_points, tensor
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
                       berlekamp_welch, params_from_json)
@@ -113,6 +113,8 @@ class SubsystemProductInstance(_TwoFactorDocument):
     def __post_init__(self):
         if len(self.factors) != 2:
             raise ValueError("the decoder covers two-factor products")
+        if any(f.subsystem for f in self.factors):
+            raise ValueError("factors must be non-subsystem CSS pairs")
         f1, f2 = self.factors
         n = f1.n
         eps = self.params.eps
@@ -215,6 +217,8 @@ class CssProductInstance(_TwoFactorDocument):
     def __post_init__(self):
         if len(self.factors) != 2:
             raise ValueError("two factors required")
+        if any(f.subsystem for f in self.factors):
+            raise ValueError("factors must be non-subsystem CSS pairs")
         for f in self.factors:
             if f.qx.k != f.qz.k:
                 raise ValueError("factors need dim Q_X = dim Q_Z")
@@ -244,6 +248,16 @@ class CssProductInstance(_TwoFactorDocument):
     def _sub(self) -> SubsystemProductInstance:
         return SubsystemProductInstance(self.factors, self.params)
 
+    @cached_property
+    def qxx_perp(self) -> np.ndarray:
+        """Generator of (Q^1_X (x) Q^2_X)^perp, the cleanup modulus of c_z."""
+        return tensor(*(f.qx for f in self.factors)).dual().gen
+
+    @cached_property
+    def qzz_perp(self) -> np.ndarray:
+        """Generator of (Q^1_Z (x) Q^2_Z)^perp, the cleanup modulus of c_x."""
+        return tensor(*(f.qz for f in self.factors)).dual().gen
+
     def to_json(self) -> dict:
         doc = self._sub.to_json()
         doc["kind"] = "css-product"
@@ -260,14 +274,10 @@ def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray
     fails, i.e. the input was outside the decoding promise."""
     F = inst.field
     code = inst.code
-    f1, f2 = inst.factors
     rep_z, fb_z = _decode_side(inst._sub, c_z, "z")
     rep_x, fb_x = _decode_side(inst._sub, c_x, "x")
-    from .codes import tensor
-    qxx_perp = tensor(f1.qx, f2.qx).dual().gen
-    qzz_perp = tensor(f1.qz, f2.qz).dual().gen
-    z = _project_coset(F, code.qz.gen, qxx_perp, rep_z.ravel())
-    x = _project_coset(F, code.qx.gen, qzz_perp, rep_x.ravel())
+    z = _project_coset(F, code.qz.gen, inst.qxx_perp, rep_z.ravel())
+    x = _project_coset(F, code.qx.gen, inst.qzz_perp, rep_x.ravel())
     return QuantumDecodeResult(CorrectionCoset(x, "qz_perp"),
                                CorrectionCoset(z, "qx_perp"), fb_x, fb_z)
 

@@ -73,10 +73,17 @@ class CssPair:
 
     @staticmethod
     def from_json(doc: dict) -> "CssPair":
+        """The pair of a serialized document; malformed codes, a non-bool
+        subsystem flag or a non-string label raise ValueError."""
         if not isinstance(doc, dict):
             raise ValueError(f"a CSS pair must be a JSON object, got {doc!r}")
+        subsystem, label = doc["subsystem"], doc.get("label", "")
+        if not isinstance(subsystem, bool):
+            raise ValueError(f"pair subsystem must be a bool, got {subsystem!r}")
+        if not isinstance(label, str):
+            raise ValueError(f"pair label must be a string, got {label!r}")
         return CssPair(LinearCode.from_json(doc["qx"]), LinearCode.from_json(doc["qz"]),
-                       subsystem=doc["subsystem"], label=doc.get("label", ""))
+                       subsystem=subsystem, label=label)
 
     def __repr__(self) -> str:
         kind = "subsystem" if self.subsystem else "css"

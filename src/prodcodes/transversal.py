@@ -32,6 +32,9 @@ from .subsystem import CssPair, quantum_rs, subsystem_product
 # star-power spans with duplicate collapse
 # ---------------------------------------------------------------------------
 
+# generator pairs one star_span may form before it refuses
+PAIR_CAP = 2_000_000
+
 
 def _dedup_rows(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= 1:
@@ -57,14 +60,13 @@ def _pair_products(F: Field, A: np.ndarray, B: np.ndarray,
     return np.concatenate(out, axis=0)
 
 
-def star_span(F: Field, A: np.ndarray, B: np.ndarray,
-              pair_cap: int = 2_000_000) -> np.ndarray:
+def star_span(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Spanning rows of span(A) * span(B): pairwise products, duplicates
     collapsed, compressed to a row basis when they outgrow the ambient
-    dimension."""
+    dimension.  Refuses (BudgetExceeded) past PAIR_CAP generator pairs."""
     if A.shape[0] == 0 or B.shape[0] == 0:
         return np.zeros((0, A.shape[1]), dtype=np.int64)
-    if A.shape[0] * B.shape[0] > pair_cap:
+    if A.shape[0] * B.shape[0] > PAIR_CAP:
         raise BudgetExceeded(
             f"star product with {A.shape[0] * B.shape[0]} generator pairs exceeds cap")
     rows = _dedup_rows(_pair_products(F, A, B))
@@ -90,32 +92,29 @@ class MultCertificate:
                 "intersection_dim": self.intersection_dim, "method": self.method}
 
 
-def multiplication_property(F: Field, L_gen: np.ndarray, S_gen: np.ndarray,
-                            r: int, pair_cap: int = 2_000_000,
-                            ambient_cap: int = 200_000) -> MultCertificate:
-    """Rank certificate for L^{*r} intersect S*(L+S)^{*(r-1)} = {0}.
-
-    Refuses (BudgetExceeded) rather than run past the caps.
-    """
+def _star_powers(F: Field, L_gen: np.ndarray, S_gen: np.ndarray, r: int):
+    """Row bases of L^{*r} and S*(L+S)^{*(r-1)}, the pivot columns of one
+    rref of their stack, and the rank certificate read off the three ranks."""
     if r < 2:
         raise ValueError("gate arity r must be >= 2")
     L_gen = np.atleast_2d(np.asarray(L_gen, dtype=np.int64))
     S_gen = np.atleast_2d(np.asarray(S_gen, dtype=np.int64))
-    n = L_gen.shape[1]
-    if n > ambient_cap:
-        raise BudgetExceeded(f"ambient dimension {n} exceeds cap {ambient_cap}")
     LS = np.concatenate([L_gen, S_gen], axis=0)
-    lpow = L_gen
+    lpow, obst = L_gen, S_gen
     for _ in range(r - 1):
-        lpow = star_span(F, lpow, L_gen, pair_cap)
-    obst = S_gen
-    for _ in range(r - 1):
-        obst = star_span(F, obst, LS, pair_cap)
-    ra = la.rank(F, lpow)
-    rb = la.rank(F, obst)
-    rs = la.rank(F, np.concatenate([lpow, obst], axis=0))
-    inter = ra + rb - rs
-    return MultCertificate(inter == 0, ra, rb, rs, inter, "dense-rank")
+        lpow = star_span(F, lpow, L_gen)
+        obst = star_span(F, obst, LS)
+    lpow, obst = la.row_space(F, lpow), la.row_space(F, obst)
+    _, piv = la.rref(F, np.concatenate([lpow, obst], axis=0))
+    ra, rb, rs = lpow.shape[0], obst.shape[0], len(piv)
+    cert = MultCertificate(ra + rb == rs, ra, rb, rs, ra + rb - rs, "dense-rank")
+    return lpow, obst, piv, cert
+
+
+def multiplication_property(F: Field, L_gen: np.ndarray, S_gen: np.ndarray,
+                            r: int) -> MultCertificate:
+    """Rank certificate for L^{*r} intersect S*(L+S)^{*(r-1)} = {0}."""
+    return _star_powers(F, L_gen, S_gen, r)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -123,33 +122,36 @@ def multiplication_property(F: Field, L_gen: np.ndarray, S_gen: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def reduce_exponent(q: int, e: int) -> int:
-    """Exponent reduction on a full field grid: x^q = x for all x."""
-    if e < q:
-        return e
-    return 1 + (e - 1) % (q - 1)
+def reduce_exponent(q: int, e):
+    """Exponent reduction on a full field grid, x^q = x for all x; elementwise
+    on an array of exponents."""
+    return np.where(e < q, e, 1 + (e - 1) % (q - 1))
 
 
-def reduce_tuple(q: int, expo: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(reduce_exponent(q, e) for e in expo)
+def _exponent_grid(q: int, t: int, exps) -> np.ndarray:
+    """Boolean grid over [0, q)^t marking the exponent tuples in exps."""
+    grid = np.zeros((q,) * t, dtype=bool)
+    if exps:
+        idx = np.array(list(exps), dtype=np.int64).reshape(len(exps), t)
+        if idx.min() < 0 or idx.max() >= q:
+            raise ValueError(f"exponents must lie in [0, {q})")
+        grid[tuple(idx.T)] = True
+    return grid
 
 
-def sumset(q: int, A: set[tuple[int, ...]], B: set[tuple[int, ...]],
-           reduce_exps: bool = True) -> set[tuple[int, ...]]:
-    out = set()
-    for a in A:
-        for b in B:
-            s = tuple(x + y for x, y in zip(a, b))
-            out.add(reduce_tuple(q, s) if reduce_exps else s)
-    return out
-
-
-def power_sumset(q: int, A: set[tuple[int, ...]], r: int,
-                 reduce_exps: bool = True) -> set[tuple[int, ...]]:
-    out = A
-    for _ in range(r - 1):
-        out = sumset(q, out, A, reduce_exps)
-    return out
+def _grid_sum(q: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """red(A + B) on boolean grids: the larger set shifted by each point of
+    the smaller one on a (2q-1)^t canvas, then folded by reduce_exponent."""
+    if np.count_nonzero(A) < np.count_nonzero(B):
+        A, B = B, A
+    canvas = np.zeros((2 * q - 1,) * A.ndim, dtype=bool)
+    for b in np.argwhere(B):
+        canvas[tuple(slice(x, x + q) for x in b)] |= A
+    red = reduce_exponent(q, np.arange(2 * q - 1))
+    fold = np.ravel_multi_index(np.ix_(*[red] * A.ndim), A.shape)
+    out = np.zeros(A.size, dtype=bool)
+    out[fold[canvas]] = True
+    return out.reshape(A.shape)
 
 
 @dataclass
@@ -161,19 +163,23 @@ class ExponentCheck:
 
 
 def exponent_intersection(q: int, M: set[tuple[int, ...]],
-                          T: set[tuple[int, ...]], r: int,
-                          reduce_exps: bool = True) -> ExponentCheck:
+                          T: set[tuple[int, ...]], r: int) -> ExponentCheck:
     """Emptiness of red(rM) intersect red(T + (M u T)^{+(r-1)}): the symbolic
     counterpart of the multiplication property for monomial-spanned spaces on a
-    full field grid (exact when exponent reduction is enabled)."""
-    lpow = power_sumset(q, M, r, reduce_exps)
-    mu = M | T
-    obst = T
+    full field grid.  Exponent tuples lie in [0, q)^t; the witness is the
+    lexicographically smallest common tuple."""
+    t = len(next(iter(M | T), (0,)))  # the tuple length; 1 if both sets are empty
+    M, T = _exponent_grid(q, t, M), _exponent_grid(q, t, T)
+    lpow, obst, mu = M, T, M | T
     for _ in range(r - 1):
-        obst = sumset(q, obst, mu, reduce_exps)
-    inter = lpow & obst
-    witness = min(inter) if inter else None
-    return ExponentCheck(not inter, witness, frozenset(lpow), frozenset(obst))
+        lpow = _grid_sum(q, lpow, M)
+        obst = _grid_sum(q, obst, mu)
+    inter = np.argwhere(lpow & obst)
+    witness = tuple(int(x) for x in inter[0]) if inter.size else None
+
+    def as_set(grid):
+        return frozenset(map(tuple, np.argwhere(grid).tolist()))
+    return ExponentCheck(witness is None, witness, as_set(lpow), as_set(obst))
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +247,10 @@ def transrs_params(r: int, q: int) -> TransRsParams:
     return TransRsParams(r, q, eps, k1, k1, k2x, k2z, ell_lo, ell_hi)
 
 
-def exponent_set_check(r: int, q: int, ell_lo: int | None = None,
-                       reduce_exps: bool = True) -> ExponentCheck:
-    """Symbolic multiplication-property check for the RS instantiation; an
-    overridden ell_lo supports stress harnesses that break the window."""
+def exponent_set_check(r: int, q: int) -> ExponentCheck:
+    """Symbolic multiplication-property check for the RS instantiation."""
     p = transrs_params(r, q)
-    if ell_lo is not None:
-        p = TransRsParams(p.r, p.q, p.eps, p.k1x, p.k1z, p.k2x, p.k2z,
-                          ell_lo, p.ell_hi)
-    return exponent_intersection(q, p.m_box(), p.t_box(), r, reduce_exps)
+    return exponent_intersection(q, p.m_box(), p.t_box(), r)
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +290,8 @@ class GateInstance:
                 "certificate": self.certificate.to_json()}
 
 
-def first_information_set(code: LinearCode) -> list[int]:
-    """First column set on which the code restricts isomorphically (pivots
-    of the rref generator)."""
-    _, piv = la.rref(code.field, code.gen)
-    return piv
-
-
 def synthesize_gate(factors: list[CssPair], L_list: list[LinearCode], r: int,
-                    S_basis: np.ndarray | None = None,
-                    certificate: MultCertificate | None = None,
-                    pair_cap: int = 2_000_000, label: str = "") -> GateInstance:
+                    label: str = "") -> GateInstance:
     """Build the coefficients vector from the multiplication property.
 
     The projection onto L^{*r} along the obstruction space is extended by
@@ -313,50 +305,31 @@ def synthesize_gate(factors: list[CssPair], L_list: list[LinearCode], r: int,
         if la.row_space_intersection(F, L.gen, f.qx.dual().gen).shape[0]:
             raise ValueError("L_i must intersect (Q_X^i)^perp trivially")
     product = subsystem_product(factors) if len(factors) > 1 else factors[0]
-    if S_basis is None:
-        S_basis = product.stabilizer_basis()
+    S_basis = product.stabilizer_basis()
     L_gen = reduce(lambda a, b: la.kron(F, a, b), [L.gen for L in L_list])
-    if certificate is None:
-        certificate = multiplication_property(F, L_gen, S_basis, r, pair_cap)
+    lpow, obst, piv, certificate = _star_powers(F, L_gen, S_basis, r)
     if not certificate.holds:
         raise ValueError(f"multiplication property fails: {certificate}")
 
-    # star-power bases
-    LS = np.concatenate([L_gen, S_basis], axis=0)
-    lpow = L_gen
-    for _ in range(r - 1):
-        lpow = star_span(F, lpow, L_gen, pair_cap)
-    lpow = la.row_space(F, lpow)
-    obst = S_basis
-    for _ in range(r - 1):
-        obst = star_span(F, obst, LS, pair_cap)
-    obst = la.row_space(F, obst)
-
     A_sets, A_flat, enc_basis = _unit_encodings(F, factors, L_list)
 
-    # eta = projection onto span(lpow) along span(obst), zero on the
-    # pivot-ordered complement; a._z = indicator(A) . eta(z)
-    partial = np.concatenate([lpow, obst], axis=0)
-    _, piv = la.rref(F, partial)
-    free = np.setdiff1d(np.arange(N), piv)[: N - partial.shape[0]]
-    M = np.concatenate([partial, la.identity(N)[free]], axis=0)
-    if M.shape[0] != N or la.rank(F, M) != N:
-        raise RuntimeError("complement completion failed")
-    w = np.zeros(N, dtype=np.int64)
+    # eta = projection onto span(lpow) along span(obst), zero on the free
+    # columns of their stack; a._z = indicator(A) . eta(z), so a vanishes off
+    # the pivots and solves the square system stack[:, piv] a[piv] = w
     ones_a = np.zeros(N, dtype=np.int64)
     ones_a[A_flat] = 1
+    w = np.zeros(len(piv), dtype=np.int64)
     w[: lpow.shape[0]] = la.matmul(F, lpow, ones_a[:, None])[:, 0]
-    a = la.solve_right(F, M, w)
-    if a is None:
-        raise RuntimeError("coefficient solve failed")
+    a = np.zeros(N, dtype=np.int64)
+    a[piv] = la.solve_right(F, np.concatenate([lpow, obst], axis=0)[:, piv], w)
     return GateInstance(r, factors, L_list, S_basis, A_sets, A_flat, enc_basis, a,
                         certificate, label)
 
 
 def _unit_encodings(F: Field, factors: list[CssPair], L_list: list[LinearCode]):
-    """Per-factor information sets, their flat product indices in message
-    order, and the encodings of the unit messages."""
-    A_sets = [first_information_set(L) for L in L_list]
+    """Per-factor information sets (the pivots of each rref generator), their
+    flat product indices in message order, and the unit-message encodings."""
+    A_sets = [la.rref(F, L.gen)[1] for L in L_list]
     enc_factors = []
     for L, A in zip(L_list, A_sets):
         coefs = la.solve_right(F, L.gen[:, A].T, la.identity(len(A)))
@@ -439,8 +412,8 @@ def _certify_monomial_stabilizer(F: Field, factors: list[CssPair],
         raise RuntimeError(f"monomial count {len(t_exps)} != dim S = {dim_s}")
 
 
-def build_transrs_gate(F: Field, r: int, use_monomial_structure: bool | None = None,
-                       pair_cap: int = 2_000_000) -> GateInstance:
+def build_transrs_gate(F: Field, r: int,
+                       use_monomial_structure: bool | None = None) -> GateInstance:
     """Gate instance for the two-factor quantum-RS construction at q = |F|.
 
     Small fields run the generic dense-rank route; larger ones exploit that
@@ -459,34 +432,25 @@ def build_transrs_gate(F: Field, r: int, use_monomial_structure: bool | None = N
     S_monomial = monomial_eval_matrix(F, grid, t_exps)
     if use_monomial_structure is None:
         use_monomial_structure = q > 16
+    label = f"transRS(r={r},q={q})"
     if not use_monomial_structure:
-        product = subsystem_product(factors)
-        S_generic = product.stabilizer_basis()
-        if la.rank(F, np.concatenate([S_generic, S_monomial], axis=0)) != \
-                S_generic.shape[0] or S_generic.shape[0] != len(t_exps):
+        gate = synthesize_gate(factors, L_list, r, label=label)
+        S = gate.S_basis
+        if S.shape[0] != len(t_exps) or \
+                la.rank(F, np.concatenate([S, S_monomial], axis=0)) != S.shape[0]:
             raise RuntimeError("monomial model of the stabilizer space is wrong")
-        cert = multiplication_property(
-            F, la.kron(F, L_list[0].gen, L_list[1].gen), S_generic, r, pair_cap)
-        return synthesize_gate(factors, L_list, r, S_basis=S_generic,
-                               certificate=cert, pair_cap=pair_cap,
-                               label=f"transRS(r={r},q={q})")
+        return gate
     _certify_monomial_stabilizer(F, factors, S_monomial, t_exps)
-    m_exps = set(p.m_box())
-    lpow_exps = sorted(power_sumset(q, m_exps, r))
-    mu = m_exps | set(t_exps)
-    obst_exps: set[tuple[int, ...]] = set(t_exps)
-    for _ in range(r - 1):
-        obst_exps = sumset(q, obst_exps, mu)
-    inter = set(lpow_exps) & obst_exps
+    chk = exponent_set_check(r, q)
     # distinct reduced monomials on the full grid are independent, so set
     # sizes are the ranks once the Vandermonde factors are invertible
-    ra, rb = len(lpow_exps), len(obst_exps)
-    cert = MultCertificate(not inter, ra, rb, ra + rb - len(inter),
-                           len(inter), "monomial-rank")
+    ra, rb = len(chk.l_power_set), len(chk.obstruction_set)
+    inter = len(chk.l_power_set & chk.obstruction_set)
+    cert = MultCertificate(chk.empty, ra, rb, ra + rb - inter, inter, "monomial-rank")
     if not cert.holds:
         raise ValueError(f"multiplication property fails: {cert}")
-    return _synthesize_monomial(F, factors, L_list, p, lpow_exps, S_monomial,
-                                cert, label=f"transRS(r={r},q={q})")
+    return _synthesize_monomial(F, factors, L_list, p, sorted(chk.l_power_set),
+                                S_monomial, cert, label=label)
 
 
 def _synthesize_monomial(F: Field, factors: list[CssPair],

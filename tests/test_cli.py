@@ -530,3 +530,91 @@ def test_distance_and_gate_verify_reject_malformed_top_level_fields(boundary_ins
             assert main([command, "--instance", str(mutant), *options,
                          "--out", str(mutant.with_name("malformed-report.json"))]) == 1
             assert capsys.readouterr().err.startswith("error: ")
+
+
+# the code and CSS-pair objects nested in the documents that distance,
+# pe-exact and subsystem decode-trials read, as key paths from the root
+NESTED_PATHS = {
+    "rs": [("code",), ("code", "rs")],
+    "qrs": [("pair",), ("pair", "qx"), ("pair", "qz", "rs")],
+    "pe-exact": [(0,), (1, "rs")],
+    "subsystem-product": [("factors", 0), ("factors", 1, "qx"), ("factors", 0, "qz", "rs")],
+}
+
+
+@pytest.fixture(scope="module")
+def nested_documents(trial_instances, boundary_instances, tmp_path_factory):
+    """kind -> (bare document, command line reading it from __DOC__)."""
+    out = tmp_path_factory.mktemp("nested-documents")
+    assert main(["build-code", "--kind", "rs", "--q", "4", "--n", "3", "--k", "2",
+                 "--seed", "1", "--out", str(out / "rs.json")]) == 0
+    rs = json.loads((out / "rs.json").read_text())["results"]
+
+    def results(path):
+        return json.loads(path.read_text())["results"]
+    return {
+        "rs": (rs, ["distance", "--instance", "__DOC__"]),
+        "qrs": (results(boundary_instances["qrs"]), ["distance", "--instance", "__DOC__"]),
+        "pe-exact": ([rs["code"], rs["code"]], ["pe-exact", "--codes", "__DOC__"]),
+        "subsystem-product": (results(trial_instances["subsystem-product"]),
+                              [*TRIAL_COMMAND[:1], "--instance", "__DOC__",
+                               *TRIAL_COMMAND[1:]]),
+    }
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_commands_survive_nested_mutations(nested_documents, tmp_path_factory, data):
+    """One field of a nested code or CSS-pair object (n, k, gen, rs, label,
+    subsystem, field, qx, qz, ...) set to a value of the wrong type or range:
+    distance, pe-exact and subsystem decode-trials return a documented exit
+    code, never an exception."""
+    kind = data.draw(st.sampled_from(sorted(NESTED_PATHS)))
+    doc, argv = nested_documents[kind]
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in data.draw(st.sampled_from(NESTED_PATHS[kind])):
+        target = target[key]
+    key = data.draw(st.sampled_from(sorted(target)))
+    target[key] = data.draw(st.sampled_from([None, "x", True, -1, [], {}, 10 ** 6]))
+    mutant = tmp_path_factory.getbasetemp() / "nested-mutant.json"
+    mutant.write_text(json.dumps(doc))
+    argv = [str(mutant) if a == "__DOC__" else a for a in argv]
+    assert main([*argv, "--out", str(mutant.with_name("nested-report.json"))]) in (0, 1, 2, 3)
+
+
+def test_distance_rejects_malformed_code_documents(tmp_path, capsys):
+    """Malformed n, k, gen, rs and label of a code document, and a
+    non-bool subsystem flag of a pair, exit 1 with an error line."""
+    assert main(["build-code", "--kind", "qrs", "--q", "4", "--n", "3", "--kx", "2",
+                 "--kz", "2", "--seed", "1", "--out", str(tmp_path / "qrs.json")]) == 0
+    pair = json.loads((tmp_path / "qrs.json").read_text())["results"]["pair"]
+    code = pair["qx"]
+    bad_codes = [{**code, "n": "x"}, {**code, "k": None}, {**code, "k": -1},
+                 {**code, "rs": 5}, {**code, "rs": {**code["rs"], "k": "a"}},
+                 {**code, "rs": {**code["rs"], "points": [0, 1, 4]}},
+                 {**code, "gen": code["gen"][1:]}, {**code, "gen": [code["gen"]]},
+                 {**code, "gen": [True] + code["gen"][1:]}, {**code, "label": 3}]
+    docs = [{"kind": "rs", "code": c} for c in bad_codes]
+    docs += [{"kind": "qrs", "pair": {**pair, "qz": c}} for c in bad_codes]
+    docs += [{"kind": "qrs", "pair": {**pair, "subsystem": v}} for v in (0, "yes", None)]
+    inst = tmp_path / "bad.json"
+    for doc in docs:
+        inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["distance", "--instance", str(inst),
+                     "--out", str(tmp_path / "d.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["subsystem-product", "css-product"])
+def test_decode_trials_rejects_subsystem_factors(trial_instances, tmp_path, capsys, kind):
+    """A product factor flagged as a subsystem pair is refused when the
+    instance is read (exit 1), not when the product is first built."""
+    doc = json.loads(trial_instances[kind].read_text())["results"]
+    doc["factors"][0]["subsystem"] = True
+    inst = tmp_path / "sub.json"
+    inst.write_text(json.dumps(doc))
+    assert main([TRIAL_COMMAND[0], "--instance", str(inst), *TRIAL_COMMAND[1:],
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "factors must be non-subsystem CSS pairs" in capsys.readouterr().err

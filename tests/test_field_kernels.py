@@ -6,6 +6,7 @@ negation, kept verbatim in behaviour: the fast paths must return
 bit-identical arrays (the rref of a matrix is unique)."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,30 @@ def test_neg_table_matches_digit_negation(q):
         a, b = F.random(np.random.default_rng(q), (2, 50_000))
     assert np.array_equal(F.sub(a, b), F.add(a, ref_neg(F, b)))
     assert int(F.sub(3, 5)) == int(F.add(3, ref_neg(F, 5)))
+
+
+@pytest.mark.parametrize("q", [9, 49, 3 ** 5, 5 ** 4])
+def test_add_table_matches_digit_sum(q):
+    """The addition table, built one digit at a time, against the all-digits
+    formula it replaced."""
+    F = GF(q)
+    dig = (F.elements()[:, None] // F._powers[None, :]) % F.p
+    s = (dig[:, None, :] + dig[None, :, :]) % F.p
+    assert np.array_equal(F._add_table, (s * F._powers[None, None, :]).sum(axis=2))
+
+
+def test_add_table_build_memory():
+    """GF(3^6) keeps a 4.3 MB addition table; building it holds at most one
+    more q x q array (the all-digits formula peaked at 53 MB)."""
+    canonical_modulus.cache_clear()
+    tracemalloc.start()
+    try:
+        F = Field(3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F._add_table.nbytes == 729 * 729 * 8
+    assert peak <= 16 << 20
 
 
 @given(st.sampled_from(FIELD_ORDERS), st.integers(0, 12), st.integers(0, 12),

@@ -219,9 +219,20 @@ def test_css_kunneth_inclusions(css16):
     F = inst.field
     code = inst.code
     f1, f2 = inst.factors
-    big = np.concatenate([tensor(f1.qz, f2.qz).gen,
-                          tensor(f1.qx, f2.qx).dual().gen], axis=0)
+    big = np.concatenate([tensor(f1.qz, f2.qz).gen, inst.qxx_perp], axis=0)
     assert la.row_space_contains(F, big, code.qz.gen)
+
+
+def test_css_decode_reuses_tensor_duals(css16, monkeypatch):
+    """The two cleanup moduli are built once per instance, not per decode."""
+    from prodcodes import qdecoder
+    f1, f2 = css16.factors
+    assert np.array_equal(css16.qxx_perp, tensor(f1.qx, f2.qx).dual().gen)
+    assert np.array_equal(css16.qzz_perp, tensor(f1.qz, f2.qz).dual().gen)
+    monkeypatch.setattr(qdecoder, "tensor", lambda *args: pytest.fail("tensor rebuilt"))
+    zero = np.zeros(css16.n ** 2, dtype=np.int64)
+    res = css_decode(css16, zero, zero)
+    assert not res.coset_x.representative.any() and not res.coset_z.representative.any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Transversal gate machinery: star spans, multiplication property, exponent
 checks, gate synthesis, phase identity, sabotage, and the triple product."""
 
+import dataclasses
 import hashlib
+import json
 from functools import reduce
 
 import numpy as np
@@ -107,6 +109,49 @@ def _reference_triple_phase_identity_test(gate, trials, seed, terms_per_block=2)
 
 
 # ---------------------------------------------------------------------------
+# reference oracle: the set-of-tuples exponent sums the boolean grids replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_reduce(q, e):
+    return e if e < q else 1 + (e - 1) % (q - 1)
+
+
+def _reference_sumset(q, A, B):
+    return {tuple(_reference_reduce(q, x + y) for x, y in zip(a, b)) for a in A for b in B}
+
+
+def _reference_exponent_intersection(q, M, T, r):
+    lpow, obst, mu = M, T, M | T
+    for _ in range(r - 1):
+        lpow = _reference_sumset(q, lpow, M)
+        obst = _reference_sumset(q, obst, mu)
+    inter = lpow & obst
+    return tv.ExponentCheck(not inter, min(inter) if inter else None,
+                            frozenset(lpow), frozenset(obst))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_exponent_intersection_matches_reference(data):
+    """empty, witness and both sets agree with the set-of-tuples oracle,
+    empty M included."""
+    q = data.draw(st.integers(2, 40))
+    t = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(2, 3))
+    tuples = st.tuples(*[st.integers(0, q - 1)] * t)
+    M = data.draw(st.sets(tuples, max_size=6))
+    T = data.draw(st.sets(tuples, min_size=1, max_size=12))
+    assert tv.exponent_intersection(q, M, T, r) == \
+        _reference_exponent_intersection(q, M, T, r)
+
+
+def test_exponent_intersection_rejects_out_of_range_exponents():
+    with pytest.raises(ValueError):
+        tv.exponent_intersection(8, {(8, 0)}, {(1, 1)}, 2)
+
+
+# ---------------------------------------------------------------------------
 # star spans and the property test
 # ---------------------------------------------------------------------------
 
@@ -127,11 +172,12 @@ def test_multiplication_property_trivial_s(gf8, rng):
     assert cert.holds and cert.rank_obstruction == 0
 
 
-def test_multiplication_property_caps(gf8, rng):
+def test_multiplication_property_caps(gf8, rng, monkeypatch):
     L = gf8.random(rng, (2, 8))
     S = gf8.random(rng, (2, 8))
+    monkeypatch.setattr(tv, "PAIR_CAP", 1)
     with pytest.raises(BudgetExceeded):
-        tv.multiplication_property(gf8, L, S, 2, pair_cap=1)
+        tv.multiplication_property(gf8, L, S, 2)
 
 
 def test_exponent_reduction():
@@ -179,8 +225,10 @@ def test_exponent_set_checks_empty():
 
 
 def test_exponent_set_check_perturbed_window():
-    bad = tv.exponent_set_check(3, 37, ell_lo=5)
-    assert not bad.empty and bad.witness is not None
+    p = dataclasses.replace(tv.transrs_params(3, 37), ell_lo=5)
+    bad = tv.exponent_intersection(37, p.m_box(), p.t_box(), 3)
+    assert not bad.empty and bad.witness == (15, 15)
+    assert bad == _reference_exponent_intersection(37, p.m_box(), p.t_box(), 3)
     assert bad.witness in bad.l_power_set and bad.witness in bad.obstruction_set
 
 
@@ -220,6 +268,34 @@ def test_monomial_dense_certificates_agree(gate16):
     assert (cd.rank_l_power, cd.rank_obstruction, cd.intersection_dim) == \
         (cm.rank_l_power, cm.rank_obstruction, cm.intersection_dim)
     assert tv.phase_identity_test(mono, 200, seed=8).all_passed
+
+
+@pytest.mark.parametrize("q, r, monomial, digest", [
+    (16, 2, False, "9de1997c572227be47fd88c1bd9ef6d80122c667a421d580e640eb91e2729e9c"),
+    (16, 2, True, "d972216077d98e92526c0156510102e7e15996d2b643497396a4a6f3ace1df26"),
+    (37, 3, None, "8c04d214d2b986b7fb380b6ab59453379abea5a71a9dc8e72340c57068fee198"),
+])
+def test_gate_json_pinned(q, r, monomial, digest):
+    """The whole gate document (factors, L, S, information sets,
+    coefficients, certificate) of each build route, pinned by hash."""
+    gate = tv.build_transrs_gate(GF(q), r, use_monomial_structure=monomial)
+    doc = json.dumps(gate.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_dense_build_spans_each_star_power_once(monkeypatch):
+    """The generic r = 2 build forms L*L and S*(L+S) once each: the
+    certificate and the projection share the star-power bases."""
+    calls = []
+    star_span = tv.star_span
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return star_span(*args)
+
+    monkeypatch.setattr(tv, "star_span", counted)
+    tv.build_transrs_gate(GF(16), 2, use_monomial_structure=False)
+    assert len(calls) == 2
 
 
 def test_enc_injectivity(gate16, gate37):
