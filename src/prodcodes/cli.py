@@ -541,8 +541,9 @@ def cmd_single_shot_trials(args) -> int:
         ok, resid = False, None
         if res.correction is not None:
             diff = F.sub(res.correction.representative, e)
-            ok = bool(not diff.any() or la.in_row_space(F, gauge, diff))
-            resid = coset_min_weight(F, gauge, diff, cap=3)
+            ok = logical_coset_equal(prod, "z", res.correction.representative, e)
+            # the gauge Q_X^perp is the kernel of the Q_X generator
+            resid = coset_min_weight(F, prod.qx.gen, diff, cap=3)
         return {"error_weight": int(np.count_nonzero(e)),
                 "syndrome_noise": int(np.count_nonzero(v)),
                 "success": ok, "residual_weight": resid,

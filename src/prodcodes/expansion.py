@@ -273,9 +273,7 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
     if t > 1 and math.prod(F.q ** B.shape[0] for _, B in pair_bases) <= lattice_budget:
         costs, parts = _cheapest_decompositions(F, pair_bases, lengths, parts)
     else:
-        parts = [np.array(col) for col in zip(*(
-            _descend_decomposition(F, [p[r] for p in parts], pair_bases, lengths)
-            for r in range(words.shape[0])))]
+        parts = _descend_decomposition(F, parts, pair_bases, lengths)
         costs = sum(lengths[i] * dir_weights(parts[i], i, lengths) for i in range(t))
     ratio, word, dec = _first_min_ratio((Fraction(0), None, None), words, costs, parts, lengths)
     return PeResult(ratio, False, word, dec, len(samples))
@@ -299,28 +297,29 @@ def _first_min_ratio(best, words, costs, parts, lengths):
 
 
 def _descend_decomposition(F: Field, parts, pair_bases, lengths, sweeps: int = 3):
-    """Greedy coordinate descent: move each scalar multiple of each C^(i,j)
-    generator from part j to part i while that lowers the cost."""
+    """Greedy coordinate descent on a batch: parts[i] holds part i (W, N) of
+    W words.  Each scalar multiple of each C^(i,j) generator is tried once
+    for the whole batch and moved from part j to part i of every word whose
+    cost it lowers.  A sweep that improves nothing leaves a word's candidates
+    as they were, so later sweeps leave it unchanged: each row ends as the
+    descent of that word alone would."""
     t = len(parts)
     cur = [p.copy() for p in parts]
-
-    def cost(ps):
-        return sum(lengths[i] * dir_weights(ps[i], i, lengths) for i in range(t))
-
-    cur_cost = cost(cur)
+    part_cost = [lengths[i] * dir_weights(cur[i], i, lengths) for i in range(t)]
     for _ in range(sweeps):
         improved = False
         for (i, j), B in pair_bases:
             for row in B:
                 for scalar in range(1, F.q):
                     z = F.mul(np.int64(scalar), row)
-                    # only parts i and j change; the others are shared, never written
-                    cand = list(cur)
-                    cand[i] = F.add(cur[i], z)
-                    cand[j] = F.sub(cur[j], z)
-                    cc = cost(cand)
-                    if cc < cur_cost:
-                        cur, cur_cost = cand, cc
+                    # only parts i and j change, so only their costs compare
+                    cand_i, cand_j = F.add(cur[i], z), F.sub(cur[j], z)
+                    cost_i = lengths[i] * dir_weights(cand_i, i, lengths)
+                    cost_j = lengths[j] * dir_weights(cand_j, j, lengths)
+                    better = cost_i + cost_j < part_cost[i] + part_cost[j]
+                    if better.any():
+                        cur[i][better], cur[j][better] = cand_i[better], cand_j[better]
+                        part_cost[i][better], part_cost[j][better] = cost_i[better], cost_j[better]
                         improved = True
         if not improved:
             break

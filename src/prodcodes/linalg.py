@@ -193,7 +193,7 @@ def left_solver(F: Field, A: np.ndarray):
     m, n = At.shape
     R, piv = rref(F, np.concatenate([At, identity(m)], axis=1))
     pivots = [c for c in piv if c < n]
-    P = R[:, n:]
+    P = R[:, n:].copy()
 
     def solve(b: np.ndarray) -> np.ndarray | None:
         Y = matmul(F, P, np.atleast_2d(np.asarray(b, dtype=np.int64)).T)

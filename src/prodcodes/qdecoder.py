@@ -147,6 +147,13 @@ class SubsystemProductInstance(_TwoFactorDocument):
             self.params.eps, self.params.rho, self.params.gamma)
 
     @cached_property
+    def search_parity(self) -> np.ndarray:
+        """Parity checks of Q_Z + Q_X^perp, the single-shot search's modulus."""
+        prod = self.product
+        return la.right_kernel(self.field, np.concatenate(
+            [prod.qz.gen, prod.qx.dual().gen], axis=0))
+
+    @cached_property
     def x_dt(self) -> DualTensorInstance:
         f1, f2 = self.factors
         return DualTensorInstance(
@@ -258,6 +265,15 @@ class CssProductInstance(_TwoFactorDocument):
         """Generator of (Q^1_Z (x) Q^2_Z)^perp, the cleanup modulus of c_x."""
         return tensor(*(f.qz for f in self.factors)).dual().gen
 
+    @cached_property
+    def project_z(self):
+        """left_solver of [Q_Z; (Q^1_X (x) Q^2_X)^perp], for projecting c_z."""
+        return la.left_solver(self.field, np.concatenate([self.code.qz.gen, self.qxx_perp]))
+
+    @cached_property
+    def project_x(self):
+        return la.left_solver(self.field, np.concatenate([self.code.qx.gen, self.qzz_perp]))
+
     def to_json(self) -> dict:
         doc = self._sub.to_json()
         doc["kind"] = "css-product"
@@ -276,20 +292,19 @@ def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray
     code = inst.code
     rep_z, fb_z = _decode_side(inst._sub, c_z, "z")
     rep_x, fb_x = _decode_side(inst._sub, c_x, "x")
-    z = _project_coset(F, code.qz.gen, inst.qxx_perp, rep_z.ravel())
-    x = _project_coset(F, code.qx.gen, inst.qzz_perp, rep_x.ravel())
+    z = _project_coset(F, inst.project_z, code.qz.gen, rep_z.ravel())
+    x = _project_coset(F, inst.project_x, code.qx.gen, rep_x.ravel())
     return QuantumDecodeResult(CorrectionCoset(x, "qz_perp"),
                                CorrectionCoset(z, "qx_perp"), fb_x, fb_z)
 
 
-def _project_coset(F: Field, code_gen: np.ndarray, ambient_dual: np.ndarray,
-                   rep: np.ndarray) -> np.ndarray:
-    """The element of rowspace(code_gen) lying in rep + rowspace(ambient_dual)."""
-    stack = np.concatenate([code_gen, ambient_dual], axis=0)
-    x = la.solve_left(F, stack, rep)
+def _project_coset(F: Field, solve, code_gen: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """The element of rowspace(code_gen) lying in rep + rowspace(ambient_dual),
+    with solve the left_solver of the stack [code_gen; ambient_dual]."""
+    x = solve(rep[None, :])
     if x is None:
         raise PromiseViolation("cleanup output escaped the expected coset")
-    return la.matmul(F, x[None, : code_gen.shape[0]], code_gen)[0]
+    return la.matmul(F, x[:, : code_gen.shape[0]], code_gen)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +314,13 @@ def _project_coset(F: Field, code_gen: np.ndarray, ambient_dual: np.ndarray,
 
 def syndrome_to_word(F: Field, checks: CheckMatrices, s_x: np.ndarray,
                      s_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Any particular words with H_X c_x = s_x and H_Z c_z = s_z."""
-    c_x = la.solve_right(F, checks.hx, np.asarray(s_x, dtype=np.int64))
-    c_z = la.solve_right(F, checks.hz, np.asarray(s_z, dtype=np.int64))
+    """The particular words with H_X c_x = s_x and H_Z c_z = s_z that
+    la.solve_right gives, from the cached preimage solvers of the checks."""
+    c_x = checks.solve_x(np.asarray(s_x, dtype=np.int64)[None, :])
+    c_z = checks.solve_z(np.asarray(s_z, dtype=np.int64)[None, :])
     if c_x is None or c_z is None:
         raise InconsistentInput("syndrome outside the image of the check matrix")
-    return c_x, c_z
+    return c_x[0], c_z[0]
 
 
 def syndrome_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
@@ -365,11 +381,10 @@ def bounded_syndrome_search(F: Field, H: np.ndarray, target: np.ndarray,
     return None
 
 
-def coset_min_weight(F: Field, space: np.ndarray, v: np.ndarray,
+def coset_min_weight(F: Field, H: np.ndarray, v: np.ndarray,
                      cap: int, budget: int = 2_000_000) -> int | None:
-    """Weight of the lightest element of v + rowspace(space), searched up to
-    the cap; None when the true minimum exceeds the cap."""
-    H = la.right_kernel(F, space) if space.shape[0] else la.identity(v.size)
+    """Weight of the lightest element of v + ker(H), searched up to the cap;
+    None when the true minimum exceeds the cap."""
     if H.shape[0] == 0:
         return 0
     target = la.matvec(F, H, v)
@@ -391,11 +406,11 @@ class SingleShotResult:
     notes: dict = dfield(default_factory=dict)
 
 
-def nearest_syndrome_exact(F: Field, H: np.ndarray, s: np.ndarray,
+def nearest_syndrome_exact(F: Field, img: np.ndarray, s: np.ndarray,
                            budget: int = 200_000) -> np.ndarray | None:
-    """Exact minimum-distance projection of s onto im(H) by enumerating the
-    image; None when the image is too large for the budget."""
-    img = la.row_space(F, H.T)
+    """Exact minimum-distance projection of s onto the span of the basis
+    rows img by enumerating it; None when the span is too large for the
+    budget."""
     if img.shape[0] == 0:
         return np.zeros_like(s)
     if F.q ** img.shape[0] > budget:
@@ -448,25 +463,23 @@ def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
     F = inst.field
     if checks.style != "amplified":
         raise ValueError("single-shot decoding expects amplified checks")
-    exact = nearest_syndrome_exact(F, checks.hz, np.asarray(s_z, dtype=np.int64))
+    exact = nearest_syndrome_exact(F, checks.image_z, np.asarray(s_z, dtype=np.int64))
     if exact is not None:
         s_prime, failures = exact, 0
     else:
         s_prime, failures = _denoise_product_syndrome(F, inst.factors, "z", s_z)
-    w = la.solve_right(F, checks.hz, s_prime)
+    w = checks.solve_z(s_prime[None, :])
     if w is None:
         return SingleShotResult(None, failures, False, s_prime,
                                 {"reason": "denoised syndrome inconsistent"})
+    w = w[0]
     prod = inst.product
-    V = np.concatenate([prod.qz.gen, prod.qx.dual().gen], axis=0)
     cap = max(0, math.ceil(distance / 2) - 1)
     if method == "auto":
         method = "search" if prod.n <= 512 else "pipeline"
     if method == "search":
-        HV = la.right_kernel(F, V)
-        target = la.matvec(F, HV, w) if HV.shape[0] else np.zeros(0, dtype=np.int64)
-        e = bounded_syndrome_search(F, HV, target, cap) if HV.shape[0] else \
-            np.zeros(prod.n, dtype=np.int64)
+        HV = inst.search_parity
+        e = bounded_syndrome_search(F, HV, la.matvec(F, HV, w), cap)
         if e is None:
             return SingleShotResult(None, failures, True, s_prime,
                                     {"reason": f"no correction of weight < {distance}/2"})

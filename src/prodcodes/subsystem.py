@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -180,12 +180,11 @@ def subsystem_distance(Q: CssPair, budget: int = DEFAULT_DISTANCE_BUDGET,
 
 def logical_coset_equal(Q: CssPair, side: str, r1: np.ndarray, r2: np.ndarray) -> bool:
     """Whether two representatives define the same coset modulo the gauge
-    space (Q_X^perp for side='z', Q_Z^perp for side='x')."""
-    gauge = Q.qx.dual().gen if side == "z" else Q.qz.dual().gen
+    space (Q_X^perp for side='z', Q_Z^perp for side='x'): the difference is
+    in Q_X^perp exactly when the generator of Q_X kills it."""
+    gen = Q.qx.gen if side == "z" else Q.qz.gen
     diff = Q.field.sub(np.asarray(r1, dtype=np.int64), np.asarray(r2, dtype=np.int64))
-    if not diff.any():
-        return True
-    return la.in_row_space(Q.field, gauge, diff)
+    return not la.matvec(Q.field, gen, diff).any()
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +194,28 @@ def logical_coset_equal(Q: CssPair, side: str, r1: np.ndarray, r2: np.ndarray) -
 
 @dataclass
 class CheckMatrices:
+    """Check matrices over their field, with factorizations built on first use."""
+
+    field: Field
     hx: np.ndarray
     hz: np.ndarray
     locality: int
     style: str
+
+    @cached_property
+    def solve_x(self):
+        """Syndrome rows s to the rows c with hx c = s that la.solve_right
+        gives, or None: the rref of [hx | I] is unique."""
+        return la.left_solver(self.field, self.hx.T)
+
+    @cached_property
+    def solve_z(self):
+        return la.left_solver(self.field, self.hz.T)
+
+    @cached_property
+    def image_z(self) -> np.ndarray:
+        """rref basis of the image of hz (the syndromes of Z-type words)."""
+        return la.row_space(self.field, self.hz.T)
 
     @staticmethod
     def _locality(*mats: np.ndarray) -> int:
@@ -246,7 +263,7 @@ def check_matrices(Q: CssPair, style: str = "tensor") -> CheckMatrices:
         raise ValueError(f"unknown style {style!r}")
     hx = _stacked_tensor_checks(F, hxs, lengths)
     hz = _stacked_tensor_checks(F, hzs, lengths)
-    return CheckMatrices(hx, hz, CheckMatrices._locality(hx, hz), style)
+    return CheckMatrices(F, hx, hz, CheckMatrices._locality(hx, hz), style)
 
 
 def _amplify(F: Field, H: np.ndarray) -> np.ndarray:

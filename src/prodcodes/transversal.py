@@ -396,12 +396,21 @@ def _certify_monomial_stabilizer(F: Field, factors: list[CssPair],
     h2z = factors[1].qz.parity_check()
     g1x = factors[0].qx.gen
     g2x = factors[1].qx.gen
-    for row in S_monomial:
-        V = row.reshape(n1, n2)
-        if np.any(la.matmul(F, h1z, V)) or np.any(la.matmul(F, V, h2z.T)):
-            raise RuntimeError("monomial stabilizer row escapes Q_Z")
-        if np.any(la.matmul(F, la.matmul(F, g1x, V), g2x.T)):
-            raise RuntimeError("monomial stabilizer row escapes Q_X^perp")
+    # h1z V, V h2z^T and g1x V g2x^T for every row V (as an n1 x n2 matrix)
+    # at once; the first failing row names its check, Q_Z tested first
+    K = S_monomial.shape[0]
+    V = S_monomial.reshape(K, n1, n2)
+    cols = V.transpose(1, 0, 2).reshape(n1, K * n2)
+    a, b, c, d = h1z.shape[0], h2z.shape[0], g1x.shape[0], g2x.shape[0]
+    left_z = la.matmul(F, h1z, cols).reshape(a, K, n2)
+    right_z = la.matmul(F, V.reshape(K * n1, n2), h2z.T).reshape(K, n1, b)
+    gV = la.matmul(F, g1x, cols).reshape(c, K, n2).transpose(1, 0, 2)
+    gVg = la.matmul(F, gV.reshape(K * c, n2), g2x.T).reshape(K, c, d)
+    escapes_z = left_z.any(axis=(0, 2)) | right_z.any(axis=(1, 2))
+    bad = np.flatnonzero(escapes_z | gVg.any(axis=(1, 2)))
+    if bad.size:
+        side = "Q_Z" if escapes_z[bad[0]] else "Q_X^perp"
+        raise RuntimeError(f"monomial stabilizer row escapes {side}")
     pts = canonical_points(F, F.q)
     V1 = vandermonde(F, pts, pts.size)
     if la.rank(F, V1) != F.q:

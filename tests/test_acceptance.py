@@ -452,7 +452,7 @@ def test_criterion_10_single_shot():
         diff = F.sub(res.correction.representative, e)
         ok = bool(not diff.any() or la.in_row_space(F, gauge, diff))
         successes += ok
-        resid = coset_min_weight(F, gauge, diff, cap=3)
+        resid = coset_min_weight(F, prod.qx.gen, diff, cap=3)
         bound = 1 * prod.n / (rho_hat * m_z)
         if resid is not None and resid <= bound:
             residual_ok += 1

@@ -479,19 +479,23 @@ def test_pe_monte_carlo_matches_reference_loop(codes, seed, lattice_budget):
 
 @given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))
 def test_descend_decomposition_matches_reference(codes, seed):
-    """The descent on arbitrary parts, not only decompositions of a codeword:
-    the same parts in the same order as the copy-everything loop."""
+    """The batched descent on arbitrary parts, not only decompositions of a
+    codeword: each word of the batch ends with the parts that the
+    copy-everything loop gives it alone, and the input parts are untouched."""
     F = codes[0].field
     lengths = tuple(c.n for c in codes)
     pair_bases = [((i, j), cij_basis(F, codes, i, j))
                   for i in range(len(codes)) for j in range(i + 1, len(codes))]
     rng = np.random.default_rng(seed)
-    for _ in range(3):
-        parts = list(F.random(rng, (len(codes), math.prod(lengths))))
-        got = _descend_decomposition(F, parts, pair_bases, lengths)
-        want = _reference_descend_decomposition(F, parts, pair_bases, lengths)
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    W = 8
+    parts = list(F.random(rng, (len(codes), W, math.prod(lengths))))
+    before = [p.copy() for p in parts]
+    got = _descend_decomposition(F, parts, pair_bases, lengths)
+    assert len(got) == len(codes)
+    assert all(np.array_equal(p, b) for p, b in zip(parts, before))
+    for r in range(W):
+        want = _reference_descend_decomposition(F, [p[r] for p in parts], pair_bases, lengths)
+        assert all(np.array_equal(g[r], w) for g, w in zip(got, want))
 
 
 @given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))

@@ -163,6 +163,18 @@ def test_left_solver_matches_solve_left(case, consistent):
             assert np.array_equal(got, want)
 
 
+def test_left_solver_keeps_only_its_transform():
+    """The solver holds the m x m transform in its own memory, not a view
+    into the m x (n + m) rref block it was cut from."""
+    F = GF(9)
+    A = F.random(np.random.default_rng(3), (7, 5))
+    solve = la.left_solver(F, A)
+    held = [c.cell_contents for c in solve.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert [a.shape for a in held] == [(5, 5)]
+    assert held[0].base is None
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

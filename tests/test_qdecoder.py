@@ -5,19 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import tensor
 from test_decoder import bivariate_coeffs
+from prodcodes.decoder import PromiseViolation
 from prodcodes.qdecoder import (CssProductInstance, InconsistentInput,
                                 QdecParams, SubsystemProductInstance,
-                                bounded_syndrome_search, coset_min_weight,
+                                _project_coset, bounded_syndrome_search, coset_min_weight,
                                 css_decode, dec_quantum, single_shot_decode,
                                 subsystem_decode, syndrome_decode,
                                 syndrome_to_word)
 from prodcodes.rng import stream
-from prodcodes.subsystem import (check_matrices, logical_coset_equal,
+from prodcodes.subsystem import (CheckMatrices, check_matrices, logical_coset_equal,
                                  quantum_rs, subsystem_product)
 
 
@@ -257,7 +259,7 @@ def test_bounded_syndrome_search(gf8, rng):
 def test_coset_min_weight(gf4):
     space = np.array([[1, 1, 0, 0]], dtype=np.int64)
     v = np.array([1, 1, 1, 0], dtype=np.int64)
-    assert coset_min_weight(gf4, space, v, cap=3) == 1
+    assert coset_min_weight(gf4, la.right_kernel(gf4, space), v, cap=3) == 1
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +376,100 @@ def test_single_shot_coset_soundness(ss8):
         leftover = F.sub(res.denoised_syndrome,
                          la.matvec(F, cm.hz, res.correction.representative))
         assert la.in_row_space(F, gauge_syndromes, leftover) or not leftover.any()
+
+
+# ---------------------------------------------------------------------------
+# per-instance factorizations against the per-call solves
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_checks(draw):
+    """Check matrices hx, hz over GF(4), GF(8), GF(9) or GF(16), each an
+    m x r times r x n product: zero rows, rank 0 and rank deficiency occur."""
+    F = GF(draw(st.sampled_from([4, 8, 9, 16])))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(2):
+        m = draw(st.integers(0, 8))
+        r = draw(st.integers(0, min(m, n)))
+        mats.append(la.matmul(F, F.random(rng, (m, r)), F.random(rng, (r, n))))
+    return F, CheckMatrices(F, *mats, 0, "tensor"), rng
+
+
+@given(random_checks())
+def test_cached_preimages_match_solve_right(case):
+    """Syndromes inside and outside the images: syndrome_to_word gives the
+    words of la.solve_right and raises InconsistentInput exactly when it
+    refuses one side."""
+    F, cm, rng = case
+    n = cm.hx.shape[1]
+    for inside_x, inside_z in [(True, True), (False, True), (True, False), (False, False)]:
+        s_x = la.matvec(F, cm.hx, F.random(rng, n)) if inside_x else \
+            F.random(rng, cm.hx.shape[0])
+        s_z = la.matvec(F, cm.hz, F.random(rng, n)) if inside_z else \
+            F.random(rng, cm.hz.shape[0])
+        want = [la.solve_right(F, cm.hx, s_x), la.solve_right(F, cm.hz, s_z)]
+        if want[0] is None or want[1] is None:
+            with pytest.raises(InconsistentInput):
+                syndrome_to_word(F, cm, s_x, s_z)
+        else:
+            got = syndrome_to_word(F, cm, s_x, s_z)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(cm.image_z, la.row_space(F, cm.hz.T))
+
+
+@pytest.fixture(scope="module")
+def css8():
+    F = GF(8)
+    return CssProductInstance(
+        [quantum_rs(F, 8, 6, 6), quantum_rs(F, 8, 4, 4)],
+        QdecParams(Fraction(1, 8), Fraction(1, 8), gamma=20))
+
+
+def _reference_project_coset(F, code_gen, ambient_dual, rep):
+    """The projection by a per-call solve_left against the stack; None when
+    rep is outside it."""
+    x = la.solve_left(F, np.concatenate([code_gen, ambient_dual], axis=0), rep)
+    return None if x is None else la.matmul(F, x[None, : code_gen.shape[0]], code_gen)[0]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_cached_projectors_match_solve_left(css8, seed):
+    inst, F = css8, css8.field
+    rng = np.random.default_rng(seed)
+    for solve, gen, dual in ((inst.project_z, inst.code.qz.gen, inst.qxx_perp),
+                             (inst.project_x, inst.code.qx.gen, inst.qzz_perp)):
+        inside = F.add(la.matmul(F, F.random(rng, (1, gen.shape[0])), gen)[0],
+                       la.matmul(F, F.random(rng, (1, dual.shape[0])), dual)[0])
+        for rep in (inside, F.random(rng, gen.shape[1])):
+            want = _reference_project_coset(F, gen, dual, rep)
+            if want is None:
+                with pytest.raises(PromiseViolation):
+                    _project_coset(F, solve, gen, rep)
+            else:
+                assert np.array_equal(_project_coset(F, solve, gen, rep), want)
+
+
+def test_second_decode_reuses_the_factorizations(sub16, css8, monkeypatch):
+    """Once the first call has reduced the instance matrices, later
+    preimages and coset projections make no rref call."""
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda F, M: calls.append(1) or rref(F, M))
+    F = sub16.field
+    cm = check_matrices(sub16.product, "tensor")
+    rng = stream(61, 0)
+    before = len(calls)
+    for _ in range(3):
+        e = F.random(rng, sub16.product.n)
+        syndrome_to_word(F, cm, la.matvec(F, cm.hx, e), la.matvec(F, cm.hz, e))
+    # one reduction per side, both in the first call
+    assert len(calls) == before + 2
+    code = css8.code
+    cz = code.qz.codeword(css8.field.random(rng, code.qz.k))
+    _project_coset(css8.field, css8.project_z, code.qz.gen, cz)
+    first = len(calls)
+    _project_coset(css8.field, css8.project_z, code.qz.gen, cz)
+    assert len(calls) == first

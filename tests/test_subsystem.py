@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
-from prodcodes.codes import rs_code
+from prodcodes.codes import LinearCode, rs_code
 from prodcodes.subsystem import (CheckMatrices, CssPair, check_matrices,
                                  logical_coset_equal, quantum_rs,
                                  subsystem_distance, subsystem_product)
@@ -172,6 +173,33 @@ def test_logical_coset_equal(gf4):
     probe[0] = 1
     if not la.in_row_space(F, gauge, probe):
         assert not logical_coset_equal(P, "z", z, F.add(z, probe))
+
+
+def _reference_logical_coset_equal(Q, side, r1, r2):
+    """Gauge membership of the difference by a solve against the dual's
+    generator."""
+    gauge = Q.qx.dual().gen if side == "z" else Q.qz.dual().gen
+    diff = Q.field.sub(np.asarray(r1, dtype=np.int64), np.asarray(r2, dtype=np.int64))
+    return not diff.any() or la.in_row_space(Q.field, gauge, diff)
+
+
+@given(st.sampled_from([2, 3, 4, 9]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_logical_coset_equal_matches_row_space_test(q, n, seed):
+    """Codes of any rank, the zero code and the full space included; the
+    second representative differs by a gauge element or by a random word."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    qx, qz = (LinearCode(F, n, F.random(rng, (int(rng.integers(0, n + 1)), n)))
+              for _ in range(2))
+    Q = CssPair(qx, qz, subsystem=True)
+    for side in ("z", "x"):
+        gauge = (qx if side == "z" else qz).dual().gen
+        for _ in range(3):
+            r1 = F.random(rng, n)
+            g = la.matmul(F, F.random(rng, (1, gauge.shape[0])), gauge)[0]
+            for r2 in (F.add(r1, g), F.random(rng, n), r1):
+                assert logical_coset_equal(Q, side, r1, r2) == \
+                    _reference_logical_coset_equal(Q, side, r1, r2)
 
 
 def test_csspair_serialization(gf8):

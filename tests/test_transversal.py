@@ -4,6 +4,7 @@ checks, gate synthesis, phase identity, sabotage, and the triple product."""
 import dataclasses
 import hashlib
 import json
+import re
 from functools import reduce
 
 import numpy as np
@@ -281,6 +282,52 @@ def test_gate_json_pinned(q, r, monomial, digest):
     gate = tv.build_transrs_gate(GF(q), r, use_monomial_structure=monomial)
     doc = json.dumps(gate.to_json(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def _reference_certify_rows(F, factors, S_monomial):
+    """The per-row membership loop of the monomial certification: the
+    message of the first row that fails a check, or None."""
+    n1, n2 = factors[0].n, factors[1].n
+    h1z, h2z = factors[0].qz.parity_check(), factors[1].qz.parity_check()
+    g1x, g2x = factors[0].qx.gen, factors[1].qx.gen
+    for row in S_monomial:
+        V = row.reshape(n1, n2)
+        if np.any(la.matmul(F, h1z, V)) or np.any(la.matmul(F, V, h2z.T)):
+            return "monomial stabilizer row escapes Q_Z"
+        if np.any(la.matmul(F, la.matmul(F, g1x, V), g2x.T)):
+            return "monomial stabilizer row escapes Q_X^perp"
+    return None
+
+
+@pytest.mark.parametrize("q, r", [(16, 2), (37, 3)])
+def test_monomial_certification_names_the_first_bad_row(q, r):
+    """One corrupted row, or a Q_Z word outside Q_X^perp before or after it,
+    raises the error of the first failing row, as the per-row loop does."""
+    F = GF(q)
+    p = tv.transrs_params(r, q)
+    factors = [quantum_rs(F, q, p.k1x, p.k1z), quantum_rs(F, q, p.k2x, p.k2z)]
+    t_exps = sorted(p.t_box())
+    S = tv.monomial_eval_matrix(F, tv.grid_points(F, 2), t_exps)
+    tv._certify_monomial_stabilizer(F, factors, S, t_exps)
+    assert _reference_certify_rows(F, factors, S) is None
+    box = [(a, b) for a in range(p.k1z) for b in range(p.k2z)]
+    words = tv.monomial_eval_matrix(F, tv.grid_points(F, 2), box)
+    outside_x = next(w for w in words if _reference_certify_rows(F, factors, w[None]))
+    broken = S[1].copy()
+    broken[0] = F.add(broken[0], np.int64(1))
+    last = S.shape[0] - 1
+    seen = set()
+    for rows in ({1: broken}, {1: outside_x}, {1: broken, last: outside_x},
+                 {1: outside_x, last: broken}):
+        bad = S.copy()
+        for i, w in rows.items():
+            bad[i] = w
+        want = _reference_certify_rows(F, factors, bad)
+        seen.add(want)
+        with pytest.raises(RuntimeError, match=re.escape(want)):
+            tv._certify_monomial_stabilizer(F, factors, bad, t_exps)
+    assert seen == {"monomial stabilizer row escapes Q_Z",
+                    "monomial stabilizer row escapes Q_X^perp"}
 
 
 def test_dense_build_spans_each_star_power_once(monkeypatch):
