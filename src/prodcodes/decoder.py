@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,12 +57,21 @@ class Decoded(NamedTuple):
 def _grs_parity_check(F: Field, points: np.ndarray, k: int) -> np.ndarray:
     """(n - k) x n parity check of RS_points(k) in closed form:
     H = V_{n-k}(points)^T diag(u) with u_i = prod_{j != i} (x_i - x_j)^-1,
-    because sum_i u_i f(x_i) = 0 for every f of degree <= n - 2."""
-    n = points.size
-    D = F.sub(points[:, None], points[None, :])
+    because sum_i u_i f(x_i) = 0 for every f of degree <= n - 2.  Built once
+    per (field, points, k) and returned read-only."""
+    return _grs_parity_check_of(F, np.asarray(points, dtype=np.int64).tobytes(), k)
+
+
+@lru_cache(maxsize=256)
+def _grs_parity_check_of(F: Field, points: bytes, k: int) -> np.ndarray:
+    x = np.frombuffer(points, dtype=np.int64)
+    n = x.size
+    D = F.sub(x[:, None], x[None, :])
     D[np.arange(n), np.arange(n)] = 1
     u = F.inv(F.prod(D, axis=1))
-    return F.mul(vandermonde(F, points, n - k).T, u[None, :])
+    H = F.mul(vandermonde(F, x, n - k).T, u[None, :])
+    H.flags.writeable = False
+    return H
 
 
 def _solve_key_equation(F: Field, points: np.ndarray, k: int, word: np.ndarray,

@@ -5,12 +5,18 @@ element codes.  Row reduction uses a fixed deterministic pivot rule (first
 nonzero entry scanning columns left to right, rows top to bottom) so that
 every basis this module produces is bit-reproducible.
 
-Two prime-field kernels skip reductions and rely on exactness bounds:
+Two kernels skip reductions and rely on exactness bounds:
 
-- ``matmul`` multiplies in float64 through BLAS.  Integers below 2^53 are
-  exact in float64, so the inner dimension is cut into blocks of ``step``
-  terms with (p-1) + step * (p-1)^2 < 2^53 (8192 terms at p = 1048573), and
-  the result is reduced with ``fmod`` after each block.
+- ``matmul`` multiplies every field but char 2 with e > 1 in float64
+  through BLAS, on digits over GF(p).  An element of GF(p^e) is its e
+  digits (coefficients of 1, X, ..., X^(e-1)), and digits(a * b) =
+  digits(a) @ M_b mod p, where row i of the e x e block M_b holds the
+  digits of X^i * b.  So A @ B is the GF(p) product of the (m, k*e) digit
+  matrix of A and the (k*e, n*e) block matrix of B, packed back into codes;
+  prime fields are their own digits.  Integers below 2^53 are exact in
+  float64, so the k*e digit terms are cut into blocks of at most s terms
+  with (p-1) + s * (p-1)^2 < 2^53 (8192 terms at p = 1048573); each block
+  is reduced exactly with int64 ``%`` and summed in int64.
 - ``rref`` adds each pivot's updates without ``%``: one pivot adds at most
   (p-1)^2 to an entry, so entries stay below p + min(m, n) * (p-1)^2, under
   2^63 for any matrix of fewer than 2^46 entries at p < 2^20, and the int64
@@ -27,7 +33,12 @@ _MATMUL_BLOCK = 1 << 22
 
 
 def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matrix product over F."""
+    """Exact matrix product over F.
+
+    Char 2 with e > 1 XORs table products; every other field runs one
+    float64 BLAS product per block of digit terms (see the module
+    docstring).  The inner dimension is also blocked so that a block of
+    the expanded B holds at most _MATMUL_BLOCK entries."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     B = np.atleast_2d(np.asarray(B, dtype=np.int64))
     m, k = A.shape
@@ -36,29 +47,28 @@ def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     if k == 0 or m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.int64)
-    if F.e == 1:
-        # float64 BLAS is exact while every partial sum stays below 2^53:
-        # a reduced carry (< p) plus step products of at most (p-1)^2 each
-        p = F.p
-        step = ((1 << 53) - p) // (p - 1) ** 2
-        Af = A.astype(np.float64)
-        Bf = B.astype(np.float64)
-        out = Af[:, :step] @ Bf[:step]
-        np.fmod(out, p, out=out)
-        for i in range(step, k, step):
-            out += Af[:, i:i + step] @ Bf[i:i + step]
-            np.fmod(out, p, out=out)
-        return out.astype(np.int64)
-    out = np.zeros((m, n), dtype=np.int64)
-    step = max(1, _MATMUL_BLOCK // max(1, m * n))
-    for i in range(0, k, step):
-        terms = F.mul(A[:, i:i + step, None], B[None, i:i + step, :])
-        if F.p == 2:
+    p, e = F.p, F.e
+    if p == 2 and e > 1:
+        out = np.zeros((m, n), dtype=np.int64)
+        step = max(1, _MATMUL_BLOCK // (m * n))
+        for i in range(0, k, step):
+            terms = F.mul(A[:, i:i + step, None], B[None, i:i + step, :])
             out ^= np.bitwise_xor.reduce(terms, axis=1)
-        else:
-            for j in range(terms.shape[1]):
-                out = F.add(out, terms[:, j, :])
-    return out
+        return out
+    # a block of step elements is step * e digit terms, each at most (p-1)^2,
+    # so its float64 sum stays exact below 2^53
+    step = max(1, min(((1 << 53) - p) // (p - 1) ** 2 // e, _MATMUL_BLOCK // (n * e * e)))
+    out = None
+    for i in range(0, k, step):
+        a, b = A[:, i:i + step], B[i:i + step]
+        if e > 1:
+            # (kb, e, n, e): entry [c, i, j, l] is digit l of X^i * B[c, j]
+            a = F._digits(a)
+            b = F._digits(F.mul(b[:, None, :], F._powers[:, None]))
+        blk = a.reshape(m, -1).astype(np.float64) @ b.reshape(-1, n * e).astype(np.float64)
+        blk = blk.astype(np.int64)
+        out = blk % p if out is None else (out + blk) % p
+    return out if e == 1 else out.reshape(m, n, e) @ F._powers
 
 
 def matvec(F: Field, A: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -34,19 +34,49 @@ def uni_mul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def uni_divmod(F: Field, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b = uni_trim(a).copy(), uni_trim(b)
+    """(quotient, remainder) of a by b.
+
+    Long division on Python ints in the log domain: each step adds
+    coef * (-b) to the remainder, with coef = exp[log lead - log b_lead]
+    and coef * (-b_j) = exp[log coef + log(-b_j)], so no step makes a
+    numpy scalar call."""
+    a, b = uni_trim(a), uni_trim(b)
     if b.size == 0:
         raise ZeroDivisionError("polynomial division by zero")
     if a.size < b.size:
-        return np.zeros(0, dtype=np.int64), a
-    q = np.zeros(a.size - b.size + 1, dtype=np.int64)
-    inv_lead = F.inv(b[-1])
-    for shift in range(a.size - b.size, -1, -1):
-        coef = F.mul(a[shift + b.size - 1], inv_lead)
-        if coef:
-            q[shift] = coef
-            a[shift:shift + b.size] = F.sub(a[shift:shift + b.size], F.mul(coef, b))
-    return q, uni_trim(a)
+        return np.zeros(0, dtype=np.int64), a.copy()
+    p, nb = F.p, b.size
+    log, exp, order = F._log, F._exp, F.q - 1
+    if p == 2:
+        add = int.__xor__
+    elif F.e == 1:
+        def add(x: int, y: int) -> int:
+            return (x + y) % p
+    elif F._add_table is not None:
+        add = F._add_table.item
+    else:
+        def add(x: int, y: int) -> int:
+            s, pw = 0, 1
+            while x or y:
+                x, dx = divmod(x, p)
+                y, dy = divmod(y, p)
+                s += (dx + dy) % p * pw
+                pw *= p
+            return s
+    neg = F.neg(b)
+    nz = np.flatnonzero(neg)
+    terms = list(zip(nz.tolist(), log[neg[nz]].tolist()))
+    log_lead = log.item(b[-1])
+    r = a.tolist()
+    quot = [0] * (a.size - nb + 1)
+    for shift in range(a.size - nb, -1, -1):
+        lead = r[shift + nb - 1]
+        if lead:
+            lc = (log.item(lead) - log_lead) % order
+            quot[shift] = exp.item(lc)
+            for j, ly in terms:
+                r[shift + j] = add(r[shift + j], exp.item(lc + ly))
+    return np.array(quot, dtype=np.int64), uni_trim(np.array(r, dtype=np.int64))
 
 
 def uni_monic(F: Field, a: np.ndarray) -> np.ndarray:

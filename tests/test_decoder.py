@@ -264,6 +264,36 @@ def test_grs_parity_check_spans_the_dual(q, n):
         assert la.row_space_equal(F, H, rs_code(F, n, k, points).parity_check())
 
 
+GRS_CASE = (GF(13), np.array([3, 11, 0, 7, 5, 12, 1], dtype=np.int64), 3)
+
+
+def test_grs_parity_check_cache_is_the_closed_form():
+    """The cached matrix is V_{n-k}^T diag(u), u_i = prod_{j != i}
+    (x_i - x_j)^-1, entry by entry, and read-only."""
+    F, points, k = GRS_CASE
+    n = points.size
+    u = [int(F.inv(F.prod(F.sub(x, np.delete(points, i))))) for i, x in enumerate(points)]
+    want = F.mul(vandermonde(F, points, n - k).T, np.array(u)[None, :])
+    for _ in range(2):
+        H = _grs_parity_check(F, points, k)
+        assert np.array_equal(H, want) and not H.flags.writeable
+
+
+def test_grs_parity_check_is_built_once(monkeypatch):
+    """A second call with the same points and k builds nothing."""
+    F, points, k = GRS_CASE
+    built = []
+    monkeypatch.setattr(decoder, "vandermonde",
+                        lambda *args: built.append(args) or vandermonde(*args))
+    decoder._grs_parity_check_of.cache_clear()
+    H = _grs_parity_check(F, points, k)
+    assert len(built) == 1
+    assert _grs_parity_check(F, points.copy(), k) is H
+    assert len(built) == 1
+    _grs_parity_check(F, points, k + 1)
+    assert len(built) == 2
+
+
 def test_bw_failure_beyond_radius(gf8, rng):
     C = rs_code(gf8, 8, 3)
     cw = C.codeword(gf8.random(rng, 3))

@@ -11,6 +11,24 @@ from prodcodes import linalg as la
 from prodcodes.poly import uni_divmod, uni_ext_gcd, uni_eval, uni_gcd, uni_mul, uni_trim
 
 
+def ref_uni_divmod(F, a, b):
+    """The earlier uni_divmod: one numpy F.mul per quotient coefficient and
+    one F.sub per step."""
+    a, b = uni_trim(a).copy(), uni_trim(b)
+    if b.size == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.size < b.size:
+        return np.zeros(0, dtype=np.int64), a
+    q = np.zeros(a.size - b.size + 1, dtype=np.int64)
+    inv_lead = F.inv(b[-1])
+    for shift in range(a.size - b.size, -1, -1):
+        coef = F.mul(a[shift + b.size - 1], inv_lead)
+        if coef:
+            q[shift] = coef
+            a[shift:shift + b.size] = F.sub(a[shift:shift + b.size], F.mul(coef, b))
+    return q, uni_trim(a)
+
+
 def brute_rank(F, M):
     """Independent oracle: largest r with a nonsingular r x r minor, where
     singularity is decided by permutation-expansion determinants."""
@@ -238,3 +256,32 @@ def test_poly_mul_matches_pointwise_eval(gf8, rng):
         f, g = gf8.random(rng, 4), gf8.random(rng, 5)
         assert np.array_equal(uni_eval(gf8, uni_mul(gf8, f, g), xs),
                               gf8.mul(uni_eval(gf8, f, xs), uni_eval(gf8, g, xs)))
+
+
+@given(st.sampled_from([2, 7, 8, 9, 16, 49, 97]), st.integers(-1, 20), st.integers(-1, 20),
+       st.sampled_from(["any", "equal", "constant", "zero"]), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_uni_divmod_matches_reference(q, da, db, kind, pad, seed):
+    """Python-int long division against the numpy body it replaced, on
+    untrimmed inputs (pad zero leading coefficients), zero dividends, and
+    zero, constant and equal-degree divisors."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    db = {"any": db, "equal": da, "constant": 0, "zero": -1}[kind]
+    a = F.random(rng, da + 1)
+    b = F.random(rng, db + 1)
+    if b.size:
+        b[-1] = F.random(rng, nonzero=True)
+    a, b = (np.concatenate([x, np.zeros(pad, dtype=np.int64)]) for x in (a, b))
+    if not uni_trim(b).size:
+        with pytest.raises(ZeroDivisionError):
+            uni_divmod(F, a, b)
+        with pytest.raises(ZeroDivisionError):
+            ref_uni_divmod(F, a, b)
+        return
+    a0 = a.copy()
+    quot, rem = uni_divmod(F, a, b)
+    want_q, want_r = ref_uni_divmod(F, a, b)
+    assert quot.dtype == rem.dtype == np.int64
+    assert np.array_equal(quot, want_q) and np.array_equal(rem, want_r)
+    assert np.array_equal(a, a0)
