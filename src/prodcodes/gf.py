@@ -394,12 +394,9 @@ class Field:
     # vectorized arithmetic on int64 code arrays -----------------------------
 
     def _digits(self, a: np.ndarray) -> np.ndarray:
-        """The e digits of each code, on a new last axis (lowest first).
-        Large arrays take one divmod by the scalar p per digit, which numpy
-        runs several times faster than a broadcast division by the powers."""
+        """The e digits of each code, on a new last axis (lowest first), by
+        one divmod by the scalar p per digit."""
         r = np.asarray(a, dtype=np.int64)
-        if r.size < 256:
-            return (r[..., None] // self._powers) % self.p
         out = np.empty(r.shape + (self.e,), dtype=np.int64)
         for i in range(self.e - 1):
             r = np.divmod(r, self.p, out=(None, out[..., i]))[0]

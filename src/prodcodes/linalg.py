@@ -37,8 +37,9 @@ def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Char 2 with e > 1 XORs table products; every other field runs one
     float64 BLAS product per block of digit terms (see the module
-    docstring).  The inner dimension is also blocked so that a block of
-    the expanded B holds at most _MATMUL_BLOCK entries."""
+    docstring).  Rows and the inner dimension are also blocked so that no
+    block of digits of A or B, nor their product, holds more than
+    _MATMUL_BLOCK entries."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     B = np.atleast_2d(np.asarray(B, dtype=np.int64))
     m, k = A.shape
@@ -56,19 +57,26 @@ def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
             out ^= np.bitwise_xor.reduce(terms, axis=1)
         return out
     # a block of step elements is step * e digit terms, each at most (p-1)^2,
-    # so its float64 sum stays exact below 2^53
-    step = max(1, min(((1 << 53) - p) // (p - 1) ** 2 // e, _MATMUL_BLOCK // (n * e * e)))
-    out = None
-    for i in range(0, k, step):
-        a, b = A[:, i:i + step], B[i:i + step]
-        if e > 1:
-            # (kb, e, n, e): entry [c, i, j, l] is digit l of X^i * B[c, j]
-            a = F._digits(a)
-            b = F._digits(F.mul(b[:, None, :], F._powers[:, None]))
-        blk = a.reshape(m, -1).astype(np.float64) @ b.reshape(-1, n * e).astype(np.float64)
-        blk = blk.astype(np.int64)
-        out = blk % p if out is None else (out + blk) % p
-    return out if e == 1 else out.reshape(m, n, e) @ F._powers
+    # so its float64 sum stays exact below 2^53; the digits of a block of A
+    # (rows, step * e), of B (step * e, n * e) and their product (rows, n * e)
+    # each hold at most _MATMUL_BLOCK entries
+    rows = min(m, max(1, _MATMUL_BLOCK // (n * e)))
+    step = max(1, min(((1 << 53) - p) // (p - 1) ** 2 // e,
+                      _MATMUL_BLOCK // (max(rows, n) * e * e)))
+    chunks = []
+    for r in range(0, m, rows):
+        acc = None
+        for i in range(0, k, step):
+            a, b = A[r:r + rows, i:i + step], B[i:i + step]
+            if e > 1:
+                # (kb, e, n, e): entry [c, i, j, l] is digit l of X^i * B[c, j]
+                a = F._digits(a)
+                b = F._digits(F.mul(b[:, None, :], F._powers[:, None]))
+            blk = a.reshape(len(a), -1).astype(np.float64) @ b.reshape(-1, n * e).astype(np.float64)
+            blk = blk.astype(np.int64)
+            acc = blk % p if acc is None else (acc + blk) % p
+        chunks.append(acc if e == 1 else acc.reshape(-1, n, e) @ F._powers)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def matvec(F: Field, A: np.ndarray, x: np.ndarray) -> np.ndarray:

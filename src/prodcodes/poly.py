@@ -34,49 +34,22 @@ def uni_mul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def uni_divmod(F: Field, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(quotient, remainder) of a by b.
-
-    Long division on Python ints in the log domain: each step adds
-    coef * (-b) to the remainder, with coef = exp[log lead - log b_lead]
-    and coef * (-b_j) = exp[log coef + log(-b_j)], so no step makes a
-    numpy scalar call."""
-    a, b = uni_trim(a), uni_trim(b)
+    """(quotient, remainder) of a by b.  Each quotient coefficient is
+    exp[log lead - log b_lead] on Python ints; each step then adds it times
+    -b with one F.mul and one F.add."""
+    a, b = uni_trim(a).copy(), uni_trim(b)
     if b.size == 0:
         raise ZeroDivisionError("polynomial division by zero")
     if a.size < b.size:
-        return np.zeros(0, dtype=np.int64), a.copy()
-    p, nb = F.p, b.size
-    log, exp, order = F._log, F._exp, F.q - 1
-    if p == 2:
-        add = int.__xor__
-    elif F.e == 1:
-        def add(x: int, y: int) -> int:
-            return (x + y) % p
-    elif F._add_table is not None:
-        add = F._add_table.item
-    else:
-        def add(x: int, y: int) -> int:
-            s, pw = 0, 1
-            while x or y:
-                x, dx = divmod(x, p)
-                y, dy = divmod(y, p)
-                s += (dx + dy) % p * pw
-                pw *= p
-            return s
-    neg = F.neg(b)
-    nz = np.flatnonzero(neg)
-    terms = list(zip(nz.tolist(), log[neg[nz]].tolist()))
-    log_lead = log.item(b[-1])
-    r = a.tolist()
-    quot = [0] * (a.size - nb + 1)
-    for shift in range(a.size - nb, -1, -1):
-        lead = r[shift + nb - 1]
+        return np.zeros(0, dtype=np.int64), a
+    q = np.zeros(a.size - b.size + 1, dtype=np.int64)
+    neg, log_lead = F.neg(b), F._log.item(b[-1])
+    for shift in range(a.size - b.size, -1, -1):
+        lead = a.item(shift + b.size - 1)
         if lead:
-            lc = (log.item(lead) - log_lead) % order
-            quot[shift] = exp.item(lc)
-            for j, ly in terms:
-                r[shift + j] = add(r[shift + j], exp.item(lc + ly))
-    return np.array(quot, dtype=np.int64), uni_trim(np.array(r, dtype=np.int64))
+            q[shift] = coef = F._exp.item((F._log.item(lead) - log_lead) % (F.q - 1))
+            a[shift:shift + b.size] = F.add(a[shift:shift + b.size], F.mul(coef, neg))
+    return q, uni_trim(a)
 
 
 def uni_monic(F: Field, a: np.ndarray) -> np.ndarray:

@@ -311,15 +311,19 @@ def test_digit_matmul_memory_is_blocked():
     inner dimension is blocked so that a block of the expansion holds at
     most _MATMUL_BLOCK entries.  Under tracemalloc this product peaks at
     73 MiB; unblocked (5.8M entries in one block) at 99 MiB, and the
-    per-term kernel it replaced at 95 MiB."""
+    per-term kernel it replaced at 95 MiB.  A tall 4000 x 200 x 2 product
+    expands A 12-fold; with the inner dimension also capped by the rows it
+    peaks at 7 MiB, against 148 MiB with all 200 columns of A in one block
+    and 32 MiB for the per-term kernel."""
     F = GF(3 ** 12)
     rng = np.random.default_rng(12)
-    A, B = F.random(rng, (200, 200)), F.random(rng, (200, 200))
-    tracemalloc.start()
-    try:
-        got = la.matmul(F, A, B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 96 << 20
-    assert np.array_equal(got[:3], ref_matmul(F, A[:3], B))
+    for (m, k, n), bound in (((200, 200, 200), 96), ((4000, 200, 2), 40)):
+        A, B = F.random(rng, (m, k)), F.random(rng, (k, n))
+        tracemalloc.start()
+        try:
+            got = la.matmul(F, A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound << 20, (m, k, n)
+        assert np.array_equal(got[:3], ref_matmul(F, A[:3], B))

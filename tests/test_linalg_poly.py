@@ -258,13 +258,14 @@ def test_poly_mul_matches_pointwise_eval(gf8, rng):
                               gf8.mul(uni_eval(gf8, f, xs), uni_eval(gf8, g, xs)))
 
 
-@given(st.sampled_from([2, 7, 8, 9, 16, 49, 97]), st.integers(-1, 20), st.integers(-1, 20),
+@given(st.sampled_from([2, 7, 8, 9, 16, 49, 97, 3 ** 8, 5 ** 8]), st.integers(-1, 20), st.integers(-1, 20),
        st.sampled_from(["any", "equal", "constant", "zero"]), st.integers(0, 3),
        st.integers(0, 2 ** 32 - 1))
 def test_uni_divmod_matches_reference(q, da, db, kind, pad, seed):
-    """Python-int long division against the numpy body it replaced, on
+    """Log-domain long division against the numpy body it replaced, on
     untrimmed inputs (pad zero leading coefficients), zero dividends, and
-    zero, constant and equal-degree divisors."""
+    zero, constant and equal-degree divisors; GF(3^8) and GF(5^8) add
+    without an addition table."""
     F = GF(q)
     rng = np.random.default_rng(seed)
     db = {"any": db, "equal": da, "constant": 0, "zero": -1}[kind]
