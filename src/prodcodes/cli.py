@@ -29,9 +29,9 @@ import numpy as np
 from . import __version__
 from .gf import GF, Field
 from . import linalg as la
-from .codes import (BudgetExceeded, LinearCode, punctured_tensor_rs, rs_code)
+from .codes import (BudgetExceeded, LinearCode, error_vector, punctured_tensor_rs, rs_code)
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode, params_from_json,
-                      random_codeword)
+                      random_codeword, random_error)
 from .expansion import pe_exact
 from .qdecoder import (CssProductInstance, InconsistentInput, QdecParams,
                        SubsystemProductInstance, coset_min_weight, css_decode,
@@ -127,12 +127,17 @@ def _decoder_params(args) -> tuple[Fraction, Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_triple_params(m: int, u: int) -> None:
-    """UsageError unless tv.triple_product_build accepts (m, u)."""
+def _check_triple_params(m: int, u: int, q: int) -> None:
+    """UsageError unless tv.triple_product_build accepts (m, u) over GF(q):
+    m^u distinct points of F^u need m <= q, and the factored synthesis
+    covers a logical window of size exactly 1."""
     with _boundary():
         p = tv.triple_product_params(m, u)
-    if p.window_size == 0:
-        raise UsageError(f"logical window [{p.ell_lo}, {p.ell_hi}) is empty at m={m}")
+    if m > q:
+        raise UsageError(f"m={m} exceeds q={q}: F^u has fewer than m^u points")
+    if p.window_size != 1:
+        raise UsageError(f"logical window [{p.ell_lo}, {p.ell_hi}) at m={m} has size "
+                         f"{p.window_size}, not 1")
 
 
 def _build_document(args) -> dict:
@@ -148,7 +153,7 @@ def _build_document(args) -> dict:
         return {"kind": "punctured-tensor-rs", "code": ec.base.to_json(),
                 "points": [int(x) for x in ec.points.ravel()], "u": args.u,
                 "m": args.m, "box_k": args.k, "is_mds": bool(ec.base.is_mds())}
-    _check_triple_params(args.m, args.u)
+    _check_triple_params(args.m, args.u, F.q)
     doc = tv.triple_product_build(F, args.m, args.u, args.seed).to_json()
     doc["kind"] = "triple-product"
     return doc
@@ -209,14 +214,6 @@ def _noise_weight(n_cells: int, args, rng: np.random.Generator) -> int:
     return int(rng.binomial(n_cells, args.noise_rate))
 
 
-def _error_vector(F: Field, n_cells: int, weight: int, rng) -> np.ndarray:
-    e = np.zeros(n_cells, dtype=np.int64)
-    if weight:
-        pos = rng.permutation(n_cells)[:weight]
-        e[pos] = F.random(rng, weight, nonzero=True)
-    return e
-
-
 def _run_trials(args, trial: Callable) -> tuple[list[dict], list[float]]:
     """Run args.trials trials.  Trial i maps its own stream (seed, i) and a
     timer to its row: timed(decode, *a) returns decode(*a) and records its
@@ -252,7 +249,7 @@ def _dual_tensor_trials(inst: DualTensorInstance, args) -> TrialKind:
 
     def trial(rng, timed) -> dict:
         a = random_codeword(inst, rng)
-        b = _error_vector(F, n * n, _noise_weight(n * n, args, rng), rng).reshape(n, n)
+        b = random_error(F, n, _noise_weight(n * n, args, rng), rng)
         w = int(np.count_nonzero(b))
         res = timed(alpha_decode, inst, F.add(a, b))
         member = inst.member(res.word)
@@ -281,8 +278,8 @@ def _subsystem_trials(inst: SubsystemProductInstance, args) -> TrialKind:
         cz = la.matmul(F, F.random(rng, QZp.shape[0])[None, :], QZp)[0]
         cx = la.matmul(F, F.random(rng, QXp.shape[0])[None, :], QXp)[0]
         w = _noise_weight(N, args, rng)
-        ez = _error_vector(F, N, w, rng)
-        ex = _error_vector(F, N, w, rng)
+        ez = error_vector(F, N, w, rng)
+        ex = error_vector(F, N, w, rng)
         res = timed(subsystem_decode, inst, F.add(cx, ex), F.add(cz, ez))
         ok_z = logical_coset_equal(prod, "z", res.coset_z.representative, cz)
         ok_x = logical_coset_equal(prod, "x", res.coset_x.representative, cx)
@@ -314,8 +311,8 @@ def _css_trials(inst: CssProductInstance, args) -> TrialKind:
         cz = code.qz.codeword(F.random(rng, code.qz.k))
         cx = code.qx.codeword(F.random(rng, code.qx.k))
         w = _noise_weight(N, args, rng)
-        ez = _error_vector(F, N, w, rng)
-        ex = _error_vector(F, N, w, rng)
+        ez = error_vector(F, N, w, rng)
+        ex = error_vector(F, N, w, rng)
         try:
             res = timed(css_decode, inst, F.add(cx, ex), F.add(cz, ez))
         except PromiseViolation as exc:
@@ -502,7 +499,7 @@ def cmd_gate_verify(args) -> int:
                     and all(type(params.get(key)) is int for key in ("m", "u"))):
                 raise ValueError(f"params must be {{m: int, u: int}}, got {params!r}")
             m, u = params["m"], params["u"]
-        _check_triple_params(m, u)
+        _check_triple_params(m, u, F.q)
         gate = tv.triple_product_build(F, m, u, seed=args.seed)
         phase = tv.triple_phase_identity_test(gate, args.trials, args.seed) \
             if gate.certificate.holds else None
@@ -533,7 +530,7 @@ def cmd_single_shot_trials(args) -> int:
     gauge = prod.qx.dual().gen
 
     def trial(rng, timed) -> dict:
-        e = _error_vector(F, prod.n, args.error_weight, rng)
+        e = error_vector(F, prod.n, args.error_weight, rng)
         g = la.matmul(F, F.random(rng, gauge.shape[0])[None, :], gauge)[0]
         s = la.matvec(F, cm.hz, F.add(e, g))
         v = _stripe_safe_noise(F, inst, args.syndrome_noise, rng)

@@ -112,13 +112,9 @@ class LinearCode:
         if self.k == 0:
             return DistanceResult(math.inf, True, "zero-code")
         if F.q ** self.k <= budget:
-            best = self.n + 1
-            for _, words in la.enumerate_span(F, self.gen):
-                w = np.count_nonzero(words, axis=1)
-                w = w[w > 0]
-                if w.size:
-                    best = min(best, int(w.min()))
-            return DistanceResult(best, True, "enumeration")
+            w, _ = la.min_weight_search(F, self.gen, np.zeros((1, self.n), dtype=np.int64),
+                                        exclude=la.identity(self.n))
+            return DistanceResult(int(w[0]), True, "enumeration")
         rng = np.random.default_rng(seed)
         best = int(np.count_nonzero(self.gen, axis=1).min())
         for _ in range(trials // 10):
@@ -315,6 +311,8 @@ def box_exponents(lo: int, hi: int, u: int) -> tuple[tuple[int, ...], ...]:
 
 def distinct_points(F: Field, n: int, u: int, rng: np.random.Generator) -> np.ndarray:
     """n distinct points of F^u, drawn independently with collision rejection."""
+    if n > F.q ** u:
+        raise ValueError(f"F^{u} has {F.q ** u} < {n} points")
     seen: set[tuple[int, ...]] = set()
     rows = []
     while len(rows) < n:
@@ -323,6 +321,16 @@ def distinct_points(F: Field, n: int, u: int, rng: np.random.Generator) -> np.nd
             seen.add(cand)
             rows.append(cand)
     return np.array(rows, dtype=np.int64)
+
+
+def error_vector(F: Field, n: int, weight: int, rng: np.random.Generator) -> np.ndarray:
+    """A random error of the given weight in F^n: the support is the first
+    weight entries of rng.permutation(n), the values nonzero draws."""
+    e = np.zeros(n, dtype=np.int64)
+    if weight:
+        support = rng.permutation(n)[:weight]  # drawn before the values
+        e[support] = F.random(rng, weight, nonzero=True)
+    return e
 
 
 def punctured_tensor_rs(F: Field, m: int, u: int, k: int,
@@ -426,33 +434,19 @@ def ltc_soundness_estimate(F: Field, H: np.ndarray, trials: int, seed: int,
     m, n = H.shape
     ker = la.right_kernel(F, H)
     exact = F.q ** ker.shape[0] <= coset_budget
-    ker_words = None
-    if exact and ker.shape[0]:
-        ker_words = np.concatenate([w for _, w in la.enumerate_span(F, ker)], axis=0)
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    best = math.inf
-    samples = []
-    done = 0
-    while done < trials:
-        w = int(rng.integers(1, n + 1))
-        support = rng.permutation(n)[:w]
-        e = np.zeros(n, dtype=np.int64)
-        e[support] = F.random(rng, w, nonzero=True)
-        s = la.matvec(F, H, e)
-        syn_w = la.weight(s)
+    errors, syn_ws = [], []
+    while len(errors) < trials:
+        e = error_vector(F, n, int(rng.integers(1, n + 1)), rng)
+        syn_w = la.weight(la.matvec(F, H, e))
         if syn_w == 0:
             continue  # e lies in the code: coset minimum is 0, ratio undefined
-        if exact:
-            if ker_words is not None:
-                ew = int(np.count_nonzero(F.sub(e[None, :], ker_words), axis=1).min())
-            else:
-                ew = la.weight(e)
-        else:
-            ew = la.weight(e)
-        ratio = (syn_w / m) / (ew / n)
-        samples.append((ew, syn_w, ratio))
-        best = min(best, ratio)
-        done += 1
+        errors.append(e)
+        syn_ws.append(syn_w)
+    errors = np.array(errors, dtype=np.int64).reshape(-1, n)
+    ews = la.min_weight_search(F, ker, errors)[0] if exact else np.count_nonzero(errors, axis=1)
+    samples = [(int(ew), syn_w, (syn_w / m) / (int(ew) / n)) for ew, syn_w in zip(ews, syn_ws)]
+    best = min((r for *_, r in samples), default=math.inf)
     note = ("exact coset minimization" if exact
             else "injected-weight approximation (upper bound only for coset-minimal errors)")
     return SoundnessEstimate(best, trials, exact, note, samples)

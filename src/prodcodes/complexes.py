@@ -160,24 +160,19 @@ def hom_product(A: SingleSectorComplex, B: SingleSectorComplex) -> SingleSectorC
 def systolic_distance(C: SingleSectorComplex,
                       budget: int = DEFAULT_DISTANCE_BUDGET,
                       seed: int = 0, trials: int = 5000) -> DistanceResult:
-    """Min weight over cycles that are not boundaries; exact by coset
-    enumeration when (q^k - 1) * q^dim(B) fits the budget."""
+    """Min weight over cycles that are not boundaries; exact, by one scan of
+    the q^dim(Z) cycles, when (q^k - 1) * q^dim(B) fits the budget."""
     F = C.field
     k = C.homology_dim()
     if k == 0:
         return DistanceResult(math.inf, True, "zero-homology")
-    reps = C.homology_reps()
     bnd = C.boundaries()
     total = (F.q ** k - 1) * (F.q ** bnd.shape[0])
     if total <= budget:
-        best = C.dim + 1
-        for coefs, cls in la.enumerate_span(F, reps):
-            nz = np.any(coefs, axis=1)
-            for rep in cls[nz]:
-                for _, bwords in la.enumerate_span(F, bnd):
-                    w = int(np.count_nonzero(F.add(rep[None, :], bwords), axis=1).min())
-                    best = min(best, w)
-        return DistanceResult(best, True, "coset-enumeration")
+        w, _ = la.min_weight_search(F, C.cycles(), np.zeros((1, C.dim), dtype=np.int64),
+                                    exclude=la.right_kernel(F, bnd))
+        return DistanceResult(int(w[0]), True, "coset-enumeration")
+    reps = C.homology_reps()
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     best = C.dim + 1
     for _ in range(trials):
@@ -216,31 +211,23 @@ def filling_constant_estimate(C: SingleSectorComplex, trials: int, seed: int,
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     cyc = C.cycles()
     exact = F.q ** cyc.shape[0] <= budget
-    cyc_words = None
-    if exact and cyc.shape[0]:
-        cyc_words = np.concatenate([w for _, w in la.enumerate_span(F, cyc)], axis=0)
-    best = 0.0
-    samples = []
-    done = 0
+    xs, b_ws, pres = [], [], []
     attempts = 0
-    while done < trials and attempts < trials * 20:
+    while len(xs) < trials and attempts < trials * 20:
         attempts += 1
         x = F.random(rng, C.dim)
         b = la.matvec(F, C.boundary, x)
         if not b.any():
             continue
-        if exact:
-            if cyc_words is not None:
-                pre = int(np.count_nonzero(F.add(x[None, :], cyc_words), axis=1).min())
-            else:
-                pre = la.weight(x)
-        else:
-            pre = _descend(F, x, cyc, rng)
-        ratio = pre / la.weight(b)
-        samples.append((la.weight(b), pre, ratio))
-        best = max(best, ratio)
-        done += 1
-    return FillingEstimate(best, done, exact, samples)
+        xs.append(x)
+        b_ws.append(la.weight(b))
+        if not exact:
+            pres.append(_descend(F, x, cyc, rng))
+    if exact:
+        pres = la.min_weight_search(F, cyc, np.array(xs, dtype=np.int64).reshape(-1, C.dim))[0]
+    samples = [(b_w, int(pre), int(pre) / b_w) for b_w, pre in zip(b_ws, pres)]
+    best = max((r for *_, r in samples), default=0.0)
+    return FillingEstimate(best, len(samples), exact, samples)
 
 
 def _descend(F: Field, x: np.ndarray, kernel: np.ndarray, rng: np.random.Generator,

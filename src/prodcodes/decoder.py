@@ -26,7 +26,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .codes import ReedSolomon, canonical_points, rs_code, vandermonde
+from .codes import ReedSolomon, canonical_points, error_vector, rs_code, vandermonde
 from .poly import uni_divmod, uni_gcd, uni_trim, uni_eval
 
 
@@ -267,14 +267,15 @@ class DualTensorInstance:
         return la.solve_right(self.field, self.V2, la.identity(self.n))
 
     def member(self, c: np.ndarray) -> bool:
-        H1 = self.C1.parity_check()
-        H2 = self.C2.parity_check()
-        return not np.any(la.matmul(self.field, la.matmul(self.field, H1, c), H2.T))
+        return self._in_sum(self.C1, self.C2, c)
 
     def member_enlarged(self, c: np.ndarray) -> bool:
-        H1 = self.C1p.parity_check()
-        H2 = self.C2p.parity_check()
-        return not np.any(la.matmul(self.field, la.matmul(self.field, H1, c), H2.T))
+        return self._in_sum(self.C1p, self.C2p, c)
+
+    def _in_sum(self, C1: ReedSolomon, C2: ReedSolomon, c: np.ndarray) -> bool:
+        """c in C1 [+] C2: H1 c H2^T = 0."""
+        H1c = la.matmul(self.field, C1.parity_check(), c)
+        return not np.any(la.matmul(self.field, H1c, C2.parity_check().T))
 
     def to_json(self) -> dict:
         return {
@@ -621,8 +622,5 @@ def random_codeword(inst: DualTensorInstance, rng: np.random.Generator) -> np.nd
 
 
 def random_error(F: Field, n: int, weight: int, rng: np.random.Generator) -> np.ndarray:
-    e = np.zeros(n * n, dtype=np.int64)
-    if weight:
-        support = rng.permutation(n * n)[:weight]
-        e[support] = F.random(rng, weight, nonzero=True)
-    return e.reshape(n, n)
+    """error_vector on the n x n grid."""
+    return error_vector(F, n * n, weight, rng).reshape(n, n)

@@ -157,7 +157,8 @@ def _cheapest_decompositions(F: Field, pair_bases, lengths: tuple[int, ...],
     Returns (costs, cheapest parts); ties go to the first combination in scan
     order.  Blocks of (word, combination) pairs are scored at once, at most
     _KERNEL_BLOCK candidate cells per block (one combination at least)."""
-    lattice = [(pair, np.concatenate([w for _, w in la.enumerate_span(F, B)], axis=0))
+    # the whole span of each C^(i,j) basis as one block
+    lattice = [(pair, next(la.enumerate_span(F, B, chunk=F.q ** B.shape[0]))[1])
                for pair, B in pair_bases]
     t, (W, N) = len(parts), parts[0].shape
     L = math.prod(w.shape[0] for _, w in lattice)
@@ -248,19 +249,12 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
     for i, C in enumerate(codes):
         if C.k == 0:
             continue
-        w, word = N + 1, None
-        for _, chunk in la.enumerate_span(F, C.gen):
-            ws = np.count_nonzero(chunk, axis=1)
-            pos = np.nonzero(ws > 0)[0]
-            if pos.size and ws[pos].min() < w:
-                w = int(ws[pos].min())
-                word = chunk[pos[np.argmin(ws[pos])]]
-        if word is None:
-            continue
+        _, word = la.min_weight_search(F, C.gen, np.zeros((1, C.n), dtype=np.int64),
+                                       exclude=la.identity(C.n))
         emb = np.zeros(lengths, dtype=np.int64)
         sl = [0] * t
         sl[i] = slice(None)
-        emb[tuple(sl)] = word
+        emb[tuple(sl)] = word[0]
         samples.append(emb.ravel())
     for _ in range(trials):
         coef = F.random(rng, dt_gen.shape[0])

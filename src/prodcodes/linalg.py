@@ -21,6 +21,14 @@ Two kernels skip reductions and rely on exactness bounds:
   (p-1)^2 to an entry, so entries stay below p + min(m, n) * (p-1)^2, under
   2^63 for any matrix of fewer than 2^46 entries at p < 2^20, and the int64
   block is reduced once at the end.
+
+``min_weight_search`` is the one exhaustive minimum-weight search: for each
+offset v it scans span(basis) in ``enumerate_span``'s mixed-radix order and
+returns the least weight of v + w and the first w that reaches it, so ties
+go to the word with the smallest mixed-radix index.  Given a parity matrix
+P of a subspace X, it counts only the w with P w != 0, i.e. outside X.  It
+holds one chunk of span words and at most one chunk of candidate words
+v + w at a time, never the whole span.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import numpy as np
 from .gf import Field
 
 _MATMUL_BLOCK = 1 << 22
+_SPAN_CHUNK = 1 << 14
 
 
 def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -270,7 +279,7 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def enumerate_span(F: Field, basis: np.ndarray, chunk: int = 1 << 14):
+def enumerate_span(F: Field, basis: np.ndarray, chunk: int = _SPAN_CHUNK):
     """Yield (coeff_block, vector_block) covering every F-combination of the
     basis rows exactly once.  Deterministic mixed-radix order."""
     basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
@@ -281,3 +290,35 @@ def enumerate_span(F: Field, basis: np.ndarray, chunk: int = 1 << 14):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         coefs = (idx[:, None] // radix[None, :]) % F.q
         yield coefs, matmul(F, coefs, basis)
+
+
+def min_weight_search(F: Field, basis: np.ndarray, offsets: np.ndarray,
+                      exclude: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """For each row v of offsets, the least weight of v + w over the w in
+    span(basis) and the first such w in enumerate_span's order.  With
+    exclude, a parity matrix of a subspace, only the w with exclude @ w != 0
+    count.  A row with no w counted gets weight n + 1 and the zero word.
+    Offsets are scored in groups of at most _SPAN_CHUNK candidate words per
+    block of span words."""
+    basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.int64))
+    n = offsets.shape[1]
+    weights = np.full(offsets.shape[0], n + 1, dtype=np.int64)
+    words = np.zeros_like(offsets)
+    if exclude is not None:
+        # w = coefs @ basis has exclude @ w = 0 iff coefs is orthogonal to the
+        # columns of basis @ exclude^T, i.e. to a basis of their span
+        test = row_space(F, matmul(F, basis, np.asarray(exclude, dtype=np.int64).T).T).T
+    for coefs, span in enumerate_span(F, basis):
+        outside = None if exclude is None else matmul(F, coefs, test).any(axis=1)
+        step = max(1, _SPAN_CHUNK // len(span))
+        for o in range(0, len(offsets), step):
+            wt = np.count_nonzero(F.add(offsets[o:o + step, None], span[None]), axis=2)
+            if outside is not None:
+                wt[:, ~outside] = n + 1
+            arg = wt.argmin(axis=1)
+            low = wt[np.arange(arg.size), arg]
+            better = low < weights[o:o + step]
+            weights[o:o + step][better] = low[better]
+            words[o:o + step][better] = span[arg[better]]
+    return weights, words

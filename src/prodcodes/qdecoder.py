@@ -409,20 +409,11 @@ class SingleShotResult:
 def nearest_syndrome_exact(F: Field, img: np.ndarray, s: np.ndarray,
                            budget: int = 200_000) -> np.ndarray | None:
     """Exact minimum-distance projection of s onto the span of the basis
-    rows img by enumerating it; None when the span is too large for the
-    budget."""
-    if img.shape[0] == 0:
-        return np.zeros_like(s)
+    rows img, the first nearest word in enumerate_span's order; None when
+    the span is too large for the budget."""
     if F.q ** img.shape[0] > budget:
         return None
-    best, best_w = None, None
-    for _, words in la.enumerate_span(F, img):
-        d = np.count_nonzero(F.sub(words, s[None, :]), axis=1)
-        i = int(np.argmin(d))
-        if best_w is None or d[i] < best_w:
-            best_w = int(d[i])
-            best = words[i].copy()
-    return best
+    return la.min_weight_search(F, img, F.neg(s)[None, :])[1][0]
 
 
 def _denoise_product_syndrome(F: Field, factors: list[CssPair], side: str,
@@ -452,13 +443,13 @@ def _denoise_product_syndrome(F: Field, factors: list[CssPair], side: str,
 
 
 def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
-                       s_z: np.ndarray, distance: int,
-                       method: str = "auto") -> SingleShotResult:
+                       s_z: np.ndarray, distance: int) -> SingleShotResult:
     """X-error decoder from one noisy Z-syndrome over amplified checks.
 
     Denoises the syndrome per block, solves for any preimage, then finds a
     correction of weight < distance/2 in the preimage's coset modulo
-    Q_Z + Q_X^perp.  Failures are recorded in the result, never raised.
+    Q_Z + Q_X^perp: by bounded search when N <= 512, else through the side
+    decoder.  Failures are recorded in the result, never raised.
     """
     F = inst.field
     if checks.style != "amplified":
@@ -475,9 +466,7 @@ def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
     w = w[0]
     prod = inst.product
     cap = max(0, math.ceil(distance / 2) - 1)
-    if method == "auto":
-        method = "search" if prod.n <= 512 else "pipeline"
-    if method == "search":
+    if prod.n <= 512:
         HV = inst.search_parity
         e = bounded_syndrome_search(F, HV, la.matvec(F, HV, w), cap)
         if e is None:

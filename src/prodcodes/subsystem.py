@@ -141,17 +141,9 @@ def _side_distance(F: Field, logical_space: np.ndarray, gauge_dual: np.ndarray,
     # membership in the gauge span tested through its parity map
     gauge_par = la.right_kernel(F, gauge_dual) if gauge_dual.shape[0] else la.identity(n)
     if F.q ** dim <= budget:
-        best = math.inf
-        for _, words in la.enumerate_span(F, logical_space):
-            if gauge_par.shape[0]:
-                syn = la.matmul(F, words, gauge_par.T)
-                outside = np.any(syn, axis=1)
-            else:
-                outside = np.zeros(words.shape[0], dtype=bool)
-            w = np.count_nonzero(words[outside], axis=1)
-            if w.size:
-                best = min(best, int(w.min()))
-        return best, True
+        w = int(la.min_weight_search(F, logical_space, np.zeros((1, n), dtype=np.int64),
+                                     exclude=gauge_par)[0][0])
+        return (math.inf if w > n else w), True
     assert rng is not None
     best = math.inf
     for _ in range(trials):

@@ -470,20 +470,18 @@ def _synthesize_monomial(F: Field, factors: list[CssPair],
     """Coefficients vector via monomial coordinates: the projection onto the
     L-power monomials along all remaining monomials is a coordinate
     projection after full-grid interpolation, so
-    a = sum_d (1_A . ev(X^d)) * (V1^{-1}[d1, :] (x) V2^{-1}[d2, :])."""
+    a = sum_d (1_A . ev(X^d)) * (V1^{-1}[d1, :] (x) V2^{-1}[d2, :]), one
+    matmul of the beta_d = 1_A . ev(X^d) against the stacked Kronecker rows."""
     q = F.q
     pts = canonical_points(F, q)
     V = vandermonde(F, pts, pts.size)
     Vinv = la.solve_right(F, V, la.identity(q))
     assert Vinv is not None
     A_sets, A_flat, enc_basis = _unit_encodings(F, factors, L_list)
-    grid = grid_points(F, 2)
-    a = np.zeros(q * q, dtype=np.int64)
-    for (d1, d2) in lpow_exps:
-        beta = F.sum(monomial_eval_matrix(F, grid, [(d1, d2)])[0][A_flat])
-        if beta:
-            a = F.add(a, F.mul(np.int64(beta),
-                               la.kron(F, Vinv[d1][None, :], Vinv[d2][None, :])[0]))
+    beta = F.sum(monomial_eval_matrix(F, grid_points(F, 2)[A_flat], lpow_exps), axis=1)
+    d1, d2 = np.array(lpow_exps, dtype=np.int64).reshape(-1, 2).T
+    kron_rows = F.mul(Vinv[d1][:, :, None], Vinv[d2][:, None, :]).reshape(d1.size, q * q)
+    a = la.matmul(F, beta[None, :], kron_rows)[0]
     return GateInstance(p.r, factors, L_list, S_basis, A_sets, A_flat, enc_basis, a,
                         cert, label)
 
@@ -662,9 +660,10 @@ class GammaSolveError(RuntimeError):
 
 
 def _solve_gamma(F: Field, points: np.ndarray, k0: int, u: int,
-                 rng: np.random.Generator, retries: int = 64) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Vector gamma with gamma . ev(X^a) = 1_{a = (k0..k0)} over the box
-    [0, 2k0]^u, randomized inside the solution coset until entrywise nonzero."""
+    [0, 2k0]^u, randomized inside the solution coset until entrywise nonzero
+    (64 draws at most)."""
     exps = box_exponents(0, 2 * k0 + 1, u)
     M = monomial_eval_matrix(F, points, exps)
     n = M.shape[1]
@@ -678,17 +677,16 @@ def _solve_gamma(F: Field, points: np.ndarray, k0: int, u: int,
     g0 = np.zeros(n, dtype=np.int64)
     g0[piv] = R[:, n]
     K = la.rref_kernel(F, R[:, :n], piv)
-    for _ in range(retries):
+    for _ in range(64):
         g = g0
         if K.shape[0]:
             g = F.add(g0, la.matmul(F, F.random(rng, K.shape[0])[None, :], K)[0])
         if np.all(g != 0):
             return g
-    raise GammaSolveError("no entrywise-nonzero gamma found within retries")
+    raise GammaSolveError("no entrywise-nonzero gamma found in 64 draws")
 
 
-def triple_product_build(F: Field, m: int, u: int, seed: int,
-                         require_window: bool = True) -> TripleProductGate:
+def triple_product_build(F: Field, m: int, u: int, seed: int) -> TripleProductGate:
     """Three-factor punctured-tensor-RS gate at desk scale, in factored form.
 
     The multiplication property is certified structurally: full-rank monomial
@@ -700,9 +698,7 @@ def triple_product_build(F: Field, m: int, u: int, seed: int,
     p = triple_product_params(m, u)
     checks: dict = {"window_size": p.window_size, "degraded_regime": p.degraded}
     if p.window_size == 0:
-        if require_window:
-            raise ValueError(
-                f"logical window [{p.ell_lo}, {p.ell_hi}) is empty at m={m}")
+        raise ValueError(f"logical window [{p.ell_lo}, {p.ell_hi}) is empty at m={m}")
     if p.window_size > 1:
         raise BudgetExceeded(
             "factored synthesis covers window size 1; larger windows need the "
@@ -789,16 +785,17 @@ def _span_rows(F: Field, C: np.ndarray, basis: np.ndarray, split) -> np.ndarray:
     return out
 
 
-def triple_phase_identity_test(gate: TripleProductGate, trials: int, seed: int,
-                               terms_per_block: int = 2) -> PhaseReport:
+def triple_phase_identity_test(gate: TripleProductGate, trials: int,
+                               seed: int) -> PhaseReport:
     """Phase identity over the factored representation: coset representatives
     are encoded messages plus random low-tensor-rank stabilizer elements, and
     both sides are evaluated exactly through per-factor inner products.
 
-    A representative is a sum of T elementary tensors, held as one (T, n)
-    array per axis.  The right-hand side over all T^3 term triples factors
-    per axis into D[i, j, k] = a_parts . (T1[i] * T2[j] * T3[k]), one matmul
-    each, and is a_scale times the sum of D_0 * D_1 * D_2.
+    A representative is a sum of T = 7 elementary tensors (the message term
+    and two per stabilizer slot), held as one (T, n) array per axis.  The
+    right-hand side over all T^3 term triples factors per axis into
+    D[i, j, k] = a_parts . (T1[i] * T2[j] * T3[k]), one matmul each, and is
+    a_scale times the sum of D_0 * D_1 * D_2.
     """
     F = gate.field
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
@@ -811,8 +808,7 @@ def triple_phase_identity_test(gate: TripleProductGate, trials: int, seed: int,
     def sample_rep(z: int) -> list[np.ndarray]:
         rows = [[F.mul(np.int64(z), vhat[0])], [vhat[1]], [vhat[2]]]
         for slot in slots:
-            coefs = [[F.random(rng, b.shape[0]) for b, _ in slot]
-                     for _ in range(terms_per_block)]
+            coefs = [[F.random(rng, b.shape[0]) for b, _ in slot] for _ in range(2)]
             for axis, (b, sp) in enumerate(slot):
                 C = np.stack([c[axis] for c in coefs])
                 rows[axis].append(_span_rows(F, C, b, sp))

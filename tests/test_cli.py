@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prodcodes
 from prodcodes.cli import main, canonical_json
 from prodcodes.gf import GF
 from prodcodes import linalg as la
@@ -236,6 +241,28 @@ def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch, exc):
     with pytest.raises(type(exc), match="internal"):
         main(["decode-one", "--instance", str(inst), "--word", str(wf),
               "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("q, m", [(256, 408), (2048, 1200)])
+def test_triple_product_params_outside_the_build_exit_1(tmp_path, q, m):
+    """m > q (F^u has fewer than m^u points: the point draw never ended) and
+    a logical window wider than 1 (the build refused it with a traceback)
+    exit 1 from build-code and from gate-verify --instance.  Each command
+    runs in a subprocess under a timeout, so a hang fails here."""
+    src = str(pathlib.Path(prodcodes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    inst = tmp_path / "triple.json"
+    F = GF(q)
+    inst.write_text(json.dumps({"kind": "triple-product", "params": {"m": m, "u": 1},
+                                "field": {"p": F.p, "e": F.e, "modulus": list(F.modulus)}}))
+    for argv in (["build-code", "--kind", "triple-product", "--q", str(q), "--m", str(m),
+                  "--u", "1", "--seed", "1"],
+                 ["gate-verify", "--instance", str(inst), "--trials", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "prodcodes.cli", *argv,
+                               "--out", str(tmp_path / "out.json")],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("target, argv", [

@@ -8,7 +8,7 @@ import pytest
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
-from prodcodes.codes import (BudgetExceeded, LinearCode, canonical_points,
+from prodcodes.codes import (BudgetExceeded, LinearCode, canonical_points, distinct_points,
                              dual_tensor, eval_code, full_code,
                              ltc_soundness_estimate, monomial_eval_matrix,
                              punctured_tensor_rs, rs_code, star_product,
@@ -206,3 +206,11 @@ def test_serialization_roundtrip(gf16):
     C2 = LinearCode.from_json(doc)
     assert np.array_equal(C2.gen, C.gen) and C2.field == C.field
     assert C2.to_json() == doc
+
+
+def test_distinct_points_refuses_more_points_than_the_space_has():
+    F = GF(4)
+    pts = distinct_points(F, 16, 2, np.random.default_rng(0))
+    assert len({tuple(p) for p in pts.tolist()}) == 16
+    with pytest.raises(ValueError):
+        distinct_points(F, 17, 2, np.random.default_rng(0))

@@ -603,3 +603,17 @@ def test_planted_decode_n128():
     assert inst.s == 4 and inst.d0 == 16
     res = _planted_decode(inst, 4, stream(128, 4))
     assert res.stages["stage1_residual"] <= inst.stage1_bound
+
+
+@pytest.mark.parametrize("q, n, weight", [(16, 4, 0), (16, 4, 5), (49, 6, 36), (2, 3, 2)])
+def test_random_error_draws_like_its_earlier_body(q, n, weight):
+    """random_error (the n x n error_vector) draws the support, then the
+    values, from the same stream as the body it replaced."""
+    F = GF(q)
+    rng = np.random.default_rng(7)
+    want = np.zeros(n * n, dtype=np.int64)
+    if weight:
+        support = rng.permutation(n * n)[:weight]
+        want[support] = F.random(rng, weight, nonzero=True)
+    got = random_error(F, n, weight, np.random.default_rng(7))
+    assert np.array_equal(got, want.reshape(n, n))

@@ -289,6 +289,26 @@ def test_single_shot_noiseless_reduces(ss8):
         assert not diff.any() or la.in_row_space(F, gauge, diff)
 
 
+def test_single_shot_pipeline_route_above_n_512():
+    """N = 1024 takes the pipeline route.  At eps = 1/8, rho = 1, gamma = 1
+    the promise radius delta * N is 1.25, so a weight-1 error is in promise
+    and its noiseless amplified syndrome decodes to the error's coset."""
+    F = GF(32)
+    inst = SubsystemProductInstance(
+        [quantum_rs(F, 32, 28, 28), quantum_rs(F, 32, 16, 18)],
+        QdecParams(Fraction(1, 8), Fraction(1), gamma=1))
+    cm = check_matrices(inst.product, "amplified")
+    prod = inst.product
+    assert prod.n == 1024 and inst.params.delta * prod.n >= 1
+    for trial in range(5):
+        rng = stream(64, trial)
+        e = np.zeros(prod.n, dtype=np.int64)
+        e[int(rng.integers(prod.n))] = int(F.random(rng, None, nonzero=True))
+        res = single_shot_decode(inst, cm, la.matvec(F, cm.hz, e), distance=4)
+        assert res.notes == {"method": "pipeline"} and res.denoise_failures == 0
+        assert logical_coset_equal(prod, "z", res.correction.representative, e)
+
+
 def test_single_shot_with_syndrome_noise(ss8):
     inst, cm = ss8
     F = inst.field
