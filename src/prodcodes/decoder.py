@@ -359,17 +359,22 @@ def _e_coeff_basis(inst: DualTensorInstance, K: np.ndarray,
     return la.right_kernel(F, la.right_kernel(F, proj))
 
 
-def _row_polys(inst: DualTensorInstance, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(per-x1 coefficient rows in X2, per-x2 coefficient columns in X1)."""
-    F = inst.field
-    rows = la.matmul(F, inst.V1[:, :inst.s + 1], U)    # n x (s+1): e(x1, X2) coefficients
-    cols = la.matmul(F, U, inst.V2[:, :inst.s + 1].T)  # (s+1) x n: e(X1, x2) coefficients
-    return rows, cols
+def _line_polys(inst: DualTensorInstance, basis: np.ndarray) -> np.ndarray:
+    """The locators of the basis rows, each the flattened (s+1) x (s+1)
+    coefficient matrix U_b, restricted to every line: a (2, n, r, s+1)
+    array whose [0, x1, b] holds the X2 coefficients of e_b(x1, X2) and
+    [1, x2, b] the X1 coefficients of e_b(X1, x2).  Each axis is one matmul
+    with the blocks U_b (or U_b^T) side by side."""
+    F, n, t = inst.field, inst.n, inst.s + 1
+    U = basis.reshape(-1, t, t)
+    rows = la.matmul(F, inst.V1[:, :t], U.transpose(1, 0, 2).reshape(t, -1))
+    cols = la.matmul(F, inst.V2[:, :t], U.transpose(2, 0, 1).reshape(t, -1))
+    return np.stack([rows, cols]).reshape(2, n, -1, t)
 
 
-def _gcd_over(F: Field, coeff_rows: list[np.ndarray]) -> np.ndarray:
-    """Monic gcd of a set of univariate polynomials; the all-zero set gives
-    the zero polynomial (empty coefficient array)."""
+def _gcd_over(F: Field, coeff_rows: np.ndarray) -> np.ndarray:
+    """Monic gcd of the univariate polynomials in the rows of coeff_rows;
+    the all-zero set gives the zero polynomial (empty coefficient array)."""
     g = np.zeros(0, dtype=np.int64)
     for cr in coeff_rows:
         cr = uni_trim(cr)
@@ -381,6 +386,15 @@ def _gcd_over(F: Field, coeff_rows: list[np.ndarray]) -> np.ndarray:
     return g
 
 
+def _line_gcds(inst: DualTensorInstance, basis: np.ndarray,
+               alive: np.ndarray) -> list[list[np.ndarray | None]]:
+    """Per axis and live line, the gcd of the line polynomials of every basis
+    locator (None on a dead line)."""
+    lines = _line_polys(inst, basis)
+    return [[_gcd_over(inst.field, lines[axis, x]) if alive[axis, x] else None
+             for x in range(inst.n)] for axis in (0, 1)]
+
+
 def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     """Stage 1: returns c' in C1' [+] C2' close to c (error-locator stage).
 
@@ -389,14 +403,15 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     cell set T come from the kernel of [K | A_off], with (s+1)^2 + |off T|
     unknowns, canonicalized to a free-column basis (_e_coeff_basis).  The
     erasure fill solves A_off v = -syndrome for the values off the final T.
+    Both axes run the same steps; alive[0] holds the live x1, alive[1] the
+    live x2.
     """
     F = inst.field
     n, s = inst.n, inst.s
     c = np.asarray(c, dtype=np.int64).reshape(n, n)
     H1p = inst.C1p.parity_check()
     H2p = inst.C2p.parity_check()
-    V1s = inst.V1[:, :s + 1]
-    V2s = inst.V2[:, :s + 1]
+    points = (inst.E1, inst.E2)
 
     # nonzero e0 with (e0 * c) in C1' [+] C2': kernel of a linear system in
     # the (s+1)^2 coefficients
@@ -404,65 +419,36 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     ker = la.right_kernel(F, K)
     if ker.shape[0] == 0:
         raise PromiseViolation("no nonzero error locator e0 exists")
-    U0 = ker[0].reshape(s + 1, s + 1)
-
-    e0_rows, e0_cols = _row_polys(inst, U0)
-    alive1 = np.any(e0_rows != 0, axis=1)
-    alive2 = np.any(e0_cols != 0, axis=0)
-    e0_grid = la.matmul(F, la.matmul(F, V1s, U0), V2s.T)
-    supp = e0_grid != 0
+    e0 = _line_polys(inst, ker[:1])[:, :, 0]
+    alive = np.any(e0 != 0, axis=2)
+    supp = la.matmul(F, e0[0], inst.V2[:, :s + 1].T) != 0
 
     def current_T() -> np.ndarray:
-        return supp & np.outer(alive1, alive2)
+        return supp & np.outer(alive[0], alive[1])
 
-    basis = _e_coeff_basis(inst, K, current_T())
-    g1: list[np.ndarray | None] = [None] * n
-    g2: list[np.ndarray | None] = [None] * n
-    e_rows = [_row_polys(inst, u.reshape(s + 1, s + 1)) for u in basis]
-    for x1 in range(n):
-        if alive1[x1]:
-            g1[x1] = _gcd_over(F, [rows[x1] for rows, _ in e_rows])
-    for x2 in range(n):
-        if alive2[x2]:
-            g2[x2] = _gcd_over(F, [cols[:, x2] for _, cols in e_rows])
+    g = _line_gcds(inst, _e_coeff_basis(inst, K, current_T()), alive)
+
+    def vanishing_pair() -> tuple[int, int] | None:
+        """The first live (x1, x2) on which the gcd of a live line vanishes,
+        scanning the lines over x1 before those over x2."""
+        live = [np.nonzero(a)[0] for a in alive]
+        for axis in (0, 1):
+            across = live[1 - axis]
+            for x in live[axis]:
+                zero = across[uni_eval(F, g[axis][x], points[1 - axis][across]) == 0] \
+                    if g[axis][x].size else across
+                if zero.size:
+                    return (x, zero[0]) if axis == 0 else (zero[0], x)
+        return None
 
     # while some gcd vanishes on a live pair, remove the pair
-    while True:
-        hit = None
-        live1 = np.nonzero(alive1)[0]
-        live2 = np.nonzero(alive2)[0]
-        for x1 in live1:
-            vals = uni_eval(F, g1[x1], inst.E2[live2]) if g1[x1].size else \
-                np.zeros(live2.size, dtype=np.int64)
-            zero2 = live2[np.nonzero(vals == 0)[0]] if g1[x1].size else live2
-            if zero2.size:
-                hit = (int(x1), int(zero2[0]))
-                break
-        if hit is None:
-            for x2 in live2:
-                vals = uni_eval(F, g2[x2], inst.E1[live1]) if g2[x2].size else \
-                    np.zeros(live1.size, dtype=np.int64)
-                zero1 = live1[np.nonzero(vals == 0)[0]] if g2[x2].size else live1
-                if zero1.size:
-                    hit = (int(zero1[0]), int(x2))
-                    break
-        if hit is None:
-            break
-        alive1[hit[0]] = False
-        alive2[hit[1]] = False
+    while (hit := vanishing_pair()) is not None:
+        alive[0, hit[0]] = alive[1, hit[1]] = False
 
-    # recompute the basis over the shrunken support, then drop every index
-    # whose recomputed gcd is not 1
-    basis2 = _e_coeff_basis(inst, K, current_T())
-    e_rows2 = [_row_polys(inst, u.reshape(s + 1, s + 1)) for u in basis2]
-    for x1 in np.nonzero(alive1)[0]:
-        g = _gcd_over(F, [rows[x1] for rows, _ in e_rows2])
-        if not (g.size == 1 and g[0] == 1):
-            alive1[x1] = False
-    for x2 in np.nonzero(alive2)[0]:
-        g = _gcd_over(F, [cols[:, x2] for _, cols in e_rows2])
-        if not (g.size == 1 and g[0] == 1):
-            alive2[x2] = False
+    # recompute the basis over the shrunken support, then keep only the live
+    # lines whose recomputed gcd is 1
+    g = _line_gcds(inst, _e_coeff_basis(inst, K, current_T()), alive)
+    alive &= [[gx is not None and np.array_equal(gx, [1]) for gx in ga] for ga in g]
 
     # erasure fill: any c' in C1' [+] C2' agreeing with c on the final cells
     T = current_T()
@@ -485,32 +471,41 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def clean_stripes(F: Field, word: np.ndarray, interp: np.ndarray, basis: np.ndarray,
+                  points: np.ndarray, k: int, radius: int, failure) -> np.ndarray:
+    """The residue that per-stripe RS decoding strips off word.
+
+    The stripe words interp @ word decode in one Berlekamp-Welch batch
+    against RS_points(k) within radius, and their residues enter the word
+    through basis: the result is basis @ (stripes - codewords).  Raises
+    PromiseViolation(failure(i)) at the first stripe i that fails."""
+    stripes = la.matmul(F, interp, word)
+    ok, cw = berlekamp_welch(F, points, k, stripes, radius)
+    if not ok.all():
+        raise PromiseViolation(failure(int(np.argmin(ok))))
+    return la.matmul(F, basis, F.sub(stripes, cw))
+
+
 def dec_close(inst: DualTensorInstance, cp: np.ndarray) -> np.ndarray:
     """Stage 2: strip the s extra coefficient rows/columns by per-stripe RS
     decoding, landing in C1 [+] C2.
 
     With Fc = V1^-1 cp V2^-T the coefficient matrix of cp, the stripe word of
     coefficient row j1 is V2 Fc[j1] = (V1^-1 cp)[j1], and that of coefficient
-    column j2 is V1 Fc[:, j2] = (cp V2^-T)[:, j2]: both come straight from the
-    s interpolation rows that the stage needs.  Each side decodes its s
-    stripe words in one Berlekamp-Welch batch and subtracts all residues
-    with one matmul."""
+    column j2 is V1 Fc[:, j2] = (V2^-1 cp^T)[j2]: both come straight from the
+    s interpolation rows that the stage needs.  The rows clean cp and the
+    columns clean cp^T, each through clean_stripes, and both residues are
+    taken from cp."""
     F = inst.field
     n, s, k1, k2 = inst.n, inst.s, inst.k1, inst.k2
     cp = np.asarray(cp, dtype=np.int64).reshape(n, n)
-    R = la.matmul(F, inst.V1_inv[k1:k1 + s], cp)      # row i: stripe word of row k1 + i
-    C = la.matmul(F, cp, inst.V2_inv[k2:k2 + s].T)    # column i: of column k2 + i
-    ok, cw = berlekamp_welch(F, inst.E2, k2 + s, R, inst.stripe_radius(k2 + s))
-    if not ok.all():
-        raise PromiseViolation(
-            f"stripe decode failed on coefficient row {k1 + int(np.argmin(ok))}")
-    # the row residues enter through their coefficient rows: sum_i V1[:, k1+i] r_i
-    out = F.sub(cp, la.matmul(F, inst.V1[:, k1:k1 + s], F.sub(R, cw)))
-    ok, cw = berlekamp_welch(F, inst.E1, k1 + s, C.T, inst.stripe_radius(k1 + s))
-    if not ok.all():
-        raise PromiseViolation(
-            f"stripe decode failed on coefficient column {k2 + int(np.argmin(ok))}")
-    out = F.sub(out, la.matmul(F, F.sub(C.T, cw).T, inst.V2[:, k2:k2 + s].T))
+    rows = clean_stripes(F, cp, inst.V1_inv[k1:k1 + s], inst.V1[:, k1:k1 + s], inst.E2,
+                         k2 + s, inst.stripe_radius(k2 + s),
+                         lambda i: f"stripe decode failed on coefficient row {k1 + i}")
+    cols = clean_stripes(F, cp.T, inst.V2_inv[k2:k2 + s], inst.V2[:, k2:k2 + s], inst.E1,
+                         k1 + s, inst.stripe_radius(k1 + s),
+                         lambda i: f"stripe decode failed on coefficient column {k2 + i}")
+    out = F.sub(F.sub(cp, rows), cols.T)
     if not inst.member(out):
         raise PromiseViolation("stage-2 output is not in C1 [+] C2")
     return out
@@ -526,12 +521,13 @@ def dec_finish(inst: DualTensorInstance, y: np.ndarray) -> tuple[np.ndarray, int
     radius t; strictly decreases |y| each step, at most n^2 iterations.
 
     Each sweep peels the first column, then the first row, in index order
-    whose Berlekamp-Welch decode is a nonzero codeword.  By the light-word
-    rule of berlekamp_welch, a line of weight <= t decodes to the zero
-    codeword when k + 2t <= n for its code.  That condition always holds
-    here: t = ceil(eps n / 2) - 1 < eps n / 2 and k1 + k2 <= (1 - eps) n
-    give k1 + 2t < n and k2 + 2t < n.  So only lines heavier than t are
-    decoded, and line weights are counted once per scan."""
+    whose Berlekamp-Welch decode is a nonzero codeword: the columns are the
+    lines of y^T in C1, the rows those of y in C2.  By the light-word rule
+    of berlekamp_welch, a line of weight <= t decodes to the zero codeword
+    when k + 2t <= n for its code.  That condition always holds here:
+    t = ceil(eps n / 2) - 1 < eps n / 2 and k1 + k2 <= (1 - eps) n give
+    k1 + 2t < n and k2 + 2t < n.  So only lines heavier than t are decoded,
+    and line weights are counted once per scan."""
     F = inst.field
     n = inst.n
     y = np.asarray(y, dtype=np.int64).reshape(n, n).copy()
@@ -539,20 +535,13 @@ def dec_finish(inst: DualTensorInstance, y: np.ndarray) -> tuple[np.ndarray, int
     iters = 0
     while True:
         progressed = False
-        for x2 in np.nonzero(np.count_nonzero(y, axis=0) > t)[0]:
-            col = y[:, x2]
-            cw = berlekamp_welch(F, inst.E1, inst.k1, col[None, :], t).words[0]
-            if cw.any():
-                y[:, x2] = F.sub(col, cw)
-                progressed = True
-                break
-        for x1 in np.nonzero(np.count_nonzero(y, axis=1) > t)[0]:
-            row = y[x1, :]
-            cw = berlekamp_welch(F, inst.E2, inst.k2, row[None, :], t).words[0]
-            if cw.any():
-                y[x1, :] = F.sub(row, cw)
-                progressed = True
-                break
+        for lines, points, k in ((y.T, inst.E1, inst.k1), (y, inst.E2, inst.k2)):
+            for x in np.nonzero(np.count_nonzero(lines, axis=1) > t)[0]:
+                cw = berlekamp_welch(F, points, k, lines[x][None, :], t).words[0]
+                if cw.any():
+                    lines[x] = F.sub(lines[x], cw)
+                    progressed = True
+                    break
         if not progressed:
             return y, iters
         iters += 1

@@ -18,7 +18,7 @@ from .gf import Field
 
 def uni_trim(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.int64)
-    nz = np.nonzero(c)[0]
+    nz = c.nonzero()[0]
     return c[: int(nz[-1]) + 1] if nz.size else c[:0]
 
 
@@ -26,11 +26,13 @@ def uni_mul(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = uni_trim(a), uni_trim(b)
     if a.size == 0 or b.size == 0:
         return np.zeros(0, dtype=np.int64)
-    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
-    for i in range(a.size):
-        if a[i]:
-            out[i:i + b.size] = F.add(out[i:i + b.size], F.mul(a[i], b))
-    return out
+    # the outer product a_i b_j, padded to width w + 1 and reread at width w:
+    # row i then sits shifted right by i, so column d sums the anti-diagonal
+    # i + j = d
+    w = a.size + b.size - 1
+    rows = np.zeros((a.size, w + 1), dtype=np.int64)
+    rows[:, :b.size] = F.mul(a[:, None], b[None, :])
+    return F.sum(rows.ravel()[: a.size * w].reshape(a.size, w), axis=0)
 
 
 def uni_divmod(F: Field, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from . import linalg as la
 from .codes import BudgetExceeded, canonical_points, tensor
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
-                      berlekamp_welch, params_from_json)
+                      berlekamp_welch, clean_stripes, params_from_json)
 from .subsystem import CheckMatrices, CssPair, check_matrices, quantum_rs, \
     subsystem_product
 
@@ -49,18 +49,15 @@ def dec_quantum(dt: DualTensorInstance, k1: int, k1p: int, k2: int, k2p: int,
     by decoding each coefficient column j2 in [k2, k2p) against the length-n
     RS code of dimension k1p, on the evaluation points E1 x E2 of dt.
 
-    The stripe word of coefficient column j2 is (c0 V2^-T)[:, j2], so only
-    the interpolation rows [k2, k2p) of dt's cached V2^-1 are needed; all
-    stripe words decode in one Berlekamp-Welch batch.
+    The stripe word of coefficient column j2 is (V2^-1 c0^T)[j2], so only
+    the interpolation rows [k2, k2p) of dt's cached V2^-1 are needed: the
+    columns clean c0^T through clean_stripes, as in stage 2 of the decoder.
     """
     F, n = dt.field, dt.n
     c0 = np.asarray(c0, dtype=np.int64).reshape(n, n)
-    C = la.matmul(F, c0, dt.V2_inv[k2:k2p].T)
-    ok, cw = berlekamp_welch(F, dt.E1, k1p, C.T, radius)
-    if not ok.all():
-        raise PromiseViolation(
-            f"quantum stripe decode failed at column {k2 + int(np.argmin(ok))}")
-    return F.sub(c0, la.matmul(F, F.sub(C.T, cw).T, dt.V2[:, k2:k2p].T))
+    cols = clean_stripes(F, c0.T, dt.V2_inv[k2:k2p], dt.V2[:, k2:k2p], dt.E1, k1p, radius,
+                         lambda i: f"quantum stripe decode failed at column {k2 + i}")
+    return F.sub(c0, cols.T)
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +89,14 @@ class QdecParams:
         return min(int(exact), (n - kdim) // 2)
 
 
-class _TwoFactorDocument:
-    """Reading of the instance documents of the two-factor quantum products."""
-
-    @classmethod
-    def from_json(cls, doc: dict):
-        factors = doc["factors"]
-        if not (isinstance(factors, list) and all(isinstance(f, dict) for f in factors)):
-            raise ValueError("factors must be a list of CSS pair objects")
-        return cls([CssPair.from_json(f) for f in factors], QdecParams(*params_from_json(doc)))
-
-
 @dataclass
-class SubsystemProductInstance(_TwoFactorDocument):
+class SubsystemProductInstance:
     """Subsystem product of two quantum RS pairs plus decoding parameters."""
 
     factors: list[CssPair]
     params: QdecParams
+
+    KIND = "subsystem-product"
 
     def __post_init__(self):
         if len(self.factors) != 2:
@@ -124,6 +112,15 @@ class SubsystemProductInstance(_TwoFactorDocument):
             raise ValueError("rate conditions of the product decoder fail for eps")
         if f1.qz.k > (1 - eps) * n or f1.qx.k > (1 - eps) * n:
             raise ValueError("first-factor dimensions must stay <= (1 - eps) n")
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        """The instance of a two-factor product document; a malformed or
+        out-of-range field raises ValueError."""
+        factors = doc["factors"]
+        if not (isinstance(factors, list) and all(isinstance(f, dict) for f in factors)):
+            raise ValueError("factors must be a list of CSS pair objects")
+        return cls([CssPair.from_json(f) for f in factors], QdecParams(*params_from_json(doc)))
 
     @cached_property
     def product(self) -> CssPair:
@@ -147,22 +144,25 @@ class SubsystemProductInstance(_TwoFactorDocument):
             self.params.eps, self.params.rho, self.params.gamma)
 
     @cached_property
+    def swapped(self) -> SubsystemProductInstance:
+        """The instance of the swapped pairs (Q_Z, Q_X): its Z side is this
+        instance's X side.  The rate conditions are symmetric in the swap."""
+        return SubsystemProductInstance([f.swap() for f in self.factors], self.params)
+
+    @property
+    def x_dt(self) -> DualTensorInstance:
+        """Dual tensor instance containing Q_X': (Q^1_Z)^perp [+] Q^2_X."""
+        return self.swapped.z_dt
+
+    @cached_property
     def search_parity(self) -> np.ndarray:
         """Parity checks of Q_Z + Q_X^perp, the single-shot search's modulus."""
         prod = self.product
         return la.right_kernel(self.field, np.concatenate(
             [prod.qz.gen, prod.qx.dual().gen], axis=0))
 
-    @cached_property
-    def x_dt(self) -> DualTensorInstance:
-        f1, f2 = self.factors
-        return DualTensorInstance(
-            self.field, self.n, self.n - f1.qz.k, f2.qx.k,
-            f1.qz.points, f2.qx.points,
-            self.params.eps, self.params.rho, self.params.gamma)
-
     def to_json(self) -> dict:
-        return {"kind": "subsystem-product",
+        return {"kind": self.KIND,
                 "factors": [f.to_json() for f in self.factors],
                 "eps": [self.params.eps.numerator, self.params.eps.denominator],
                 "rho": [self.params.rho.numerator, self.params.rho.denominator],
@@ -185,21 +185,15 @@ class QuantumDecodeResult:
 def _decode_side(inst: SubsystemProductInstance, word: np.ndarray,
                  side: str) -> tuple[np.ndarray, bool]:
     """Shared pipeline: alpha-decode in the enclosing dual tensor code, then
-    stripe cleanup into Q_Z' (or Q_X' for side='x')."""
+    stripe cleanup into Q_Z'.  The X side (side='x') is the Z side of the
+    swapped instance, whose cleanup lands in Q_X'."""
+    if side == "x":
+        inst = inst.swapped
     n = inst.n
     f1, f2 = inst.factors
-    word = np.asarray(word, dtype=np.int64).reshape(n, n)
-    if side == "z":
-        dt = inst.z_dt
-        k1, k1p = n - f1.qx.k, f1.qz.k
-        k2, k2p = n - f2.qx.k, f2.qz.k
-    else:
-        dt = inst.x_dt
-        k1, k1p = n - f1.qz.k, f1.qx.k
-        k2, k2p = n - f2.qz.k, f2.qx.k
-    res = alpha_decode(dt, word)
-    radius = inst.params.stripe_radius(n, k1p)
-    return dec_quantum(dt, k1, k1p, k2, k2p, res.word, radius), res.fallback
+    res = alpha_decode(inst.z_dt, np.asarray(word, dtype=np.int64).reshape(n, n))
+    return dec_quantum(inst.z_dt, n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k, res.word,
+                       inst.params.stripe_radius(n, f1.qz.k)), res.fallback
 
 
 def subsystem_decode(inst: SubsystemProductInstance, c_x: np.ndarray,
@@ -213,30 +207,19 @@ def subsystem_decode(inst: SubsystemProductInstance, c_x: np.ndarray,
                                fb_x, fb_z)
 
 
-@dataclass
-class CssProductInstance(_TwoFactorDocument):
+class CssProductInstance(SubsystemProductInstance):
     """Homological product of the single-sector complexes of two quantum RS
-    pairs with dim Q_X = dim Q_Z (so the boundary map construction applies)."""
+    pairs with dim Q_X = dim Q_Z (so the boundary map construction applies).
+    Its decoder runs the subsystem product's sides, so the same rate
+    conditions hold."""
 
-    factors: list[CssPair]
-    params: QdecParams
+    KIND = "css-product"
 
     def __post_init__(self):
-        if len(self.factors) != 2:
-            raise ValueError("two factors required")
-        if any(f.subsystem for f in self.factors):
-            raise ValueError("factors must be non-subsystem CSS pairs")
+        super().__post_init__()
         for f in self.factors:
             if f.qx.k != f.qz.k:
                 raise ValueError("factors need dim Q_X = dim Q_Z")
-
-    @property
-    def field(self) -> Field:
-        return self.factors[0].field
-
-    @property
-    def n(self) -> int:
-        return self.factors[0].n
 
     @cached_property
     def complexes(self) -> list[SingleSectorComplex]:
@@ -250,10 +233,6 @@ class CssProductInstance(_TwoFactorDocument):
     def code(self) -> CssPair:
         qx, qz = self.product_complex.associated_code()
         return CssPair(qx, qz, subsystem=False, label="hom-product")
-
-    @cached_property
-    def _sub(self) -> SubsystemProductInstance:
-        return SubsystemProductInstance(self.factors, self.params)
 
     @cached_property
     def qxx_perp(self) -> np.ndarray:
@@ -274,11 +253,6 @@ class CssProductInstance(_TwoFactorDocument):
     def project_x(self):
         return la.left_solver(self.field, np.concatenate([self.code.qx.gen, self.qzz_perp]))
 
-    def to_json(self) -> dict:
-        doc = self._sub.to_json()
-        doc["kind"] = "css-product"
-        return doc
-
 
 def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray
                ) -> QuantumDecodeResult:
@@ -290,8 +264,8 @@ def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray
     fails, i.e. the input was outside the decoding promise."""
     F = inst.field
     code = inst.code
-    rep_z, fb_z = _decode_side(inst._sub, c_z, "z")
-    rep_x, fb_x = _decode_side(inst._sub, c_x, "x")
+    rep_z, fb_z = _decode_side(inst, c_z, "z")
+    rep_x, fb_x = _decode_side(inst, c_x, "x")
     z = _project_coset(F, inst.project_z, code.qz.gen, rep_z.ravel())
     x = _project_coset(F, inst.project_x, code.qx.gen, rep_x.ravel())
     return QuantumDecodeResult(CorrectionCoset(x, "qz_perp"),
@@ -476,9 +450,11 @@ def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
                                 s_prime, {"method": "search"})
     # pipeline route: w is a corrupted Q_Z'-word; peel the decoded part off
     try:
-        rep, _ = _decode_side(inst, w, "z")
+        rep, fallback = _decode_side(inst, w, "z")
     except PromiseViolation as exc:
         return SingleShotResult(None, failures, True, s_prime, {"reason": str(exc)})
+    notes = {"method": "pipeline"}
+    if fallback:
+        notes["fallback"] = True
     e = F.sub(w, rep.ravel())
-    return SingleShotResult(CorrectionCoset(e, "qx_perp"), failures, True,
-                            s_prime, {"method": "pipeline"})
+    return SingleShotResult(CorrectionCoset(e, "qx_perp"), failures, True, s_prime, notes)

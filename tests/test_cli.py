@@ -645,3 +645,18 @@ def test_decode_trials_rejects_subsystem_factors(trial_instances, tmp_path, caps
     assert main([TRIAL_COMMAND[0], "--instance", str(inst), *TRIAL_COMMAND[1:],
                  "--out", str(tmp_path / "r.json")]) == 1
     assert "factors must be non-subsystem CSS pairs" in capsys.readouterr().err
+
+
+def test_decode_trials_checks_css_rate_conditions(trial_instances, tmp_path, capsys):
+    """A css-product document whose eps breaks the product decoder's rate
+    conditions is refused when the instance is read (exit 1 with an error
+    line), not at its first decode."""
+    doc = json.loads(trial_instances["css-product"].read_text())["results"]
+    doc["eps"] = [1, 2]
+    inst = tmp_path / "rates.json"
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([TRIAL_COMMAND[0], "--instance", str(inst), *TRIAL_COMMAND[1:],
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rate conditions" in err

@@ -1,6 +1,8 @@
 """Dual-tensor decoder: Berlekamp-Welch baseline, the three subroutines on
 planted instances, the total alpha-decoder contract, and determinism."""
 
+import hashlib
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +14,8 @@ from prodcodes.gf import GF
 from prodcodes import decoder, linalg as la
 from prodcodes.codes import rs_code, vandermonde
 from prodcodes.decoder import (AlphaResult, DualTensorInstance, PromiseViolation,
-                               _e_coeff_basis, _grs_parity_check, _locator_matrix,
+                               _e_coeff_basis, _gcd_over, _grs_parity_check,
+                               _locator_matrix, _off_cell_columns,
                                alpha_decode, berlekamp_welch, dec_close, dec_finish,
                                dec_init, random_codeword, random_error)
 from prodcodes.poly import uni_divmod, uni_eval, uni_trim
@@ -20,8 +23,9 @@ from prodcodes.rng import stream
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: stages 2-3 with every solve done in full, through the
-# full bivariate coefficient matrix
+# reference oracles: stage 1 with one copy of each step per axis, and stages
+# 2-3 with every solve done in full, through the full bivariate coefficient
+# matrix
 # ---------------------------------------------------------------------------
 
 
@@ -60,6 +64,97 @@ def _reference_berlekamp_welch(F, points, k, word, max_errors):
     if int(np.count_nonzero(F.sub(word, cw))) > t:
         return None
     return cw
+
+
+def _reference_dec_init(inst, c):
+    """Stage 1 with one copy of each step per axis: the gcds, the
+    vanishing-pair scan and the drop pass written out for x1, then for x2."""
+    F = inst.field
+    n, s = inst.n, inst.s
+    c = np.asarray(c, dtype=np.int64).reshape(n, n)
+    H1p = inst.C1p.parity_check()
+    H2p = inst.C2p.parity_check()
+    V1s = inst.V1[:, :s + 1]
+    V2s = inst.V2[:, :s + 1]
+
+    def row_polys(U):
+        # (per-x1 coefficient rows in X2, per-x2 coefficient columns in X1)
+        return la.matmul(F, V1s, U), la.matmul(F, U, V2s.T)
+
+    K = _locator_matrix(inst, c)
+    ker = la.right_kernel(F, K)
+    if ker.shape[0] == 0:
+        raise PromiseViolation("no nonzero error locator e0 exists")
+    U0 = ker[0].reshape(s + 1, s + 1)
+
+    e0_rows, e0_cols = row_polys(U0)
+    alive1 = np.any(e0_rows != 0, axis=1)
+    alive2 = np.any(e0_cols != 0, axis=0)
+    e0_grid = la.matmul(F, la.matmul(F, V1s, U0), V2s.T)
+    supp = e0_grid != 0
+
+    def current_T():
+        return supp & np.outer(alive1, alive2)
+
+    basis = _e_coeff_basis(inst, K, current_T())
+    g1 = [None] * n
+    g2 = [None] * n
+    e_rows = [row_polys(u.reshape(s + 1, s + 1)) for u in basis]
+    for x1 in range(n):
+        if alive1[x1]:
+            g1[x1] = _gcd_over(F, [rows[x1] for rows, _ in e_rows])
+    for x2 in range(n):
+        if alive2[x2]:
+            g2[x2] = _gcd_over(F, [cols[:, x2] for _, cols in e_rows])
+
+    while True:
+        hit = None
+        live1 = np.nonzero(alive1)[0]
+        live2 = np.nonzero(alive2)[0]
+        for x1 in live1:
+            vals = uni_eval(F, g1[x1], inst.E2[live2]) if g1[x1].size else \
+                np.zeros(live2.size, dtype=np.int64)
+            zero2 = live2[np.nonzero(vals == 0)[0]] if g1[x1].size else live2
+            if zero2.size:
+                hit = (int(x1), int(zero2[0]))
+                break
+        if hit is None:
+            for x2 in live2:
+                vals = uni_eval(F, g2[x2], inst.E1[live1]) if g2[x2].size else \
+                    np.zeros(live1.size, dtype=np.int64)
+                zero1 = live1[np.nonzero(vals == 0)[0]] if g2[x2].size else live1
+                if zero1.size:
+                    hit = (int(zero1[0]), int(x2))
+                    break
+        if hit is None:
+            break
+        alive1[hit[0]] = False
+        alive2[hit[1]] = False
+
+    basis2 = _e_coeff_basis(inst, K, current_T())
+    e_rows2 = [row_polys(u.reshape(s + 1, s + 1)) for u in basis2]
+    for x1 in np.nonzero(alive1)[0]:
+        g = _gcd_over(F, [rows[x1] for rows, _ in e_rows2])
+        if not (g.size == 1 and g[0] == 1):
+            alive1[x1] = False
+    for x2 in np.nonzero(alive2)[0]:
+        g = _gcd_over(F, [cols[:, x2] for _, cols in e_rows2])
+        if not (g.size == 1 and g[0] == 1):
+            alive2[x2] = False
+
+    T = current_T()
+    cp = np.where(T, c, 0).astype(np.int64)
+    off = np.argwhere(~T)
+    if off.shape[0]:
+        A = _off_cell_columns(inst, T)
+        rhs = F.neg(la.matmul(F, la.matmul(F, H1p, cp), H2p.T).ravel())
+        sol = la.solve_right(F, A, rhs)
+        if sol is None:
+            raise PromiseViolation("erasure fill infeasible")
+        cp[off[:, 0], off[:, 1]] = sol
+    if not inst.member_enlarged(cp):
+        raise PromiseViolation("stage-1 output escaped the enlarged code")
+    return cp
 
 
 def _reference_dec_close(inst, cp):
@@ -127,8 +222,9 @@ def _reference_dec_finish(inst, y):
 
 
 def _reference_alpha_decode(inst, c):
-    """alpha_decode with the reference stages 2 and 3."""
-    with mock.patch.object(decoder, "dec_close", _reference_dec_close), \
+    """alpha_decode with the reference stages."""
+    with mock.patch.object(decoder, "dec_init", _reference_dec_init), \
+            mock.patch.object(decoder, "dec_close", _reference_dec_close), \
             mock.patch.object(decoder, "dec_finish", _reference_dec_finish):
         return alpha_decode(inst, c)
 
@@ -528,7 +624,7 @@ def test_e_coeff_basis_matches_dense_path(case):
 
 
 # ---------------------------------------------------------------------------
-# stages 2-3 against the reference stages, in and beyond the promise
+# the three stages against the reference stages, in and beyond the promise
 # ---------------------------------------------------------------------------
 
 
@@ -617,3 +713,41 @@ def test_random_error_draws_like_its_earlier_body(q, n, weight):
         want[support] = F.random(rng, weight, nonzero=True)
     got = random_error(F, n, weight, np.random.default_rng(7))
     assert np.array_equal(got, want.reshape(n, n))
+
+
+# ---------------------------------------------------------------------------
+# the pinned decoder sweep
+# ---------------------------------------------------------------------------
+
+
+def test_alpha_decode_sweep_is_pinned():
+    """105 decodes over the three matmul branches (GF(64) n = 48, GF(49)
+    n = 40, GF(97) n = 48; eps = 1/2, rho = 1/8, gamma = 2, k1 = n/8,
+    k2 = n/4), seeds 1-3, planted words at weights 0..d0+3, 8, 16, 32, 64
+    and 128 and one uniformly random word: the output words (sha256), the
+    fallback count, the residuals and the stages are those of the earlier
+    decoder, in and far beyond the promise."""
+    words, fallbacks, residuals, stages = hashlib.sha256(), 0, [], []
+    for q, n in ((64, 48), (49, 40), (97, 48)):
+        F = GF(q)
+        inst = DualTensorInstance.build(F, n, n // 8, n // 4, Fraction(1, 2),
+                                        Fraction(1, 8), gamma=2)
+        for seed in (1, 2, 3):
+            rng = stream(q, seed)
+            for weight in [*range(int(inst.d0) + 4), 8, 16, 32, 64, 128, None]:
+                if weight is None:
+                    word = F.random(rng, (n, n))
+                else:
+                    word = F.add(random_codeword(inst, rng), random_error(F, n, weight, rng))
+                res = alpha_decode(inst, word)
+                words.update(res.word.tobytes())
+                fallbacks += res.fallback
+                residuals.append(res.residual)
+                stages.append(res.stages)
+    assert len(residuals) == 105 and fallbacks == 45
+    assert words.hexdigest() == \
+        "4f74f31775e77467292b02fd4886cca57aa5535f9b5ba2f3208511f0d455f7bc"
+    assert hashlib.sha256(json.dumps(residuals).encode()).hexdigest() == \
+        "62233b7f306d6e79c8f4a5ced701b063affb63d5906ed27ef8948ec96e74ac94"
+    assert hashlib.sha256(json.dumps(stages, sort_keys=True).encode()).hexdigest() == \
+        "34c5efda2b7b53759130df92325ea84b4f72ce6f8487d207587d267d1676f7aa"

@@ -29,6 +29,19 @@ def ref_uni_divmod(F, a, b):
     return q, uni_trim(a)
 
 
+def ref_uni_mul(F, a, b):
+    """The earlier uni_mul: one F.mul and one F.add per nonzero coefficient
+    of a."""
+    a, b = uni_trim(a), uni_trim(b)
+    if a.size == 0 or b.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    out = np.zeros(a.size + b.size - 1, dtype=np.int64)
+    for i in range(a.size):
+        if a[i]:
+            out[i:i + b.size] = F.add(out[i:i + b.size], F.mul(a[i], b))
+    return out
+
+
 def brute_rank(F, M):
     """Independent oracle: largest r with a nonsingular r x r minor, where
     singularity is decided by permutation-expansion determinants."""
@@ -286,3 +299,21 @@ def test_uni_divmod_matches_reference(q, da, db, kind, pad, seed):
     assert quot.dtype == rem.dtype == np.int64
     assert np.array_equal(quot, want_q) and np.array_equal(rem, want_r)
     assert np.array_equal(a, a0)
+
+
+@given(st.sampled_from([2, 7, 8, 9, 49, 3 ** 8]), st.integers(-1, 20), st.integers(-1, 20),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_uni_mul_matches_reference(q, da, db, pad_a, pad_b, seed):
+    """The anti-diagonal sums of one outer product against the per-
+    coefficient loop they replaced, on zero polynomials (degree -1), random
+    (possibly zero) coefficients and untrimmed inputs; GF(3^8) adds without
+    an addition table."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([F.random(rng, da + 1), np.zeros(pad_a, dtype=np.int64)])
+    b = np.concatenate([F.random(rng, db + 1), np.zeros(pad_b, dtype=np.int64)])
+    a0, b0 = a.copy(), b.copy()
+    got = uni_mul(F, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref_uni_mul(F, a, b))
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)

@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import tensor
 from test_decoder import bivariate_coeffs
-from prodcodes.decoder import PromiseViolation
+from prodcodes.decoder import PromiseViolation, random_codeword, random_error
 from prodcodes.qdecoder import (CssProductInstance, InconsistentInput,
                                 QdecParams, SubsystemProductInstance,
-                                _project_coset, bounded_syndrome_search, coset_min_weight,
+                                _decode_side, _project_coset, bounded_syndrome_search, coset_min_weight,
                                 css_decode, dec_quantum, single_shot_decode,
                                 subsystem_decode, syndrome_decode,
                                 syndrome_to_word)
@@ -127,19 +127,52 @@ def test_subsystem_decode_real_errors_explore(sub16_explore):
     assert ok == 10
 
 
-def test_swap_symmetry(sub16):
-    """X-side decoding equals Z-side decoding of the swapped instance."""
-    inst = sub16
-    F = inst.field
-    swapped = SubsystemProductInstance(
-        [f.swap() for f in inst.factors], inst.params)
-    rng = stream(21, 0)
-    cx = _sample_logical(inst, rng, "x")
-    cz = _sample_logical(inst, rng, "z")
-    res = subsystem_decode(inst, cx, cz)
-    res_sw = subsystem_decode(swapped, cz, cx)
-    assert np.array_equal(res.coset_x.representative, res_sw.coset_z.representative)
-    assert np.array_equal(res.coset_z.representative, res_sw.coset_x.representative)
+# one instance of each kind with an honest promise radius (gamma = 2, rho = 1)
+SWAP_INSTANCES = {
+    "subsystem": lambda F: SubsystemProductInstance(
+        [quantum_rs(F, 16, 12, 12), quantum_rs(F, 16, 8, 9)],
+        QdecParams(Fraction(3, 16), Fraction(1), gamma=2)),
+    "css": lambda F: CssProductInstance(
+        [quantum_rs(F, 16, 12, 12), quantum_rs(F, 16, 9, 9)],
+        QdecParams(Fraction(3, 16), Fraction(1), gamma=2)),
+}
+
+
+@pytest.fixture(scope="module")
+def swap_instances():
+    return {kind: build(GF(16)) for kind, build in SWAP_INSTANCES.items()}
+
+
+def _side_outcome(inst, word, side):
+    """(representative, fallback) of _decode_side, or the message of the
+    PromiseViolation it raises."""
+    try:
+        rep, fallback = _decode_side(inst, word, side)
+    except PromiseViolation as exc:
+        return str(exc)
+    return rep.tobytes(), fallback
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(sorted(SWAP_INSTANCES)), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.integers(0, 6), st.none()))
+def test_swap_symmetry(swap_instances, kind, seed, weight):
+    """X-side decoding equals Z-side decoding of the swapped instance, and
+    the other way round.  On words of the X side's enclosing dual tensor code
+    at error weights in and beyond the promise, and on uniformly random
+    words, either instance kind gives what an independently built swapped
+    subsystem instance gives on the other side: the same representative and
+    fallback, or the same PromiseViolation."""
+    inst = swap_instances[kind]
+    F, n = inst.field, inst.n
+    swapped = SubsystemProductInstance([f.swap() for f in inst.factors], inst.params)
+    rng = np.random.default_rng(seed)
+    if weight is None:
+        word = F.random(rng, (n, n))
+    else:
+        word = F.add(random_codeword(swapped.z_dt, rng), random_error(F, n, weight, rng))
+    assert _side_outcome(inst, word, "x") == _side_outcome(swapped, word, "z")
+    assert _side_outcome(inst, word, "z") == _side_outcome(swapped, word, "x")
 
 
 def test_syndrome_to_word_and_inconsistency(sub16):
@@ -307,6 +340,25 @@ def test_single_shot_pipeline_route_above_n_512():
         res = single_shot_decode(inst, cm, la.matvec(F, cm.hz, e), distance=4)
         assert res.notes == {"method": "pipeline"} and res.denoise_failures == 0
         assert logical_coset_equal(prod, "z", res.correction.representative, e)
+
+
+def test_single_shot_pipeline_fallback_is_marked():
+    """At gamma = 20 the promise radius delta * N of the N = 1024 instance
+    is below 1, so alpha_decode falls back on a weight-1 error; the
+    pipeline route marks that in the notes."""
+    F = GF(32)
+    inst = SubsystemProductInstance(
+        [quantum_rs(F, 32, 28, 28), quantum_rs(F, 32, 16, 18)],
+        QdecParams(Fraction(1, 8), Fraction(1, 8), gamma=20))
+    cm = check_matrices(inst.product, "amplified")
+    prod = inst.product
+    assert prod.n == 1024 and inst.params.delta * prod.n < 1
+    rng = stream(64, 0)
+    e = np.zeros(prod.n, dtype=np.int64)
+    e[int(rng.integers(prod.n))] = int(F.random(rng, None, nonzero=True))
+    res = single_shot_decode(inst, cm, la.matvec(F, cm.hz, e), distance=4)
+    assert res.notes == {"method": "pipeline", "fallback": True}
+    assert res.correction is not None and res.denoise_failures == 0
 
 
 def test_single_shot_with_syndrome_noise(ss8):
