@@ -135,13 +135,14 @@ class LinearCode:
                 best = min(best, la.weight(self.codeword(msg)))
         return DistanceResult(best, False, "sampling-upper-bound")
 
-    def is_mds(self, minor_budget: int = 1_000_000) -> bool:
+    def is_mds(self) -> bool:
         """True iff distance equals n-k+1.  Tests the smaller of code/dual
-        by exhaustive maximal minors, falling back to a distance computation."""
+        by exhaustive maximal minors when there are at most 10^6 of them,
+        falling back to a distance computation."""
         if self.k == 0 or self.k == self.n:
             return True
         side = self if self.k <= self.n - self.k else self.dual()
-        if math.comb(side.n, side.k) <= minor_budget:
+        if math.comb(side.n, side.k) <= 1_000_000:
             F = side.field
             for cols in itertools.combinations(range(side.n), side.k):
                 if la.rank(F, side.gen[:, list(cols)]) < side.k:
@@ -222,11 +223,7 @@ def canonical_points(F: Field, n: int) -> np.ndarray:
 
 def vandermonde(F: Field, points: np.ndarray, k: int) -> np.ndarray:
     """n x k matrix with entry (i, j) = points[i]^j."""
-    points = np.asarray(points, dtype=np.int64)
-    cols = [np.ones_like(points)]
-    for _ in range(1, k):
-        cols.append(F.mul(cols[-1], points))
-    return np.stack(cols, axis=1) if k else np.zeros((points.size, 0), dtype=np.int64)
+    return F.power(np.asarray(points, dtype=np.int64)[:, None], np.arange(k)[None, :])
 
 
 def monomial_eval_matrix(F: Field, points: np.ndarray,

@@ -123,18 +123,15 @@ def _complete_basis(F: Field, inner: np.ndarray, outer: np.ndarray) -> np.ndarra
             else np.zeros((0, outer.shape[1]), dtype=np.int64))
 
 
-def from_css(qx: LinearCode, qz: LinearCode,
-             hx: np.ndarray | None = None, hz: np.ndarray | None = None) -> SingleSectorComplex:
-    """Complex with boundary = H_X^T H_Z from a CSS pair with equal dims."""
+def from_css(qx: LinearCode, qz: LinearCode) -> SingleSectorComplex:
+    """Complex with boundary = H_X^T H_Z from a CSS pair with equal dims,
+    H_X and H_Z the codes' own (full-rank) parity checks."""
     if qx.field != qz.field or qx.n != qz.n:
         raise ValueError("codes must share field and length")
     if qx.k != qz.k:
         raise ValueError("dim Q_X != dim Q_Z")
     F = qx.field
-    hx = qx.parity_check() if hx is None else np.atleast_2d(np.asarray(hx, dtype=np.int64))
-    hz = qz.parity_check() if hz is None else np.atleast_2d(np.asarray(hz, dtype=np.int64))
-    if la.rank(F, hx) != hx.shape[0] or la.rank(F, hz) != hz.shape[0]:
-        raise ValueError("parity checks must be full rank")
+    hx, hz = qx.parity_check(), qz.parity_check()
     if np.any(la.matmul(F, hz, hx.T)):
         raise ValueError("CSS orthogonality H_Z H_X^T = 0 fails")
     boundary = la.matmul(F, hx.T, hz)
@@ -230,10 +227,11 @@ def filling_constant_estimate(C: SingleSectorComplex, trials: int, seed: int,
     return FillingEstimate(best, len(samples), exact, samples)
 
 
-def _descend(F: Field, x: np.ndarray, kernel: np.ndarray, rng: np.random.Generator,
-             restarts: int = 4) -> int:
+def _descend(F: Field, x: np.ndarray, kernel: np.ndarray, rng: np.random.Generator) -> int:
+    """Least weight found in x + span(kernel) by greedy descent from four
+    random restarts."""
     best = la.weight(x)
-    for _ in range(restarts):
+    for _ in range(4):
         cur = x.copy()
         if kernel.shape[0]:
             coef = F.random(rng, kernel.shape[0])

@@ -11,7 +11,8 @@ All constants derive from one scale parameter gamma: the reference analysis
 sets gamma = 1000, and the desk-scale "scaled-constants" mode lowers gamma so
 that the promise radius d0 = (rho*eps*n/gamma)^2 is nontrivial at small n.
 Every derived quantity is recomputed from gamma and surfaced on the
-instance, and reports flag gamma != 1000 as beyond-reference extrapolation.
+instance.  Reports carry gamma in the instance document they record; they do
+not flag gamma != 1000 (beyond the reference analysis) by themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .gf import Field
 from . import linalg as la
 from .codes import ReedSolomon, canonical_points, error_vector, rs_code, vandermonde
-from .poly import uni_divmod, uni_gcd, uni_trim, uni_eval
+from .poly import uni_divmod, uni_gcd, uni_trim
 
 
 class PromiseViolation(RuntimeError):
@@ -92,7 +93,7 @@ def _solve_key_equation(F: Field, points: np.ndarray, k: int, word: np.ndarray,
     P, rem = uni_divmod(F, Q, E)
     if uni_trim(rem).size or P.size > k:
         return None
-    cw = uni_eval(F, P, points)
+    cw = la.matvec(F, Vq[:, :P.size], P)
     if int(np.count_nonzero(F.sub(word, cw))) > t:
         return None
     return cw
@@ -185,13 +186,10 @@ class DualTensorInstance:
 
     @staticmethod
     def build(F: Field, n: int, k1: int, k2: int, eps: Fraction,
-              rho: Fraction = Fraction(1, 8), gamma: int = 1000,
-              E1: np.ndarray | None = None, E2: np.ndarray | None = None
-              ) -> "DualTensorInstance":
+              rho: Fraction = Fraction(1, 8), gamma: int = 1000) -> "DualTensorInstance":
+        """The instance on the canonical points of F on both axes."""
         pts = canonical_points(F, n)
-        return DualTensorInstance(F, n, k1, k2,
-                                  pts if E1 is None else E1,
-                                  pts if E2 is None else E2, eps, rho, gamma)
+        return DualTensorInstance(F, n, k1, k2, pts, pts, eps, rho, gamma)
 
     # derived constants ------------------------------------------------------
 
@@ -372,6 +370,16 @@ def _line_polys(inst: DualTensorInstance, basis: np.ndarray) -> np.ndarray:
     return np.stack([rows, cols]).reshape(2, n, -1, t)
 
 
+def _grid_values(inst: DualTensorInstance, basis: np.ndarray) -> np.ndarray:
+    """The locators of the basis rows on the grid: an (n, r, n) array whose
+    [x1, b, x2] is e_b(E1[x1], E2[x2]): the x1 line polynomials, as in
+    _line_polys, times the Vandermonde columns of E2."""
+    F, n, t = inst.field, inst.n, inst.s + 1
+    U = basis.reshape(-1, t, t)
+    rows = la.matmul(F, inst.V1[:, :t], U.transpose(1, 0, 2).reshape(t, -1))
+    return la.matmul(F, rows.reshape(-1, t), inst.V2[:, :t].T).reshape(n, -1, n)
+
+
 def _gcd_over(F: Field, coeff_rows: np.ndarray) -> np.ndarray:
     """Monic gcd of the univariate polynomials in the rows of coeff_rows;
     the all-zero set gives the zero polynomial (empty coefficient array)."""
@@ -386,15 +394,6 @@ def _gcd_over(F: Field, coeff_rows: np.ndarray) -> np.ndarray:
     return g
 
 
-def _line_gcds(inst: DualTensorInstance, basis: np.ndarray,
-               alive: np.ndarray) -> list[list[np.ndarray | None]]:
-    """Per axis and live line, the gcd of the line polynomials of every basis
-    locator (None on a dead line)."""
-    lines = _line_polys(inst, basis)
-    return [[_gcd_over(inst.field, lines[axis, x]) if alive[axis, x] else None
-             for x in range(inst.n)] for axis in (0, 1)]
-
-
 def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     """Stage 1: returns c' in C1' [+] C2' close to c (error-locator stage).
 
@@ -403,15 +402,18 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     cell set T come from the kernel of [K | A_off], with (s+1)^2 + |off T|
     unknowns, canonicalized to a free-column basis (_e_coeff_basis).  The
     erasure fill solves A_off v = -syndrome for the values off the final T.
-    Both axes run the same steps; alive[0] holds the live x1, alive[1] the
-    live x2.
+    alive[0] holds the live x1 and alive[1] the live x2.
+
+    The gcd of a line's locator polynomials vanishes at a point exactly when
+    every one of them does, so the cells on which some line gcd vanishes are
+    the cells on which every admissible locator is zero: one grid evaluation
+    finds them, and the test is the same for both axes.
     """
     F = inst.field
-    n, s = inst.n, inst.s
+    n = inst.n
     c = np.asarray(c, dtype=np.int64).reshape(n, n)
     H1p = inst.C1p.parity_check()
     H2p = inst.C2p.parity_check()
-    points = (inst.E1, inst.E2)
 
     # nonzero e0 with (e0 * c) in C1' [+] C2': kernel of a linear system in
     # the (s+1)^2 coefficients
@@ -419,36 +421,26 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     ker = la.right_kernel(F, K)
     if ker.shape[0] == 0:
         raise PromiseViolation("no nonzero error locator e0 exists")
-    e0 = _line_polys(inst, ker[:1])[:, :, 0]
-    alive = np.any(e0 != 0, axis=2)
-    supp = la.matmul(F, e0[0], inst.V2[:, :s + 1].T) != 0
+    supp = _grid_values(inst, ker[:1])[:, 0] != 0
+    # a line polynomial of e0 has degree <= s < n, so it is nonzero exactly
+    # when it is nonzero at one of the n points of its line
+    alive = np.stack([supp.any(axis=1), supp.any(axis=0)])
 
     def current_T() -> np.ndarray:
-        return supp & np.outer(alive[0], alive[1])
+        return supp & np.outer(*alive)
 
-    g = _line_gcds(inst, _e_coeff_basis(inst, K, current_T()), alive)
-
-    def vanishing_pair() -> tuple[int, int] | None:
-        """The first live (x1, x2) on which the gcd of a live line vanishes,
-        scanning the lines over x1 before those over x2."""
-        live = [np.nonzero(a)[0] for a in alive]
-        for axis in (0, 1):
-            across = live[1 - axis]
-            for x in live[axis]:
-                zero = across[uni_eval(F, g[axis][x], points[1 - axis][across]) == 0] \
-                    if g[axis][x].size else across
-                if zero.size:
-                    return (x, zero[0]) if axis == 0 else (zero[0], x)
-        return None
-
-    # while some gcd vanishes on a live pair, remove the pair
-    while (hit := vanishing_pair()) is not None:
-        alive[0, hit[0]] = alive[1, hit[1]] = False
+    # while every admissible locator vanishes on a live cell, remove the
+    # first such cell in row-major order with its row and column
+    zero = ~_grid_values(inst, _e_coeff_basis(inst, K, supp)).any(axis=1)
+    while (hit := np.argwhere(zero & np.outer(*alive))).size:
+        alive[0, hit[0, 0]] = alive[1, hit[0, 1]] = False
 
     # recompute the basis over the shrunken support, then keep only the live
-    # lines whose recomputed gcd is 1
-    g = _line_gcds(inst, _e_coeff_basis(inst, K, current_T()), alive)
-    alive &= [[gx is not None and np.array_equal(gx, [1]) for gx in ga] for ga in g]
+    # lines whose recomputed gcd is 1: a gcd of higher degree may have no
+    # root in GF(q), so grid values cannot decide this
+    lines = _line_polys(inst, _e_coeff_basis(inst, K, current_T()))
+    for axis, x in np.argwhere(alive):
+        alive[axis, x] = np.array_equal(_gcd_over(F, lines[axis, x]), [1])
 
     # erasure fill: any c' in C1' [+] C2' agreeing with c on the final cells
     T = current_T()

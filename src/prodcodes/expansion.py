@@ -290,7 +290,7 @@ def _first_min_ratio(best, words, costs, parts, lengths):
     return best
 
 
-def _descend_decomposition(F: Field, parts, pair_bases, lengths, sweeps: int = 3):
+def _descend_decomposition(F: Field, parts, pair_bases, lengths):
     """Greedy coordinate descent on a batch: parts[i] holds part i (W, N) of
     W words.  Each scalar multiple of each C^(i,j) generator is tried once
     for the whole batch and moved from part j to part i of every word whose
@@ -300,7 +300,7 @@ def _descend_decomposition(F: Field, parts, pair_bases, lengths, sweeps: int = 3
     t = len(parts)
     cur = [p.copy() for p in parts]
     part_cost = [lengths[i] * dir_weights(cur[i], i, lengths) for i in range(t)]
-    for _ in range(sweeps):
+    for _ in range(3):
         improved = False
         for (i, j), B in pair_bases:
             for row in B:

@@ -9,9 +9,11 @@ Fields with q = p^e <= 2^20 are supported.  Extension-field multiplication
 goes through a full table or through discrete log/antilog tables (see
 Field).  Those tables are built from a primitive modulus, so the canonical
 modulus for each (p, e) is the first *primitive* monic polynomial in a fixed
-enumeration order (for e = 1 this is X - g with g the smallest primitive
-root mod p).  The canonical ordering of field elements is 0, 1, g, g^2, ...
-for the generator g = X mod modulus.
+enumeration order.  For e = 1 the enumeration meets the constant term p - g
+first, so the modulus is X - g with g the *largest* primitive root mod p
+(GF(7) gets X + 2, g = 5).  The canonical ordering of field elements is
+0, 1, g, g^2, ... for the field generator g: X mod modulus when e > 1, and
+the smallest primitive root mod p (3 for GF(7)) when e = 1.
 """
 
 from __future__ import annotations

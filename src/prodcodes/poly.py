@@ -1,8 +1,9 @@
 """Dense univariate polynomials over a Field.
 
 A polynomial is a numpy coefficient array (index = degree).  The helpers
-multiply, divide, take (extended) gcds and evaluate at many points at once;
-Berlekamp-Welch decoding divides, takes gcds and evaluates through them.
+multiply, divide and take (extended) gcds; Berlekamp-Welch decoding divides
+through them and stage 1 of the decoder takes line gcds.  Evaluation goes
+through Vandermonde matrices (codes.vandermonde), not through this module.
 """
 
 from __future__ import annotations
@@ -96,12 +97,3 @@ def _uni_sub(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bb[: b.size] = b
     return uni_trim(F.sub(aa, bb))
 
-
-def uni_eval(F: Field, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Horner evaluation of one polynomial at many points."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    points = np.asarray(points, dtype=np.int64)
-    acc = np.zeros_like(points)
-    for c in coeffs[::-1]:
-        acc = F.add(F.mul(acc, points), np.int64(c))
-    return acc

@@ -42,9 +42,9 @@ class CorrectionCoset:
 # ---------------------------------------------------------------------------
 
 
-def dec_quantum(dt: DualTensorInstance, k1: int, k1p: int, k2: int, k2p: int,
+def dec_quantum(dt: DualTensorInstance, k1p: int, k2: int, k2p: int,
                 c0: np.ndarray, radius: int) -> np.ndarray:
-    """Move c0 in ev^{[0,k1)} [+] ev^{[0,k2p)} into
+    """Move c0 in ev^{[0,k1)} [+] ev^{[0,k2p)}, with k1 = dt.k1, into
     Q_Z' = ev^{([0,k1) x [0,n)) u ([0,n) x [0,k2)) u ([0,k1p) x [0,k2p))}
     by decoding each coefficient column j2 in [k2, k2p) against the length-n
     RS code of dimension k1p, on the evaluation points E1 x E2 of dt.
@@ -192,7 +192,7 @@ def _decode_side(inst: SubsystemProductInstance, word: np.ndarray,
     n = inst.n
     f1, f2 = inst.factors
     res = alpha_decode(inst.z_dt, np.asarray(word, dtype=np.int64).reshape(n, n))
-    return dec_quantum(inst.z_dt, n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k, res.word,
+    return dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, f2.qz.k, res.word,
                        inst.params.stripe_radius(n, f1.qz.k)), res.fallback
 
 
@@ -329,18 +329,18 @@ def bounded_syndrome_search(F: Field, H: np.ndarray, target: np.ndarray,
         return np.zeros(n, dtype=np.int64)
     if m == 0:
         return None
-    # weight 1: target must be a scalar multiple of one column
-    for j in range(n):
-        col = H[:, j]
-        nz = np.nonzero(col)[0]
-        tnz = np.nonzero(target)[0]
-        if nz.size == 0 or not np.array_equal(nz, tnz):
-            continue
-        v = F.div(target[nz[0]], col[nz[0]])
-        if np.array_equal(F.mul(v, col), target):
-            e = np.zeros(n, dtype=np.int64)
-            e[j] = v
-            return e
+    # weight 1: the first column j with v_j H[:, j] = target, where
+    # v_j = target[i] / H[i, j] at the first nonzero row i of target
+    # (a column with H[i, j] = 0 cannot match)
+    i = int(np.flatnonzero(target)[0])
+    usable = H[i] != 0
+    v = F.div(target[i], np.where(usable, H[i], 1))
+    match = usable & (F.mul(v[None, :], H) == target[:, None]).all(axis=0)
+    if match.any():
+        e = np.zeros(n, dtype=np.int64)
+        j = int(np.argmax(match))
+        e[j] = v[j]
+        return e
     work = 0
     for w in range(2, max_weight + 1):
         for support in itertools.combinations(range(n), w):
@@ -403,16 +403,13 @@ def _denoise_product_syndrome(F: Field, factors: list[CssPair], side: str,
     m2 = (factors[1].qx if side == "x" else factors[1].qz).parity_check().shape[0]
     out = np.asarray(s, dtype=np.int64).copy()
     failures = 0
-    blk1 = out[: 2 * m1 * n].reshape(2 * m1, n)
-    if m1:
-        ok, cw = berlekamp_welch(F, canonical_points(F, 2 * m1), m1, blk1.T, m1 // 2)
-        failures += int(np.count_nonzero(~ok))
-        blk1[:, ok] = cw[ok].T
-    blk2 = out[2 * m1 * n:].reshape(n, 2 * m2)
-    if m2:
-        ok, cw = berlekamp_welch(F, canonical_points(F, 2 * m2), m2, blk2, m2 // 2)
-        failures += int(np.count_nonzero(~ok))
-        blk2[ok] = cw[ok]
+    # the stripes of each block as row views of out
+    for stripes, m in ((out[: 2 * m1 * n].reshape(2 * m1, n).T, m1),
+                       (out[2 * m1 * n:].reshape(n, 2 * m2), m2)):
+        if m:
+            ok, cw = berlekamp_welch(F, canonical_points(F, 2 * m), m, stripes, m // 2)
+            failures += int(np.count_nonzero(~ok))
+            stripes[ok] = cw[ok]
     return out, failures
 
 

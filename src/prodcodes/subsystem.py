@@ -12,8 +12,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .codes import (DEFAULT_DISTANCE_BUDGET, DistanceResult, LinearCode,
-                    canonical_points, rs_code, tensor)
+from .codes import DEFAULT_DISTANCE_BUDGET, DistanceResult, LinearCode, rs_code, tensor
 
 
 class CssPair:
@@ -90,15 +89,13 @@ class CssPair:
         return f"CssPair[{kind}; n={self.n}, k={self.dimension}]"
 
 
-def quantum_rs(F: Field, n: int, kx: int, kz: int,
-               points: np.ndarray | None = None) -> CssPair:
-    """Quantum Reed-Solomon pair (RS(n,kx), RS(n,kz)); needs kx + kz >= n."""
+def quantum_rs(F: Field, n: int, kx: int, kz: int) -> CssPair:
+    """Quantum Reed-Solomon pair (RS(n,kx), RS(n,kz)) on the canonical
+    points; needs kx + kz >= n."""
     if kx + kz < n:
         raise ValueError(f"kx + kz = {kx + kz} < n = {n}: orthogonality fails")
-    if points is None:
-        points = canonical_points(F, n)
-    qx = rs_code(F, n, kx, points)
-    qz = rs_code(F, n, kz, points)
+    qx = rs_code(F, n, kx)
+    qz = rs_code(F, n, kz)
     return CssPair(qx, qz, subsystem=False, label=f"qRS({n},{kx},{kz})")
 
 
@@ -149,7 +146,7 @@ def _side_distance(F: Field, logical_space: np.ndarray, gauge_dual: np.ndarray,
     for _ in range(trials):
         coef = F.random(rng, dim)
         v = la.matmul(F, coef[None, :], logical_space)[0]
-        if gauge_par.shape[0] and not np.any(la.matvec(F, gauge_par, v)):
+        if not np.any(la.matvec(F, gauge_par, v)):
             continue
         if v.any():
             best = min(best, la.weight(v))

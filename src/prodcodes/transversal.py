@@ -49,11 +49,11 @@ def _dedup_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _pair_products(F: Field, A: np.ndarray, B: np.ndarray,
-                   chunk: int = 1 << 20) -> np.ndarray:
+def _pair_products(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """All products A[i] * B[j], i-major, built about 2^20 entries at a time."""
     n = A.shape[1]
     out = []
-    step = max(1, chunk // max(1, B.shape[0] * n))
+    step = max(1, (1 << 20) // max(1, B.shape[0] * n))
     for i in range(0, A.shape[0], step):
         block = F.mul(A[i:i + step, None, :], B[None, :, :])
         out.append(block.reshape(-1, n))

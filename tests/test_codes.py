@@ -13,8 +13,10 @@ from prodcodes.codes import (BudgetExceeded, LinearCode, canonical_points, disti
                              ltc_soundness_estimate, monomial_eval_matrix,
                              punctured_tensor_rs, rs_code, star_product,
                              tensor, vandermonde, zero_code)
-from prodcodes.poly import uni_eval, uni_mul
+from prodcodes.poly import uni_mul
 from prodcodes.subsystem import quantum_rs, subsystem_product, check_matrices
+
+from test_decoder import uni_eval
 
 
 def test_rs_distance_exhaustive():

@@ -18,7 +18,7 @@ from prodcodes.decoder import (AlphaResult, DualTensorInstance, PromiseViolation
                                _locator_matrix, _off_cell_columns,
                                alpha_decode, berlekamp_welch, dec_close, dec_finish,
                                dec_init, random_codeword, random_error)
-from prodcodes.poly import uni_divmod, uni_eval, uni_trim
+from prodcodes.poly import uni_divmod, uni_trim
 from prodcodes.rng import stream
 
 
@@ -38,6 +38,16 @@ def bivariate_coeffs(F, E1, E2, c):
     Fc = la.solve_right(F, V2, T1.T)
     assert T1 is not None and Fc is not None
     return Fc.T
+
+
+def uni_eval(F, coeffs, points):
+    """Horner evaluation of one polynomial at many points."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    points = np.asarray(points, dtype=np.int64)
+    acc = np.zeros_like(points)
+    for c in coeffs[::-1]:
+        acc = F.add(F.mul(acc, points), np.int64(c))
+    return acc
 
 
 def _reference_berlekamp_welch(F, points, k, word, max_errors):
@@ -66,9 +76,10 @@ def _reference_berlekamp_welch(F, points, k, word, max_errors):
     return cw
 
 
-def _reference_dec_init(inst, c):
+def _reference_dec_init(inst, c, hits=None):
     """Stage 1 with one copy of each step per axis: the gcds, the
-    vanishing-pair scan and the drop pass written out for x1, then for x2."""
+    vanishing-pair scan and the drop pass written out for x1, then for x2.
+    The cells the scan removes are appended to hits when it is a list."""
     F = inst.field
     n, s = inst.n, inst.s
     c = np.asarray(c, dtype=np.int64).reshape(n, n)
@@ -128,6 +139,8 @@ def _reference_dec_init(inst, c):
                     break
         if hit is None:
             break
+        if hits is not None:
+            hits.append(hit)
         alive1[hit[0]] = False
         alive2[hit[1]] = False
 
@@ -657,6 +670,56 @@ def test_alpha_decode_matches_reference_stages(case):
     assert np.array_equal(got.word, want.word)
     assert (got.fallback, got.residual, got.stages) == \
         (want.fallback, want.residual, want.stages)
+
+
+def locator_quotient_word(inst, rng):
+    """A codeword plus w / e0 on the support of a random locator e0, where w
+    holds up to two random C2' rows and two random C1' columns.  Such a word
+    lies far beyond the promise: e0 * c agrees with a word of C1' [+] C2' off
+    the zeros of e0, while the errors sit on the support of e0, so the admissible
+    locators can share zeros on live lines and the stage-1 scan drops
+    cells."""
+    F, n, s = inst.field, inst.n, inst.s
+    e0 = la.matmul(F, la.matmul(F, inst.V1[:, :s + 1], F.random(rng, (s + 1, s + 1))),
+                   inst.V2[:, :s + 1].T)
+    w = np.zeros((n, n), dtype=np.int64)
+    for i in rng.choice(n, rng.integers(0, 3), replace=False):
+        w[i] = F.add(w[i], inst.C2p.codeword(F.random(rng, inst.k2 + s)))
+    for j in rng.choice(n, rng.integers(0, 3), replace=False):
+        w[:, j] = F.add(w[:, j], inst.C1p.codeword(F.random(rng, inst.k1 + s)))
+    errors = np.where(e0 != 0, F.div(w, np.where(e0 != 0, e0, 1)), 0)
+    return F.add(random_codeword(inst, rng), errors)
+
+
+def assert_dec_init_matches_reference(inst, c):
+    """dec_init and _reference_dec_init return the same word or raise the
+    same PromiseViolation; returns the cells the reference scan removed."""
+    hits = []
+    try:
+        want = _reference_dec_init(inst, c, hits)
+    except PromiseViolation as exc:
+        with pytest.raises(PromiseViolation) as got:
+            dec_init(inst, c)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(dec_init(inst, c), want)
+    return hits
+
+
+def test_dec_init_scan_drops_cells_like_the_reference():
+    """A word on which the stage-1 scan removes five cells, and dec_init
+    still returns what the reference returns."""
+    inst = DualTensorInstance.build(GF(16), 8, 1, 2, Fraction(1, 2), Fraction(1, 8), gamma=1)
+    hits = assert_dec_init_matches_reference(
+        inst, locator_quotient_word(inst, np.random.default_rng(33)))
+    assert len(hits) == 5
+
+
+@given(st.sampled_from([13, 16, 25]), st.integers(8, 10), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60)
+def test_dec_init_matches_reference_beyond_the_promise(q, n, seed):
+    inst = DualTensorInstance.build(GF(q), n, 1, 2, Fraction(1, 2), Fraction(1, 8), gamma=1)
+    assert_dec_init_matches_reference(inst, locator_quotient_word(inst, np.random.default_rng(seed)))
 
 
 def test_instance_rejects_bad_evaluation_points():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodcodes import linalg as la
+from prodcodes.codes import vandermonde
 from prodcodes.gf import GF, MUL_TABLE_MAX_ORDER, Field, canonical_modulus
 
 # both sides of the multiplication-table cut, odd extensions, primes, and
@@ -124,6 +125,28 @@ def ranked(F, rng, m, n, r):
     if n > 2:
         M[:, rng.integers(n)] = 0
     return M
+
+
+def ref_vandermonde(F, points, k):
+    """The Vandermonde matrix as a loop of cumulative products."""
+    points = np.asarray(points, dtype=np.int64)
+    cols = [np.ones_like(points)]
+    for _ in range(1, k):
+        cols.append(F.mul(cols[-1], points))
+    return np.stack(cols, axis=1) if k else np.zeros((points.size, 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_vandermonde_matches_cumulative_products(q):
+    """One Field.power call gives the cumulative-product matrix, with 0^0 = 1,
+    for no columns, no points, and exponents past q - 1."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    pts = np.concatenate([[0, 1, q - 1, 0], F.random(rng, 8)]).astype(np.int64)
+    for points in (pts, np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64)):
+        for k in (0, 1, 2, 7, q + 2 if q < 30 else 30):
+            got = vandermonde(F, points, k)
+            assert got.dtype == np.int64 and np.array_equal(got, ref_vandermonde(F, points, k))
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)

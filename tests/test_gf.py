@@ -16,6 +16,20 @@ def test_canonical_modulus_gf4_is_standard():
     assert canonical_modulus(2, 2) == (1, 1, 1)  # X^2 + X + 1
 
 
+@pytest.mark.parametrize("p, modulus, largest, smallest",
+                         [(3, (1, 1), 2, 2), (5, (2, 1), 3, 2), (7, (2, 1), 5, 3),
+                          (11, (3, 1), 8, 2), (97, (5, 1), 92, 5)])
+def test_prime_canonical_modulus_is_x_minus_largest_primitive_root(p, modulus, largest,
+                                                                     smallest):
+    """The e = 1 enumeration meets the constant term p - g first, so the
+    modulus is X - g for the largest primitive root g; the field still
+    generates its exp table from the smallest one."""
+    roots = [g for g in range(1, p) if len({pow(g, i, p) for i in range(p - 1)}) == p - 1]
+    assert (max(roots), min(roots)) == (largest, smallest)
+    assert canonical_modulus(p, 1) == modulus == (p - largest, 1)
+    assert GF(p).generator == smallest
+
+
 def test_trace_gf4_values(gf4):
     # direct Frobenius-conjugate oracle: tr(x) = x + x^2
     xs = gf4.elements()

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
-from prodcodes.poly import uni_divmod, uni_ext_gcd, uni_eval, uni_gcd, uni_mul, uni_trim
+from prodcodes.poly import uni_divmod, uni_ext_gcd, uni_gcd, uni_mul, uni_trim
+
+from test_decoder import uni_eval
 
 
 def ref_uni_divmod(F, a, b):

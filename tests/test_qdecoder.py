@@ -60,7 +60,7 @@ def test_dec_quantum_identity_on_clean(sub16):
     cz = _sample_logical(inst, rng, "z")
     f1, f2 = inst.factors
     n = inst.n
-    out = dec_quantum(inst.z_dt, n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k,
+    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, f2.qz.k,
                       cz.reshape(n, n), 0)
     assert np.array_equal(out.ravel(), cz)
 
@@ -79,7 +79,7 @@ def test_dec_quantum_confinement(sub16_explore):
     word = F.add(cz, e)
     from prodcodes.decoder import alpha_decode
     res = alpha_decode(inst.z_dt, word)
-    out = dec_quantum(inst.z_dt, n - f1.qx.k, f1.qz.k, n - f2.qx.k, f2.qz.k,
+    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, f2.qz.k,
                       res.word, inst.params.stripe_radius(n, f1.qz.k))
     diff = F.sub(out, res.word)
     coeffs = bivariate_coeffs(F, f1.qx.points, f2.qz.points, diff)
@@ -287,6 +287,64 @@ def test_bounded_syndrome_search(gf8, rng):
     assert bounded_syndrome_search(gf8, H, t, 0) is None
     zero = bounded_syndrome_search(gf8, H, np.zeros(6, dtype=np.int64), 2)
     assert zero is not None and not zero.any()
+
+
+def _reference_weight_one(F, H, target):
+    """The earlier weight-1 scan of bounded_syndrome_search: one column at a
+    time, the first scalar multiple of a column equal to target."""
+    for j in range(H.shape[1]):
+        col = H[:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0 or not np.array_equal(nz, np.nonzero(target)[0]):
+            continue
+        v = F.div(target[nz[0]], col[nz[0]])
+        if np.array_equal(F.mul(v, col), target):
+            e = np.zeros(H.shape[1], dtype=np.int64)
+            e[j] = v
+            return e
+    return None
+
+
+def _assert_weight_one_matches(F, H, target):
+    got = bounded_syndrome_search(F, H, target, 1)
+    want = _reference_weight_one(F, H, target)
+    assert (got is None and want is None) or np.array_equal(got, want)
+    return got
+
+
+def test_weight_one_search_first_matching_column_wins(gf8):
+    """A zero column, a column whose support differs only below the first
+    nonzero row, and two matching columns: the first of them is returned."""
+    H = np.array([[0, 3, 1, 0, 5, 2],
+                  [0, 1, 1, 4, 1, 4],
+                  [0, 0, 6, 2, 0, 0]], dtype=np.int64)
+    H[:, 4] = gf8.mul(H[:, 1], 7)
+    target = gf8.mul(H[:, 1], 3)
+    e = _assert_weight_one_matches(gf8, H, target)
+    assert np.flatnonzero(e).tolist() == [1]
+    # no column is a multiple of this target
+    assert _assert_weight_one_matches(gf8, H, np.array([1, 0, 1], dtype=np.int64)) is None
+    assert _assert_weight_one_matches(gf8, H[:, :1], target) is None
+
+
+@given(st.sampled_from([2, 4, 7, 8, 9]), st.integers(1, 5), st.integers(0, 8),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=150)
+def test_weight_one_search_matches_column_loop(q, m, n, seed, planted):
+    """Sparse random checks with zero and repeated scaled columns, and a
+    target that is a multiple of one column or drawn at random."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    H = np.where(rng.random((m, n)) < 0.5, F.random(rng, (m, n), nonzero=True), 0)
+    if n >= 2:
+        j1, j2 = rng.integers(n, size=2)
+        H[:, j2] = F.mul(H[:, j1], F.random(rng, nonzero=True))
+    if planted and n:
+        target = F.mul(H[:, rng.integers(n)], F.random(rng, nonzero=True))
+    else:
+        target = F.random(rng, m)
+    if target.any():
+        _assert_weight_one_matches(F, H, target)
 
 
 def test_coset_min_weight(gf4):
