@@ -37,8 +37,8 @@ from .qdecoder import (CssProductInstance, InconsistentInput, QdecParams,
                        SubsystemProductInstance, coset_min_weight, css_decode,
                        single_shot_decode, subsystem_decode, syndrome_decode)
 from .rng import stream
-from .subsystem import (CssPair, check_matrices, logical_coset_equal,
-                        quantum_rs, subsystem_distance, subsystem_product)
+from .subsystem import (CssPair, check_matrices, logical_coset_equal, quantum_rs,
+                        subsystem_distance)
 from . import transversal as tv
 
 EXIT_OK, EXIT_USAGE, EXIT_PROMISE, EXIT_INCONSISTENT = 0, 1, 2, 3
@@ -114,6 +114,13 @@ def _fraction(text: str) -> list[int]:
     else:
         f = Fraction(text)
     return [f.numerator, f.denominator]
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of every --seed, --trials, --distance and --budget."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
 
 
 def _decoder_params(args) -> tuple[Fraction, Fraction, int]:
@@ -434,8 +441,8 @@ def cmd_decode_one(args) -> int:
 
 def cmd_pe_exact(args) -> int:
     docs = _read_json(args.codes)
-    if not isinstance(docs, list):
-        raise UsageError(f"{args.codes} must hold a JSON list of codes")
+    if not isinstance(docs, list) or not docs:
+        raise UsageError(f"{args.codes} must hold a non-empty JSON list of codes")
     with _boundary():
         codes = [LinearCode.from_json(d) for d in docs]
     try:
@@ -614,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", default="1/2")
     b.add_argument("--rho", default="1/8")
     b.add_argument("--gamma", type=int, default=20)
-    b.add_argument("--seed", type=int, required=True)
+    b.add_argument("--seed", type=_non_negative_int, required=True)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_build_code)
 
@@ -623,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = d.add_mutually_exclusive_group(required=True)
     group.add_argument("--noise-weight", type=int, default=None)
     group.add_argument("--noise-rate", type=float, default=None)
-    d.add_argument("--trials", type=int, required=True)
-    d.add_argument("--seed", type=int, required=True)
+    d.add_argument("--trials", type=_non_negative_int, required=True)
+    d.add_argument("--seed", type=_non_negative_int, required=True)
     d.add_argument("--out", default=None)
     d.add_argument("--csv", default=None)
     d.add_argument("--timings", action="store_true")
@@ -641,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pe-exact", help="exact product-expansion of a code tuple")
     p.add_argument("--codes", required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=_non_negative_int, default=2_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pe_exact)
 
@@ -649,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     mutex = g.add_mutually_exclusive_group(required=True)
     mutex.add_argument("--params", default=None, help="r,q for the RS instance")
     mutex.add_argument("--instance", default=None, help="triple-product JSON")
-    g.add_argument("--trials", type=int, default=1000)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--trials", type=_non_negative_int, default=1000)
+    g.add_argument("--seed", type=_non_negative_int, default=0)
     g.add_argument("--out", default=None)
     g.add_argument("--timings", action="store_true")
     g.set_defaults(func=cmd_gate_verify)
@@ -659,17 +666,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--instance", required=True)
     s.add_argument("--syndrome-noise", type=int, required=True)
     s.add_argument("--error-weight", type=int, default=1)
-    s.add_argument("--distance", type=int, required=True)
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--distance", type=_non_negative_int, required=True)
+    s.add_argument("--trials", type=_non_negative_int, required=True)
+    s.add_argument("--seed", type=_non_negative_int, required=True)
     s.add_argument("--out", default=None)
     s.add_argument("--csv", default=None)
     s.set_defaults(func=cmd_single_shot_trials)
 
     t = sub.add_parser("distance", help="distance of a code or subsystem pair")
     t.add_argument("--instance", required=True)
-    t.add_argument("--budget", type=int, default=2_000_000)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--budget", type=_non_negative_int, default=2_000_000)
+    t.add_argument("--seed", type=_non_negative_int, default=0)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_distance)
     return ap

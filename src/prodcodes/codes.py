@@ -18,6 +18,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
+from .rng import stream
 
 DEFAULT_DISTANCE_BUDGET = 2_000_000
 
@@ -345,7 +346,7 @@ def punctured_tensor_rs(F: Field, m: int, u: int, k: int,
     if points is None:
         if seed is None:
             raise ValueError("either points or seed must be given")
-        rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+        rng = stream(seed)
         if F.q ** u <= 1 << 22:
             grid = np.array(list(itertools.product(range(F.q), repeat=u)), dtype=np.int64)
             sel = rng.permutation(grid.shape[0])[:n]
@@ -431,7 +432,7 @@ def ltc_soundness_estimate(F: Field, H: np.ndarray, trials: int, seed: int,
     m, n = H.shape
     ker = la.right_kernel(F, H)
     exact = F.q ** ker.shape[0] <= coset_budget
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     errors, syn_ws = [], []
     while len(errors) < trials:
         e = error_vector(F, n, int(rng.integers(1, n + 1)), rng)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
+from .rng import stream
 from .codes import DistanceResult, LinearCode, DEFAULT_DISTANCE_BUDGET
 
 
@@ -108,19 +109,11 @@ class SingleSectorComplex:
 
 
 def _complete_basis(F: Field, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Rows of `outer` extending rowspace(inner) to rowspace(outer)."""
-    picked = []
-    current = inner
-    r = la.rank(F, current)
-    for row in outer:
-        cand = np.concatenate([current, row[None, :]], axis=0)
-        rc = la.rank(F, cand)
-        if rc > r:
-            picked.append(row)
-            current = cand
-            r = rc
-    return (np.stack(picked, axis=0) if picked
-            else np.zeros((0, outer.shape[1]), dtype=np.int64))
+    """Rows of `outer` extending rowspace(inner) to rowspace(outer): row i
+    is picked when it lies outside the span of inner and the earlier rows,
+    that is when column len(inner) + i of [inner; outer]^T is a pivot."""
+    _, piv = la.rref(F, np.concatenate([inner, outer], axis=0).T)
+    return outer[[c - inner.shape[0] for c in piv if c >= inner.shape[0]]]
 
 
 def from_css(qx: LinearCode, qz: LinearCode) -> SingleSectorComplex:
@@ -170,7 +163,7 @@ def systolic_distance(C: SingleSectorComplex,
                                     exclude=la.right_kernel(F, bnd))
         return DistanceResult(int(w[0]), True, "coset-enumeration")
     reps = C.homology_reps()
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     best = C.dim + 1
     for _ in range(trials):
         coef = F.random(rng, k)
@@ -205,7 +198,7 @@ def filling_constant_estimate(C: SingleSectorComplex, trials: int, seed: int,
     fits the budget, otherwise randomized descent over kernel directions.
     """
     F = C.field
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     cyc = C.cycles()
     exact = F.q ** cyc.shape[0] <= budget
     xs, b_ws, pres = [], [], []

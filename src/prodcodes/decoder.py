@@ -4,8 +4,9 @@ The decoder runs three subroutines: an error-locator stage that lands in a
 slightly enlarged code (dec_init), a degree-reduction stage that strips the
 extra coefficient rows and columns with per-stripe Reed-Solomon decoding
 (dec_close), and a greedy peeling stage that minimizes the final coset
-representative (dec_finish).  A Berlekamp-Welch decoder backs both stripe
-decoding and peeling.
+representative (dec_finish).  berlekamp_welch backs both stripe decoding
+and peeling; it decodes RS syndromes within the unique radius by Prony's
+method, as the Peterson-Gorenstein-Zierler decoder does.
 
 All constants derive from one scale parameter gamma: the reference analysis
 sets gamma = 1000, and the desk-scale "scaled-constants" mode lowers gamma so
@@ -28,7 +29,7 @@ import numpy as np
 from .gf import Field
 from . import linalg as la
 from .codes import ReedSolomon, canonical_points, error_vector, rs_code, vandermonde
-from .poly import uni_divmod, uni_gcd, uni_trim
+from .poly import uni_gcd, uni_trim
 
 
 class PromiseViolation(RuntimeError):
@@ -37,12 +38,12 @@ class PromiseViolation(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Berlekamp-Welch
+# Reed-Solomon decoding within the unique radius
 # ---------------------------------------------------------------------------
 
 
 class Decoded(NamedTuple):
-    """Berlekamp-Welch results for a batch of B words: ok[b] says whether
+    """berlekamp_welch results for a batch of B words: ok[b] says whether
     word b decoded, and words[b] holds its codeword (zero where it did not)."""
 
     ok: np.ndarray
@@ -75,50 +76,37 @@ def _grs_parity_check_of(F: Field, points: bytes, k: int) -> np.ndarray:
     return H
 
 
-def _solve_key_equation(F: Field, points: np.ndarray, k: int, word: np.ndarray,
-                        t: int) -> np.ndarray | None:
-    """The codeword within t of one word from a full key-equation solve, or
-    None when no consistent codeword exists."""
-    # unknowns: Q of degree < k + t and monic E of degree t with
-    # Q(x) = word(x) * E(x) at every point
-    Vq = vandermonde(F, points, k + t)
-    Ve = Vq[:, :t]
-    lhs = np.concatenate([Vq, F.neg(F.mul(word[:, None], Ve))], axis=1)
-    rhs = F.mul(word, F.power(points, t))
-    sol = la.solve_right(F, lhs, rhs)
-    if sol is None:
+def _correct(F: Field, H: np.ndarray, word: np.ndarray, s: np.ndarray,
+             t: int) -> np.ndarray | None:
+    """word - e for the e of weight <= t with H e = s, or None (Prony's method).
+
+    s_j = sum_i u_i e_i x_i^j, so a monic P of degree t solving the Hankel
+    system sum_l s_{j+l} P_l = 0 (j < n - k - t, at least t >= |supp e|
+    equations) has u_i e_i P(x_i) = 0: P vanishes on supp e.  Its <= t roots
+    R are the zeros of (H[:t+1]^T P)_i = u_i P(x_i), and t <= (n - k) / 2
+    columns of H are independent, so H[:, R] e_R = s has at most one
+    solution."""
+    hank = s[np.arange(s.size - t)[:, None] + np.arange(t + 1)]
+    p = la.solve_right(F, hank[:, :t], F.neg(hank[:, t]))
+    if p is None:
         return None
-    Q = uni_trim(sol[: k + t])
-    E = np.concatenate([sol[k + t:], np.array([1], dtype=np.int64)])
-    P, rem = uni_divmod(F, Q, E)
-    if uni_trim(rem).size or P.size > k:
+    roots = np.nonzero(la.matvec(F, H[:t + 1].T, np.append(p, 1)) == 0)[0]
+    e = la.solve_right(F, H[:, roots], s)
+    if e is None:
         return None
-    cw = la.matvec(F, Vq[:, :P.size], P)
-    if int(np.count_nonzero(F.sub(word, cw))) > t:
-        return None
-    return cw
+    out = word.copy()
+    out[roots] = F.sub(word[roots], e)
+    return out
 
 
 def berlekamp_welch(F: Field, points: np.ndarray, k: int, words: np.ndarray,
                     max_errors: int) -> Decoded:
     """Unique decoding of a (B, n) batch of words in RS_points(k) on
-    distinct points: for each word, the codeword within max_errors of it, or
-    a failure when no consistent codeword exists.
-
-    Beyond the unique-decoding radius the routine returns some consistent
-    codeword or a failure, never a wrong-radius claim.
-
-    When k + 2t <= n, one matmul with the closed-form parity check screens
-    the batch before any solve, and both rules return what the solve would:
-    - a word with zero syndrome is a codeword w = ev(P); every solution
-      (Q, E) of its key equation has Q - P E of degree < k + t <= n
-      vanishing on all n points, so Q / E = P and w comes back unchanged;
-    - a word of weight <= t lies within t of the zero codeword, and two
-      solutions (Q, E), (Q0, E0) give Q E0 - Q0 E of degree < k + 2t <= n
-      vanishing on all n points, so it gets the zero codeword (the
-      light-word rule).
-    Only the other words go through a key-equation solve, one at a time.
-    When k + 2t > n neither rule holds and every word is solved.
+    distinct points: for each word, the codeword within max_errors = t of it,
+    or a failure when there is none.  Requires k + 2t <= n, where that
+    codeword is unique (ValueError otherwise); a negative t, or k outside
+    [0, n], fails every word.  One matmul with the closed-form parity check
+    gives every syndrome, and each nonzero one goes through _correct.
     """
     points = np.asarray(points, dtype=np.int64)
     words = np.asarray(words, dtype=np.int64)
@@ -128,15 +116,15 @@ def berlekamp_welch(F: Field, points: np.ndarray, k: int, words: np.ndarray,
     out = np.zeros_like(words)
     if t < 0 or k < 0 or k > n:
         return Decoded(ok, out)
-    todo = np.arange(words.shape[0])
-    if k + 2 * t <= n:
-        syn = la.matmul(F, words, _grs_parity_check(F, points, k).T)
-        code = ~syn.any(axis=1)
-        out[code] = words[code]
-        ok[code | (np.count_nonzero(words, axis=1) <= t)] = True
-        todo = np.nonzero(~ok)[0]
-    for b in todo:
-        cw = _solve_key_equation(F, points, k, words[b], t)
+    if k + 2 * t > n:
+        raise ValueError(f"k + 2t = {k + 2 * t} exceeds n = {n}: beyond unique decoding")
+    H = _grs_parity_check(F, points, k)
+    syn = la.matmul(F, words, H.T)
+    code = ~syn.any(axis=1)
+    ok[code] = True
+    out[code] = words[code]
+    for b in np.nonzero(~code)[0]:
+        cw = _correct(F, H, words[b], syn[b], t)
         if cw is not None:
             ok[b] = True
             out[b] = cw
@@ -467,7 +455,7 @@ def clean_stripes(F: Field, word: np.ndarray, interp: np.ndarray, basis: np.ndar
                   points: np.ndarray, k: int, radius: int, failure) -> np.ndarray:
     """The residue that per-stripe RS decoding strips off word.
 
-    The stripe words interp @ word decode in one Berlekamp-Welch batch
+    The stripe words interp @ word decode in one berlekamp_welch batch
     against RS_points(k) within radius, and their residues enter the word
     through basis: the result is basis @ (stripes - codewords).  Raises
     PromiseViolation(failure(i)) at the first stripe i that fails."""
@@ -513,13 +501,13 @@ def dec_finish(inst: DualTensorInstance, y: np.ndarray) -> tuple[np.ndarray, int
     radius t; strictly decreases |y| each step, at most n^2 iterations.
 
     Each sweep peels the first column, then the first row, in index order
-    whose Berlekamp-Welch decode is a nonzero codeword: the columns are the
-    lines of y^T in C1, the rows those of y in C2.  By the light-word rule
-    of berlekamp_welch, a line of weight <= t decodes to the zero codeword
-    when k + 2t <= n for its code.  That condition always holds here:
-    t = ceil(eps n / 2) - 1 < eps n / 2 and k1 + k2 <= (1 - eps) n give
-    k1 + 2t < n and k2 + 2t < n.  So only lines heavier than t are decoded,
-    and line weights are counted once per scan."""
+    whose decode within t is a nonzero codeword: the columns are the lines
+    of y^T in C1, the rows those of y in C2.  Here k + 2t < n for both
+    codes, as berlekamp_welch requires: t = ceil(eps n / 2) - 1 < eps n / 2
+    and k1 + k2 <= (1 - eps) n give k1 + 2t < n and k2 + 2t < n.  So the
+    codeword within t of a line is unique, and a line of weight <= t, within
+    t of the zero codeword, decodes to zero: only lines heavier than t are
+    decoded, and line weights are counted once per scan."""
     F = inst.field
     n = inst.n
     y = np.asarray(y, dtype=np.int64).reshape(n, n).copy()

@@ -19,6 +19,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
+from .rng import stream
 from .codes import BudgetExceeded, LinearCode
 
 DEFAULT_PE_BUDGET = 2_000_000
@@ -236,7 +237,7 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
     t = len(codes)
     lengths = tuple(c.n for c in codes)
     N = int(np.prod(lengths))
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
 
     dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
     if dt_gen.shape[0] == 0:

@@ -1,9 +1,10 @@
 """Dense univariate polynomials over a Field.
 
 A polynomial is a numpy coefficient array (index = degree).  The helpers
-multiply, divide and take (extended) gcds; Berlekamp-Welch decoding divides
-through them and stage 1 of the decoder takes line gcds.  Evaluation goes
-through Vandermonde matrices (codes.vandermonde), not through this module.
+multiply, divide and take (extended) gcds; in the package only stage 1 of
+the decoder uses them now, for its line gcds (uni_gcd, through uni_divmod).
+Evaluation goes through Vandermonde matrices (codes.vandermonde), not
+through this module.
 """
 
 from __future__ import annotations

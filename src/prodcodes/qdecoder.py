@@ -23,8 +23,7 @@ from .codes import BudgetExceeded, canonical_points, tensor
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
                       berlekamp_welch, clean_stripes, params_from_json)
-from .subsystem import CheckMatrices, CssPair, check_matrices, quantum_rs, \
-    subsystem_product
+from .subsystem import CheckMatrices, CssPair, subsystem_product
 
 
 class InconsistentInput(RuntimeError):
@@ -42,9 +41,10 @@ class CorrectionCoset:
 # ---------------------------------------------------------------------------
 
 
-def dec_quantum(dt: DualTensorInstance, k1p: int, k2: int, k2p: int,
-                c0: np.ndarray, radius: int) -> np.ndarray:
-    """Move c0 in ev^{[0,k1)} [+] ev^{[0,k2p)}, with k1 = dt.k1, into
+def dec_quantum(dt: DualTensorInstance, k1p: int, k2: int, c0: np.ndarray,
+                radius: int) -> np.ndarray:
+    """Move c0 in ev^{[0,k1)} [+] ev^{[0,k2p)}, with k1 = dt.k1 and
+    k2p = dt.k2, into
     Q_Z' = ev^{([0,k1) x [0,n)) u ([0,n) x [0,k2)) u ([0,k1p) x [0,k2p))}
     by decoding each coefficient column j2 in [k2, k2p) against the length-n
     RS code of dimension k1p, on the evaluation points E1 x E2 of dt.
@@ -53,7 +53,7 @@ def dec_quantum(dt: DualTensorInstance, k1p: int, k2: int, k2p: int,
     the interpolation rows [k2, k2p) of dt's cached V2^-1 are needed: the
     columns clean c0^T through clean_stripes, as in stage 2 of the decoder.
     """
-    F, n = dt.field, dt.n
+    F, n, k2p = dt.field, dt.n, dt.k2
     c0 = np.asarray(c0, dtype=np.int64).reshape(n, n)
     cols = clean_stripes(F, c0.T, dt.V2_inv[k2:k2p], dt.V2[:, k2:k2p], dt.E1, k1p, radius,
                          lambda i: f"quantum stripe decode failed at column {k2 + i}")
@@ -192,7 +192,7 @@ def _decode_side(inst: SubsystemProductInstance, word: np.ndarray,
     n = inst.n
     f1, f2 = inst.factors
     res = alpha_decode(inst.z_dt, np.asarray(word, dtype=np.int64).reshape(n, n))
-    return dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, f2.qz.k, res.word,
+    return dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, res.word,
                        inst.params.stripe_radius(n, f1.qz.k)), res.fallback
 
 
@@ -396,7 +396,7 @@ def _denoise_product_syndrome(F: Field, factors: list[CssPair], side: str,
 
     Block 1 columns lie in the factor-1 outer RS code, block 2 rows in the
     factor-2 outer code; each block decodes its stripes within the unique
-    radius in one Berlekamp-Welch batch.
+    radius in one berlekamp_welch batch.
     """
     n = factors[0].n
     m1 = (factors[0].qx if side == "x" else factors[0].qz).parity_check().shape[0]

@@ -12,6 +12,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
+from .rng import stream
 from .codes import DEFAULT_DISTANCE_BUDGET, DistanceResult, LinearCode, rs_code, tensor
 
 
@@ -158,7 +159,7 @@ def subsystem_distance(Q: CssPair, budget: int = DEFAULT_DISTANCE_BUDGET,
     """Subsystem distance: min weight over the two dressed-logical classes
     (Q_X + Q_Z^perp) setminus Q_Z^perp and (Q_Z + Q_X^perp) setminus Q_X^perp."""
     F = Q.field
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     dz, ez = _side_distance(F, Q.logical_z_space(), Q.qx.dual().gen, budget, rng, trials)
     dx, ex = _side_distance(F, Q.logical_x_space(), Q.qz.dual().gen, budget, rng, trials)
     val = min(dx, dz)

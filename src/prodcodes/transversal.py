@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
+from .rng import stream
 from .codes import (BudgetExceeded, LinearCode, box_exponents, canonical_points,
                     distinct_points, monomial_eval_matrix, vandermonde)
 from .subsystem import CssPair, quantum_rs, subsystem_product
@@ -356,7 +357,7 @@ def phase_identity_test(gate: GateInstance, trials: int, seed: int) -> PhaseRepo
     """Exactly check sum_j prod_h z^h_j = sum_j a_j prod_h z'^h_j on sampled
     messages and coset representatives z'^h = Enc(z^h) + random stabilizer."""
     F = gate.field
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     ell = gate.n_logical
     S = gate.S_basis
     for trial in range(trials):
@@ -704,7 +705,7 @@ def triple_product_build(F: Field, m: int, u: int, seed: int) -> TripleProductGa
             "factored synthesis covers window size 1; larger windows need the "
             "dense route")
     n = p.n
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     points = [distinct_points(F, n, u, rng) for _ in range(3)]
     gammas = [_solve_gamma(F, E, p.k0, u, rng) for E in points]
     for i, (E, g) in enumerate(zip(points, gammas)):
@@ -798,7 +799,7 @@ def triple_phase_identity_test(gate: TripleProductGate, trials: int,
     a_scale times the sum of D_0 * D_1 * D_2.
     """
     F = gate.field
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     qz = list(zip(gate.block_bases["qz"], gate.block_bases["qz_split"]))
     qx_perp = [(b, None) for b in gate.block_bases["qx_perp"]]
     # slot S_{s+1} takes its axis-s part from (Q_X)^perp, the rest from Q_Z

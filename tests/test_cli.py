@@ -1,6 +1,8 @@
 """CLI: subcommands, reports, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -660,3 +662,56 @@ def test_decode_trials_checks_css_rate_conditions(trial_instances, tmp_path, cap
                  "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "rate conditions" in err
+
+
+# each command with the options it needs to run, and its numeric options;
+# an argument that names a built document (an instance kind, or "pe-exact"
+# for a list of two rs codes) stands for its path
+NUMERIC_COMMANDS = {
+    "build-rs": (["build-code", "--kind", "rs", "--q", "4", "--n", "3", "--k", "2"],
+                 ["--seed"]),
+    "build-punctured": (["build-code", "--kind", "punctured-tensor-rs", "--q", "16",
+                         "--m", "4", "--u", "2", "--k", "2"], ["--seed"]),
+    "decode-trials": (["decode-trials", "--instance", "dual-tensor"],
+                      ["--noise-weight", "--trials", "--seed"]),
+    "single-shot-trials": (["single-shot-trials", "--instance", "subsystem-product"],
+                           ["--syndrome-noise", "--error-weight", "--distance", "--trials",
+                            "--seed"]),
+    "gate-verify": (["gate-verify", "--params", "2,16"], ["--trials", "--seed"]),
+    "distance": (["distance", "--instance", "qrs"], ["--budget", "--seed"]),
+    "pe-exact": (["pe-exact", "--codes", "pe-exact"], ["--budget"]),
+}
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_numeric_options_exit_with_documented_codes(trial_instances, boundary_instances,
+                                                    nested_documents, tmp_path_factory,
+                                                    data):
+    """Every numeric option of every command drawn negative, 0 or small: the
+    command returns 0, 1 or 2 with no traceback, and exits 1 with an error
+    line whenever a value is negative."""
+    out = tmp_path_factory.getbasetemp() / "numeric"
+    out.mkdir(exist_ok=True)
+    codes = out / "codes.json"
+    codes.write_text(json.dumps(nested_documents["pe-exact"][0]))
+    docs = {**trial_instances, **boundary_instances, "pe-exact": codes}
+    argv, options = NUMERIC_COMMANDS[data.draw(st.sampled_from(sorted(NUMERIC_COMMANDS)))]
+    argv = [str(docs.get(a, a)) for a in argv]
+    values = {opt: data.draw(st.integers(max_value=-1) | st.integers(0, 3), label=opt)
+              for opt in options}
+    for opt, value in values.items():
+        argv += [opt, str(value)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", str(out / "report.json")])
+    assert rc in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if min(values.values()) < 0:
+        assert rc == 1 and "error: " in err.getvalue()
+
+
+def test_pe_exact_rejects_an_empty_code_list(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    assert main(["pe-exact", "--codes", str(empty)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import rs_code
-from prodcodes.complexes import (SingleSectorComplex, cosystolic_distance,
-                                 filling_constant_estimate, from_css,
-                                 hom_product, systolic_distance)
+from prodcodes.complexes import (SingleSectorComplex, _complete_basis,
+                                 cosystolic_distance, filling_constant_estimate,
+                                 from_css, hom_product, systolic_distance)
 from prodcodes.subsystem import quantum_rs
 
 
@@ -152,3 +153,37 @@ def test_filling_estimate_bounds():
         b = la.matvec(F, C.boundary, e)
         if b.any():
             assert est.mu_hat >= 0  # sanity; exact bound checked in acceptance
+
+
+def _reference_complete_basis(F, inner, outer):
+    """The greedy loop: one rank per row of outer."""
+    picked = []
+    current = inner
+    r = la.rank(F, current)
+    for row in outer:
+        cand = np.concatenate([current, row[None, :]], axis=0)
+        rc = la.rank(F, cand)
+        if rc > r:
+            picked.append(row)
+            current = cand
+            r = rc
+    return (np.stack(picked, axis=0) if picked
+            else np.zeros((0, outer.shape[1]), dtype=np.int64))
+
+
+@settings(max_examples=150)
+@given(q=st.sampled_from([2, 3, 4, 8]), n=st.integers(0, 7), a=st.integers(0, 4),
+       b=st.integers(0, 6), rank=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_complete_basis_matches_greedy_loop(q, n, a, b, rank, seed):
+    """One rref picks the rows the greedy rank loop picks, with an empty
+    inner, and an outer of rank below its row count (products of a
+    b x rank and a rank x n matrix, with repeated and zero rows)."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    inner = F.random(rng, (a, n))
+    outer = la.matmul(F, F.random(rng, (b, rank)), F.random(rng, (rank, n)))
+    if b > 1:
+        outer[-1] = outer[0]
+    got = _complete_basis(F, inner, outer)
+    want = _reference_complete_basis(F, inner, outer)
+    assert got.shape == want.shape and np.array_equal(got, want)

@@ -19,6 +19,7 @@ from prodcodes.decoder import (AlphaResult, DualTensorInstance, PromiseViolation
                                alpha_decode, berlekamp_welch, dec_close, dec_finish,
                                dec_init, random_codeword, random_error)
 from prodcodes.poly import uni_divmod, uni_trim
+from prodcodes.qdecoder import QdecParams
 from prodcodes.rng import stream
 
 
@@ -282,12 +283,12 @@ def test_bw_against_exhaustive_nearest():
 @st.composite
 def bw_cases(draw):
     """Distinct points over GF(p), GF(2^e) or GF(p^e), a dimension and a
-    radius on both sides of k + 2t = n, and a word at distance 0..t+2 from a
-    random codeword (the zero codeword one time in four)."""
+    radius with k + 2t <= n, and a word at distance 0..t+2 from a random
+    codeword (the zero codeword one time in four)."""
     F = GF(draw(st.sampled_from([7, 8, 9, 13, 16])))
     n = draw(st.integers(1, min(F.q, 16)))
     k = draw(st.integers(0, n))
-    t = draw(st.integers(0, n))
+    t = draw(st.integers(0, (n - k) // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     points = rng.permutation(F.q)[:n].astype(np.int64)
     msg = F.random(rng, k) if draw(st.integers(0, 3)) else np.zeros(k, dtype=np.int64)
@@ -300,7 +301,7 @@ def bw_cases(draw):
 
 @given(bw_cases())
 @settings(max_examples=300)
-def test_bw_light_word_rule_matches_full_solve(case):
+def test_bw_matches_full_solve(case):
     F, points, k, word, t = case
     got = bw_one(F, points, k, word, t)
     want = _reference_berlekamp_welch(F, points, k, word, t)
@@ -316,14 +317,14 @@ BW_WORD_KINDS = ("codeword", "light", "within", "beyond", "random")
 @st.composite
 def bw_batches(draw):
     """A batch of B = 0..8 words on distinct points over GF(p), GF(2^e) or
-    GF(p^e), with k and t on both sides of k + 2t = n (k = 0, k = n and
-    t = 0 drawn often).  Each word is a codeword, a light word (weight <= t),
-    a codeword plus 1..t errors, a codeword plus more than t errors, or a
-    uniform random word."""
+    GF(p^e), with k + 2t <= n (k = 0, k = n, t = 0 and n - k = 2t drawn
+    often).  Each word is a codeword, a light word (weight <= t), a codeword
+    plus 1..t errors, a codeword plus more than t errors, or a uniform
+    random word."""
     F = GF(draw(st.sampled_from([7, 8, 9, 13, 16])))
     n = draw(st.integers(1, min(F.q, 16)))
     k = draw(st.sampled_from([0, n]) | st.integers(0, n))
-    t = draw(st.just(0) | st.integers(0, n))
+    t = draw(st.sampled_from([0, (n - k) // 2]) | st.integers(0, (n - k) // 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     points = rng.permutation(F.q)[:n].astype(np.int64)
     V = vandermonde(F, points, k)
@@ -347,9 +348,9 @@ def bw_batches(draw):
 @given(bw_batches())
 @settings(max_examples=300)
 def test_bw_batch_matches_reference_per_word(case):
-    """The syndrome screen and the light-word rule change no entry: every
-    word of the batch decodes as the full key-equation solve decodes it
-    alone, and a failed word comes back as zeros."""
+    """Every word of the batch decodes from its syndrome as the full
+    key-equation solve decodes it alone, and a failed word comes back as
+    zeros."""
     F, points, k, words, t = case
     ok, cws = berlekamp_welch(F, points, k, words, t)
     assert ok.shape == (words.shape[0],) and ok.dtype == bool
@@ -358,6 +359,89 @@ def test_bw_batch_matches_reference_per_word(case):
         want = _reference_berlekamp_welch(F, points, k, word, t)
         assert ok[b] == (want is not None)
         assert np.array_equal(cws[b], np.zeros_like(word) if want is None else want)
+
+
+# (q, n, k, t, error positions): the points are 0, 1, ..., n - 1 in the
+# field's integer encoding, so position 0 is the point 0
+BW_EDGE_CASES = {
+    "error at the point 0": (8, 8, 2, 3, [0, 3, 6]),
+    "only the point 0 wrong": (13, 7, 3, 1, [0]),
+    "t = 0": (13, 9, 4, 0, []),
+    "k = 0": (11, 10, 0, 4, [1, 2, 5, 9]),
+    "k = n": (9, 9, 9, 0, []),
+    "n - k = 2t": (16, 12, 4, 4, [0, 2, 7, 11]),
+    "n - k = 2t, fewer errors": (27, 10, 6, 2, [4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BW_EDGE_CASES))
+def test_bw_edge_cases(case):
+    """A codeword with errors at the given positions comes back exactly, as
+    in the full key-equation solve, together with the codeword itself and,
+    where t > 0, a word with t + 1 errors; the decoder also takes B = 0."""
+    q, n, k, t, positions = BW_EDGE_CASES[case]
+    F = GF(q)
+    rng = np.random.default_rng(q * n + k)
+    points = np.arange(n, dtype=np.int64)
+    cw = la.matvec(F, vandermonde(F, points, k), F.random(rng, k))
+    e = np.zeros(n, dtype=np.int64)
+    e[positions] = F.random(rng, len(positions), nonzero=True)
+    heavy = np.zeros(n, dtype=np.int64)
+    heavy[: min(t + 1, n)] = F.random(rng, min(t + 1, n), nonzero=True)
+    words = np.stack([F.add(cw, e), cw, F.add(cw, heavy)])
+    ok, cws = berlekamp_welch(F, points, k, words, t)
+    assert ok[0] and ok[1] and np.array_equal(cws[0], cw) and np.array_equal(cws[1], cw)
+    for b, word in enumerate(words):
+        want = _reference_berlekamp_welch(F, points, k, word, t)
+        assert ok[b] == (want is not None)
+        assert np.array_equal(cws[b], np.zeros(n, dtype=np.int64) if want is None else want)
+    ok, cws = berlekamp_welch(F, points, k, words[:0], t)
+    assert ok.shape == (0,) and cws.shape == (0, n)
+
+
+@pytest.mark.parametrize("n, k, t", [(8, 3, 3), (8, 8, 1), (5, 0, 3), (1, 0, 1)])
+def test_bw_refuses_radii_beyond_unique_decoding(n, k, t):
+    """k + 2t > n has no unique codeword within t, and berlekamp_welch
+    raises instead of choosing one."""
+    F = GF(16)
+    with pytest.raises(ValueError, match="unique decoding"):
+        berlekamp_welch(F, np.arange(n), k, np.zeros((2, n), dtype=np.int64), t)
+
+
+@settings(max_examples=60)
+@given(q=st.sampled_from([16, 17, 25]), data=st.data())
+def test_every_caller_decodes_within_the_unique_radius(q, data):
+    """On random valid instances and planted words, every call that
+    alpha_decode's stages make (dec_close's stripes through clean_stripes,
+    dec_finish's lines) has k + 2t <= n, and so does every radius of the
+    quantum stripe cleanup (QdecParams.stripe_radius); test_qdecoder spies
+    on the quantum callers themselves."""
+    n = data.draw(st.integers(4, 16), label="n")
+    eps = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+    k1 = data.draw(st.integers(0, int((1 - eps) * n)), label="k1")
+    k2 = data.draw(st.integers(0, int((1 - eps) * n) - k1), label="k2")
+    rho = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(1)]))
+    gamma = data.draw(st.sampled_from([1, 2]), label="gamma")
+    F = GF(q)
+    try:
+        inst = DualTensorInstance.build(F, n, k1, k2, eps, rho, gamma)
+    except ValueError:
+        return  # the locator degree s reaches n
+    rng = stream(q, data.draw(st.integers(0, 2 ** 16), label="seed"))
+    weight = data.draw(st.integers(1, min(n * n, int(inst.d0) + 3)), label="weight")
+    c = F.add(random_codeword(inst, rng), random_error(F, n, weight, rng))
+    calls = []
+
+    def spy(F, points, k, words, t):
+        calls.append((len(points), k, t))
+        return berlekamp_welch(F, points, k, words, t)
+
+    with mock.patch.object(decoder, "berlekamp_welch", spy):
+        res = alpha_decode(inst, c)
+    assert inst.member(res.word)
+    assert all(k + 2 * t <= m for m, k, t in calls)
+    params = QdecParams(eps, rho, gamma)
+    assert all(kdim + 2 * params.stripe_radius(n, kdim) <= n for kdim in range(n + 1))
 
 
 @pytest.mark.parametrize("q, n", [(7, 1), (7, 7), (8, 8), (9, 6), (16, 11), (49, 20)])

@@ -2,16 +2,18 @@
 decoders, syndrome formulation, bounded coset search, single-shot decoding."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
-from prodcodes import linalg as la
+from prodcodes import decoder, linalg as la, qdecoder
 from prodcodes.codes import tensor
 from test_decoder import bivariate_coeffs
-from prodcodes.decoder import PromiseViolation, random_codeword, random_error
+from prodcodes.decoder import (PromiseViolation, berlekamp_welch, random_codeword,
+                               random_error)
 from prodcodes.qdecoder import (CssProductInstance, InconsistentInput,
                                 QdecParams, SubsystemProductInstance,
                                 _decode_side, _project_coset, bounded_syndrome_search, coset_min_weight,
@@ -60,8 +62,7 @@ def test_dec_quantum_identity_on_clean(sub16):
     cz = _sample_logical(inst, rng, "z")
     f1, f2 = inst.factors
     n = inst.n
-    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, f2.qz.k,
-                      cz.reshape(n, n), 0)
+    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, cz.reshape(n, n), 0)
     assert np.array_equal(out.ravel(), cz)
 
 
@@ -79,8 +80,8 @@ def test_dec_quantum_confinement(sub16_explore):
     word = F.add(cz, e)
     from prodcodes.decoder import alpha_decode
     res = alpha_decode(inst.z_dt, word)
-    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, f2.qz.k,
-                      res.word, inst.params.stripe_radius(n, f1.qz.k))
+    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, res.word,
+                      inst.params.stripe_radius(n, f1.qz.k))
     diff = F.sub(out, res.word)
     coeffs = bivariate_coeffs(F, f1.qx.points, f2.qz.points, diff)
     k2, k2p = n - f2.qx.k, f2.qz.k
@@ -417,6 +418,41 @@ def test_single_shot_pipeline_fallback_is_marked():
     res = single_shot_decode(inst, cm, la.matvec(F, cm.hz, e), distance=4)
     assert res.notes == {"method": "pipeline", "fallback": True}
     assert res.correction is not None and res.denoise_failures == 0
+
+
+def test_quantum_decoders_decode_within_the_unique_radius(sub16_explore, ss8):
+    """On real noise, the quantum stripe cleanup (dec_quantum, through the
+    decoder's clean_stripes) and the single-shot syndrome denoiser ask
+    berlekamp_welch for k + 2t <= n."""
+    calls = {"decoder": [], "qdecoder": []}
+
+    def spy(module):
+        def bw(F, points, k, words, t):
+            calls[module].append((len(points), k, t))
+            return berlekamp_welch(F, points, k, words, t)
+        return bw
+
+    with mock.patch.object(decoder, "berlekamp_welch", spy("decoder")), \
+            mock.patch.object(qdecoder, "berlekamp_welch", spy("qdecoder")):
+        inst = sub16_explore
+        F, N = inst.field, inst.product.n
+        for trial in range(3):
+            rng = stream(13, trial)
+            e = np.zeros(N, dtype=np.int64)
+            e[rng.permutation(N)[:2]] = F.random(rng, 2, nonzero=True)
+            subsystem_decode(inst, F.add(_sample_logical(inst, rng, "x"), e),
+                             F.add(_sample_logical(inst, rng, "z"), e))
+        inst, cm = ss8
+        F = inst.field
+        for trial in range(3):
+            rng = stream(14, trial)
+            e = np.zeros(inst.product.n, dtype=np.int64)
+            e[int(rng.integers(e.size))] = int(F.random(rng, None, nonzero=True))
+            s = la.matvec(F, cm.hz, e)
+            s[int(rng.integers(s.size))] = int(F.random(rng, None, nonzero=True))
+            single_shot_decode(inst, cm, s, distance=4)
+    assert calls["decoder"] and calls["qdecoder"]
+    assert all(k + 2 * t <= n for n, k, t in calls["decoder"] + calls["qdecoder"])
 
 
 def test_single_shot_with_syndrome_noise(ss8):
