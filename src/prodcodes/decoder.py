@@ -328,21 +328,28 @@ def _off_cell_columns(inst: DualTensorInstance, T: np.ndarray) -> np.ndarray:
     return cols.reshape(H1p.shape[0] * H2p.shape[0], off.shape[0])
 
 
-def _e_coeff_basis(inst: DualTensorInstance, K: np.ndarray,
-                   T: np.ndarray) -> np.ndarray:
-    """Basis of all e in F[X]^{[0,s]^2} with (e*c) restricted to the cell set
-    T lying inside the restriction of C1' [+] C2'.
+def _eliminate(inst: DualTensorInstance, K: np.ndarray, c: np.ndarray,
+               T: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The locators admissible on the cell set T, and the erasure fill of
+    the a = |off T| cells off T, both read off R = rref([A_off | K]).
 
-    With K from _locator_matrix the condition reads K u in colspan(A_off):
-    the syndrome of e*c must be the syndrome of some word supported off T.  The
-    projection of the kernel of [K | A_off] onto its first (s+1)^2
-    coordinates spans exactly these u; right_kernel applied twice turns that
-    spanning set into the canonical free-column basis of the subspace.
-    """
-    F = inst.field
-    M = np.concatenate([K, _off_cell_columns(inst, T)], axis=1)
-    proj = la.right_kernel(F, M)[:, : K.shape[1]]
-    return la.right_kernel(F, la.right_kernel(F, proj))
+    R = P [A_off | K] with P invertible; its first r rows hold the pivots
+    among the A_off columns, and rows r.. vanish on them.  So K u lies in
+    colspan(A_off) exactly when R[r:, a:] u = 0, a block in rref whose
+    kernel is the canonical free-column basis.  Column a of R is P times
+    K's column (0, 0), the syndrome of c, which is that of c|T plus
+    A_off c[~T]: A_off v = -syndrome of c|T is solvable exactly when
+    R[r:, a] = 0 (else the fill is None), and solve_right's solution then
+    takes R[:r, :a] c[~T] - R[:r, a] on the pivot cells and 0 elsewhere."""
+    F, a = inst.field, int(np.count_nonzero(~T))
+    R, piv = la.rref(F, np.concatenate([_off_cell_columns(inst, T), K], axis=1))
+    r = sum(p < a for p in piv)
+    basis = la.rref_kernel(F, R[r:, a:], [p - a for p in piv[r:]])
+    if R[r:, a].any():
+        return basis, None
+    fill = np.zeros(a, dtype=np.int64)
+    fill[piv[:r]] = F.sub(la.matvec(F, R[:r, :a], c[~T]), R[:r, a])
+    return basis, fill
 
 
 def _line_polys(inst: DualTensorInstance, basis: np.ndarray) -> np.ndarray:
@@ -360,12 +367,11 @@ def _line_polys(inst: DualTensorInstance, basis: np.ndarray) -> np.ndarray:
 
 def _grid_values(inst: DualTensorInstance, basis: np.ndarray) -> np.ndarray:
     """The locators of the basis rows on the grid: an (n, r, n) array whose
-    [x1, b, x2] is e_b(E1[x1], E2[x2]): the x1 line polynomials, as in
-    _line_polys, times the Vandermonde columns of E2."""
-    F, n, t = inst.field, inst.n, inst.s + 1
-    U = basis.reshape(-1, t, t)
-    rows = la.matmul(F, inst.V1[:, :t], U.transpose(1, 0, 2).reshape(t, -1))
-    return la.matmul(F, rows.reshape(-1, t), inst.V2[:, :t].T).reshape(n, -1, n)
+    [x1, b, x2] is e_b(E1[x1], E2[x2]): the x1 line polynomials of
+    _line_polys times the Vandermonde columns of E2."""
+    t = inst.s + 1
+    rows = _line_polys(inst, basis)[0].reshape(-1, t)
+    return la.matmul(inst.field, rows, inst.V2[:, :t].T).reshape(inst.n, -1, inst.n)
 
 
 def _gcd_over(F: Field, coeff_rows: np.ndarray) -> np.ndarray:
@@ -385,26 +391,19 @@ def _gcd_over(F: Field, coeff_rows: np.ndarray) -> np.ndarray:
 def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     """Stage 1: returns c' in C1' [+] C2' close to c (error-locator stage).
 
-    Every linear solve of the stage is small: the locator e0 spans the first
-    kernel row of K (e0*c in C1' [+] C2'), and the locators admissible on a
-    cell set T come from the kernel of [K | A_off], with (s+1)^2 + |off T|
-    unknowns, canonicalized to a free-column basis (_e_coeff_basis).  The
-    erasure fill solves A_off v = -syndrome for the values off the final T.
-    alive[0] holds the live x1 and alive[1] the live x2.
+    The locator e0 spans the first kernel row of K (e0*c in C1' [+] C2').
+    The locators admissible on a cell set T and the erasure fill off the
+    final T are read off one elimination of [A_off | K] (_eliminate).  T
+    only shrinks, and is eliminated again only when it changed.  alive[0]
+    holds the live x1 and alive[1] the live x2.
 
     The gcd of a line's locator polynomials vanishes at a point exactly when
     every one of them does, so the cells on which some line gcd vanishes are
     the cells on which every admissible locator is zero: one grid evaluation
     finds them, and the test is the same for both axes.
     """
-    F = inst.field
-    n = inst.n
+    F, n = inst.field, inst.n
     c = np.asarray(c, dtype=np.int64).reshape(n, n)
-    H1p = inst.C1p.parity_check()
-    H2p = inst.C2p.parity_check()
-
-    # nonzero e0 with (e0 * c) in C1' [+] C2': kernel of a linear system in
-    # the (s+1)^2 coefficients
     K = _locator_matrix(inst, c)
     ker = la.right_kernel(F, K)
     if ker.shape[0] == 0:
@@ -413,34 +412,34 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     # a line polynomial of e0 has degree <= s < n, so it is nonzero exactly
     # when it is nonzero at one of the n points of its line
     alive = np.stack([supp.any(axis=1), supp.any(axis=0)])
+    last = [None, None]  # the last cell set eliminated, and what it gave
 
-    def current_T() -> np.ndarray:
-        return supp & np.outer(*alive)
+    def eliminated() -> tuple[np.ndarray, np.ndarray | None]:
+        T = supp & np.outer(*alive)
+        if not np.array_equal(last[0], T):
+            last[:] = T, _eliminate(inst, K, c, T)
+        return last[1]
 
     # while every admissible locator vanishes on a live cell, remove the
     # first such cell in row-major order with its row and column
-    zero = ~_grid_values(inst, _e_coeff_basis(inst, K, supp)).any(axis=1)
+    zero = ~_grid_values(inst, eliminated()[0]).any(axis=1)
     while (hit := np.argwhere(zero & np.outer(*alive))).size:
         alive[0, hit[0, 0]] = alive[1, hit[0, 1]] = False
 
-    # recompute the basis over the shrunken support, then keep only the live
-    # lines whose recomputed gcd is 1: a gcd of higher degree may have no
-    # root in GF(q), so grid values cannot decide this
-    lines = _line_polys(inst, _e_coeff_basis(inst, K, current_T()))
+    # keep the live lines whose gcd over the shrunken support is 1: a gcd of
+    # higher degree may have no root in GF(q), which grid values cannot see
+    lines = _line_polys(inst, eliminated()[0])
     for axis, x in np.argwhere(alive):
         alive[axis, x] = np.array_equal(_gcd_over(F, lines[axis, x]), [1])
 
     # erasure fill: any c' in C1' [+] C2' agreeing with c on the final cells
-    T = current_T()
-    cp = np.where(T, c, 0).astype(np.int64)
-    off = np.argwhere(~T)
-    if off.shape[0]:
-        A = _off_cell_columns(inst, T)
-        rhs = F.neg(la.matmul(F, la.matmul(F, H1p, cp), H2p.T).ravel())
-        sol = la.solve_right(F, A, rhs)
-        if sol is None:
+    T = supp & np.outer(*alive)
+    cp = np.where(T, c, 0)
+    if not T.all():
+        fill = eliminated()[1]
+        if fill is None:
             raise PromiseViolation("erasure fill infeasible")
-        cp[off[:, 0], off[:, 1]] = sol
+        cp[~T] = fill
     if not inst.member_enlarged(cp):
         raise PromiseViolation("stage-1 output escaped the enlarged code")
     return cp

@@ -41,21 +41,24 @@ class CorrectionCoset:
 # ---------------------------------------------------------------------------
 
 
-def dec_quantum(dt: DualTensorInstance, k1p: int, k2: int, c0: np.ndarray,
-                radius: int) -> np.ndarray:
-    """Move c0 in ev^{[0,k1)} [+] ev^{[0,k2p)}, with k1 = dt.k1 and
-    k2p = dt.k2, into
+def dec_quantum(inst: SubsystemProductInstance, c0: np.ndarray) -> np.ndarray:
+    """Move c0 in ev^{[0,k1)} [+] ev^{[0,k2p)}, the code of dt = inst.z_dt
+    (k1 = dt.k1, k2p = dt.k2), into
     Q_Z' = ev^{([0,k1) x [0,n)) u ([0,n) x [0,k2)) u ([0,k1p) x [0,k2p))}
-    by decoding each coefficient column j2 in [k2, k2p) against the length-n
-    RS code of dimension k1p, on the evaluation points E1 x E2 of dt.
+    with k1p = dim Q^1_Z and k2 = n - dim Q^2_X, by decoding each coefficient
+    column j2 in [k2, k2p) against the length-n RS code of dimension k1p
+    within the product's stripe radius, on the evaluation points E1 x E2.
 
     The stripe word of coefficient column j2 is (V2^-1 c0^T)[j2], so only
     the interpolation rows [k2, k2p) of dt's cached V2^-1 are needed: the
     columns clean c0^T through clean_stripes, as in stage 2 of the decoder.
     """
-    F, n, k2p = dt.field, dt.n, dt.k2
+    dt, (f1, f2) = inst.z_dt, inst.factors
+    F, n, k1p, k2p = dt.field, dt.n, f1.qz.k, dt.k2
+    k2 = n - f2.qx.k
     c0 = np.asarray(c0, dtype=np.int64).reshape(n, n)
-    cols = clean_stripes(F, c0.T, dt.V2_inv[k2:k2p], dt.V2[:, k2:k2p], dt.E1, k1p, radius,
+    cols = clean_stripes(F, c0.T, dt.V2_inv[k2:k2p], dt.V2[:, k2:k2p], dt.E1, k1p,
+                         inst.params.stripe_radius(n, k1p),
                          lambda i: f"quantum stripe decode failed at column {k2 + i}")
     return F.sub(c0, cols.T)
 
@@ -189,11 +192,8 @@ def _decode_side(inst: SubsystemProductInstance, word: np.ndarray,
     swapped instance, whose cleanup lands in Q_X'."""
     if side == "x":
         inst = inst.swapped
-    n = inst.n
-    f1, f2 = inst.factors
-    res = alpha_decode(inst.z_dt, np.asarray(word, dtype=np.int64).reshape(n, n))
-    return dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, res.word,
-                       inst.params.stripe_radius(n, f1.qz.k)), res.fallback
+    res = alpha_decode(inst.z_dt, np.asarray(word, dtype=np.int64).reshape(inst.n, inst.n))
+    return dec_quantum(inst, res.word), res.fallback
 
 
 def subsystem_decode(inst: SubsystemProductInstance, c_x: np.ndarray,

@@ -14,7 +14,7 @@ from prodcodes.gf import GF
 from prodcodes import decoder, linalg as la
 from prodcodes.codes import rs_code, vandermonde
 from prodcodes.decoder import (AlphaResult, DualTensorInstance, PromiseViolation,
-                               _e_coeff_basis, _gcd_over, _grs_parity_check,
+                               _eliminate, _gcd_over, _grs_parity_check,
                                _locator_matrix, _off_cell_columns,
                                alpha_decode, berlekamp_welch, dec_close, dec_finish,
                                dec_init, random_codeword, random_error)
@@ -75,6 +75,22 @@ def _reference_berlekamp_welch(F, points, k, word, max_errors):
     if int(np.count_nonzero(F.sub(word, cw))) > t:
         return None
     return cw
+
+
+def _e_coeff_basis(inst, K, T):
+    """Basis of all e in F[X]^{[0,s]^2} with (e*c) restricted to the cell set
+    T lying inside the restriction of C1' [+] C2'.
+
+    With K from _locator_matrix the condition reads K u in colspan(A_off):
+    the syndrome of e*c must be the syndrome of some word supported off T.  The
+    projection of the kernel of [K | A_off] onto its first (s+1)^2
+    coordinates spans exactly these u; right_kernel applied twice turns that
+    spanning set into the canonical free-column basis of the subspace.
+    """
+    F = inst.field
+    M = np.concatenate([K, _off_cell_columns(inst, T)], axis=1)
+    proj = la.right_kernel(F, M)[:, : K.shape[1]]
+    return la.right_kernel(F, la.right_kernel(F, proj))
 
 
 def _reference_dec_init(inst, c, hits=None):
@@ -715,9 +731,30 @@ def stage1_cases(draw):
 
 @given(stage1_cases())
 def test_e_coeff_basis_matches_dense_path(case):
+    """The admissible basis read off rref([A_off | K]) is, bit for bit, that
+    of the dense path and of the three-kernel path _e_coeff_basis."""
     inst, c, T = case
     K = _locator_matrix(inst, c)
-    assert np.array_equal(_e_coeff_basis(inst, K, T), _reference_e_coeff_basis(inst, K, T))
+    got = _eliminate(inst, K, c, T)[0]
+    assert np.array_equal(got, _reference_e_coeff_basis(inst, K, T))
+    assert np.array_equal(got, _e_coeff_basis(inst, K, T))
+
+
+@given(stage1_cases())
+def test_erasure_fill_matches_solve_right(case):
+    """The fill read off rref([A_off | K]) is the particular solution of
+    A_off v = -syndrome(c restricted to T) that solve_right returns, and
+    None exactly where solve_right finds no solution.  The cases draw T from
+    no cell off to every cell off, and random words that make many of the
+    systems infeasible."""
+    inst, c, T = case
+    F = inst.field
+    H1p, H2p = inst.C1p.parity_check(), inst.C2p.parity_check()
+    rhs = F.neg(la.matmul(F, la.matmul(F, H1p, np.where(T, c, 0)), H2p.T).ravel())
+    want = la.solve_right(F, _off_cell_columns(inst, T), rhs)
+    got = _eliminate(inst, _locator_matrix(inst, c), c, T)[1]
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +841,43 @@ def test_dec_init_scan_drops_cells_like_the_reference():
 def test_dec_init_matches_reference_beyond_the_promise(q, n, seed):
     inst = DualTensorInstance.build(GF(q), n, 1, 2, Fraction(1, 2), Fraction(1, 8), gamma=1)
     assert_dec_init_matches_reference(inst, locator_quotient_word(inst, np.random.default_rng(seed)))
+
+
+def stage1_eliminations(inst, c):
+    """Checks dec_init on c against the reference; returns the cells the
+    reference scan removed and the number of rref calls with m1*m2 rows
+    that dec_init made."""
+    rows = inst.C1p.parity_check().shape[0] * inst.C2p.parity_check().shape[0]
+    hits, shapes, rref = [], [], la.rref
+
+    def spy(F, M):
+        shapes.append(np.shape(M))
+        return rref(F, M)
+
+    want = _reference_dec_init(inst, c, hits)
+    with mock.patch.object(la, "rref", spy):
+        assert np.array_equal(dec_init(inst, c), want)
+    return hits, sum(m == rows for m, _ in shapes)
+
+
+def test_dec_init_eliminates_once_per_cell_set():
+    """On an in-promise word where no cell is dropped, dec_init makes two
+    eliminations with m1*m2 rows: the kernel of K for e0, and one of
+    [A_off | K] that serves the drop scan, the gcd pass and the erasure
+    fill."""
+    F = GF(64)
+    inst = DualTensorInstance.build(F, 48, 6, 12, Fraction(1, 2), Fraction(1, 8), gamma=2)
+    rng = stream(64, 2)
+    assert stage1_eliminations(
+        inst, F.add(random_codeword(inst, rng), random_error(F, 48, 2, rng))) == ([], 2)
+
+
+def test_dec_init_eliminates_again_after_a_gcd_kill():
+    """A word on which the scan drops no cell but the gcd pass kills lines:
+    the erasure fill reads a third elimination, of the shrunken cell set."""
+    inst = DualTensorInstance.build(GF(16), 8, 1, 2, Fraction(1, 2), Fraction(1, 8), gamma=1)
+    assert stage1_eliminations(
+        inst, locator_quotient_word(inst, np.random.default_rng(2))) == ([], 3)
 
 
 def test_instance_rejects_bad_evaluation_points():

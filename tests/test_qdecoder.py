@@ -60,9 +60,8 @@ def test_dec_quantum_identity_on_clean(sub16):
     inst = sub16
     rng = stream(1, 0)
     cz = _sample_logical(inst, rng, "z")
-    f1, f2 = inst.factors
     n = inst.n
-    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, cz.reshape(n, n), 0)
+    out = dec_quantum(inst, cz.reshape(n, n))
     assert np.array_equal(out.ravel(), cz)
 
 
@@ -80,8 +79,7 @@ def test_dec_quantum_confinement(sub16_explore):
     word = F.add(cz, e)
     from prodcodes.decoder import alpha_decode
     res = alpha_decode(inst.z_dt, word)
-    out = dec_quantum(inst.z_dt, f1.qz.k, n - f2.qx.k, res.word,
-                      inst.params.stripe_radius(n, f1.qz.k))
+    out = dec_quantum(inst, res.word)
     diff = F.sub(out, res.word)
     coeffs = bivariate_coeffs(F, f1.qx.points, f2.qz.points, diff)
     k2, k2p = n - f2.qx.k, f2.qz.k
