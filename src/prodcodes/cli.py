@@ -32,7 +32,7 @@ from . import linalg as la
 from .codes import (BudgetExceeded, LinearCode, error_vector, punctured_tensor_rs, rs_code)
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode, params_from_json,
                       random_codeword, random_error)
-from .expansion import pe_exact
+from .expansion import common_field, pe_exact
 from .qdecoder import (CssProductInstance, InconsistentInput, QdecParams,
                        SubsystemProductInstance, coset_min_weight, css_decode,
                        single_shot_decode, subsystem_decode, syndrome_decode)
@@ -445,6 +445,7 @@ def cmd_pe_exact(args) -> int:
         raise UsageError(f"{args.codes} must hold a non-empty JSON list of codes")
     with _boundary():
         codes = [LinearCode.from_json(d) for d in docs]
+        common_field(codes)
     try:
         res = pe_exact(codes, budget=args.budget)
     except BudgetExceeded as exc:

@@ -122,10 +122,7 @@ class LinearCode:
             # information-set resampling: systematic rows over a random
             # full-rank column set are low-weight codeword candidates
             cols = rng.permutation(self.n)[: self.k]
-            sub = self.gen[:, cols]
-            if la.rank(F, sub) < self.k:
-                continue
-            coefs = la.solve_right(F, sub.T, la.identity(self.k))
+            coefs = la.solve_right(F, self.gen[:, cols].T, la.identity(self.k))
             if coefs is None:
                 continue
             rows = la.matmul(F, coefs.T, self.gen)
@@ -158,8 +155,7 @@ class LinearCode:
 
     def to_json(self) -> dict:
         doc = {
-            "field": {"p": self.field.p, "e": self.field.e,
-                      "modulus": list(self.field.modulus)},
+            "field": self.field.to_json(),
             "n": self.n,
             "k": self.k,
             "gen": [int(x) for x in self.gen.ravel()],

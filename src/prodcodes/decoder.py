@@ -265,8 +265,7 @@ class DualTensorInstance:
 
     def to_json(self) -> dict:
         return {
-            "field": {"p": self.field.p, "e": self.field.e,
-                      "modulus": list(self.field.modulus)},
+            "field": self.field.to_json(),
             "n": self.n, "k1": self.k1, "k2": self.k2,
             "E1": [int(x) for x in self.E1], "E2": [int(x) for x in self.E2],
             "eps": [self.eps.numerator, self.eps.denominator],
@@ -375,15 +374,16 @@ def _grid_values(inst: DualTensorInstance, basis: np.ndarray) -> np.ndarray:
 
 
 def _gcd_over(F: Field, coeff_rows: np.ndarray) -> np.ndarray:
-    """Monic gcd of the univariate polynomials in the rows of coeff_rows;
-    the all-zero set gives the zero polynomial (empty coefficient array)."""
+    """A gcd of the univariate polynomials in the rows of coeff_rows, up to
+    a unit: a nonzero constant exactly when they are coprime; the all-zero
+    set gives the zero polynomial (empty coefficient array)."""
     g = np.zeros(0, dtype=np.int64)
     for cr in coeff_rows:
         cr = uni_trim(cr)
         if cr.size == 0:
             continue
         g = cr if g.size == 0 else uni_gcd(F, g, cr)
-        if g.size == 1:  # gcd is already 1
+        if g.size == 1:  # a nonzero constant: coprime already
             return g
     return g
 
@@ -426,11 +426,12 @@ def dec_init(inst: DualTensorInstance, c: np.ndarray) -> np.ndarray:
     while (hit := np.argwhere(zero & np.outer(*alive))).size:
         alive[0, hit[0, 0]] = alive[1, hit[0, 1]] = False
 
-    # keep the live lines whose gcd over the shrunken support is 1: a gcd of
-    # higher degree may have no root in GF(q), which grid values cannot see
+    # keep the live lines whose gcd over the shrunken support is a nonzero
+    # constant, whatever its scale: a gcd of higher degree may have no root
+    # in GF(q), which grid values cannot see
     lines = _line_polys(inst, eliminated()[0])
     for axis, x in np.argwhere(alive):
-        alive[axis, x] = np.array_equal(_gcd_over(F, lines[axis, x]), [1])
+        alive[axis, x] = _gcd_over(F, lines[axis, x]).size == 1
 
     # erasure fill: any c' in C1' [+] C2' agreeing with c on the final cells
     T = supp & np.outer(*alive)

@@ -182,12 +182,19 @@ def _cheapest_decompositions(F: Field, pair_bases, lengths: tuple[int, ...],
     return best_cost, [F.add(parts[i], chosen[i]) for i in range(t)]
 
 
+def common_field(codes: list[LinearCode]) -> Field:
+    """The one field of a non-empty list of codes; ValueError otherwise."""
+    if len({c.field for c in codes}) != 1:
+        raise ValueError("need one or more codes over one field")
+    return codes[0].field
+
+
 def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResult:
     """Exact product-expansion by exhausting codewords and decompositions.
 
     Raises BudgetExceeded instead of silently estimating.
     """
-    F = codes[0].field
+    F = common_field(codes)
     t = len(codes)
     lengths = tuple(c.n for c in codes)
     N = int(np.prod(lengths))
@@ -233,7 +240,7 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
     includes the cheap single-column witnesses built from minimum-weight
     factor codewords.
     """
-    F = codes[0].field
+    F = common_field(codes)
     t = len(codes)
     lengths = tuple(c.n for c in codes)
     N = int(np.prod(lengths))
@@ -355,7 +362,7 @@ def closure_size_bound(t: int, eps: float, base_size: int) -> float:
 def inner_generated_test(codes: list[LinearCode], cells: np.ndarray) -> bool:
     """Canonical-generator rank test: the cell set is inner-generated iff
     rank(G|_{B(A) x A}) = rank(G) - rank(G restricted off A)."""
-    F = codes[0].field
+    F = common_field(codes)
     lengths = tuple(c.n for c in codes)
     A = np.asarray(cells, dtype=bool).reshape(lengths)
     flatA = A.ravel()

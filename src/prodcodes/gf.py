@@ -12,8 +12,14 @@ modulus for each (p, e) is the first *primitive* monic polynomial in a fixed
 enumeration order.  For e = 1 the enumeration meets the constant term p - g
 first, so the modulus is X - g with g the *largest* primitive root mod p
 (GF(7) gets X + 2, g = 5).  The canonical ordering of field elements is
-0, 1, g, g^2, ... for the field generator g: X mod modulus when e > 1, and
-the smallest primitive root mod p (3 for GF(7)) when e = 1.
+0, 1, g, g^2, ... for the field generator g, the smallest code that
+generates GF(q)*: the search starts at p when e > 1 (a constant cannot
+generate), so g is X for a primitive modulus, and at 2 when e = 1, so g is
+the smallest primitive root mod p (3 for GF(7)).
+
+Field.get keeps one Field per description, keyed by (p, e, modulus) with
+the canonical modulus filled in, so GF(q) and the field read back from its
+to_json() are the same object.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ def _pgcd(a, b, p):
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, smallest first ([] when n < 2)."""
     out = []
     d = 2
     while d * d <= n:
@@ -99,14 +106,13 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
+
+
+def _code_digits(code: int, p: int, e: int) -> tuple[int, ...]:
+    """The e base-p digits of an element code, lowest first: its
+    coefficients over GF(p)."""
+    return tuple(code // p ** i % p for i in range(e))
 
 
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -136,14 +142,11 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
-def _x_is_primitive(f, p, q) -> bool:
-    if q == 2:
-        return True
-    for ell in _prime_factors(q - 1):
-        t = _ppowmod((0, 1), (q - 1) // ell, f, p)
-        if t == (1,):
-            return False
-    return True
+def _is_primitive(a, f, p, q) -> bool:
+    """Whether the nonzero residue a (GF(p) coefficients, low to high)
+    generates the q - 1 units mod the irreducible f: a^((q-1)/l) != 1 for
+    every prime l | q - 1."""
+    return all(_ppowmod(a, (q - 1) // ell, f, p) != (1,) for ell in _prime_factors(q - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,17 +155,12 @@ def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     enumeration of the non-leading coefficient vector (mixed-radix order)."""
     q = p ** e
     for code in range(q):
-        coeffs = []
-        c = code
-        for _ in range(e):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
+        f = _code_digits(code, p, e) + (1,)
         if f[0] == 0:
             continue  # divisible by X
         if not is_irreducible(f, p):
             continue
-        if _x_is_primitive(f, p, q):
+        if _is_primitive((0, 1), f, p, q):
             return f
     raise RuntimeError(f"no primitive polynomial found for GF({p}^{e})")
 
@@ -172,6 +170,18 @@ def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 _FIELD_CACHE: dict[tuple, "Field"] = {}
+
+
+def _check_order(p: int, e: int) -> int:
+    """q = p^e, once p is a prime, e >= 1 and q <= MAX_ORDER."""
+    if not _is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if e < 1:
+        raise ValueError("extension degree must be >= 1")
+    q = p ** e
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds supported bound 2^20")
+    return q
 
 
 class Field:
@@ -187,13 +197,7 @@ class Field:
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
-        q = p ** e
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds supported bound 2^20")
+        q = _check_order(p, e)
         if modulus is None:
             modulus = canonical_modulus(p, e)
         else:
@@ -218,26 +222,27 @@ class Field:
     @staticmethod
     def of_order(q: int) -> "Field":
         """GF(q) with the canonical modulus; q any prime power <= 2^20."""
-        n, p = q, None
-        for d in range(2, q + 1):
-            if n % d == 0:
-                p = d
-                break
-        if p is None:
+        if q < 2:
             raise ValueError("q must be >= 2")
-        e = 0
-        while n > 1:
-            if n % p:
-                raise ValueError(f"{q} is not a prime power")
-            n //= p
+        factors = _prime_factors(q)
+        if len(factors) > 1:
+            raise ValueError(f"{q} is not a prime power")
+        p, e = factors[0], 1
+        while p ** e < q:
             e += 1
         return Field.get(p, e)
 
     @staticmethod
     def get(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> "Field":
-        key = (p, e, tuple(modulus) if modulus is not None else None)
+        """The one field of each (p, e, modulus); None names the canonical
+        modulus, which is then not tested again."""
+        if modulus is None:
+            _check_order(p, e)
+            key = (p, e, canonical_modulus(p, e))
+        else:
+            key = (p, e, _ptrim(modulus))
         if key not in _FIELD_CACHE:
-            _FIELD_CACHE[key] = Field(p, e, key[2])
+            _FIELD_CACHE[key] = Field(p, e, modulus)
         return _FIELD_CACHE[key]
 
     @staticmethod
@@ -254,32 +259,13 @@ class Field:
             raise ValueError(f"field order {p}^{e} is outside [2, 2^20]")
         return Field.get(p, e, modulus)
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free multiply of two element codes (used to build tables)."""
-        p, e = self.p, self.e
-        if p == 2:
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a >> e & 1:
-                    a ^= self._modmask
-            return r
-        da = [(a // p ** i) % p for i in range(e)]
-        db = [(b // p ** i) % p for i in range(e)]
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        red = _prem(prod, self.modulus, p)
-        return sum(c * p ** i for i, c in enumerate(red))
+    def to_json(self) -> dict:
+        """The {p, e, modulus} description that from_json reads back."""
+        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
     def _mul_const(self, a: np.ndarray, c: int) -> np.ndarray:
         """Table-free product of an array of element codes by the code c
-        (used to build the exp table)."""
+        (used to build the tables)."""
         p, e = self.p, self.e
         if e == 1:
             return a * c % p
@@ -294,54 +280,39 @@ class Field:
                 a <<= 1
                 a ^= (a >> e & 1) * self._modmask
             return out
-        # row i of M holds the digits of X^i * c, so digits(a) @ M are the
-        # digits of a * c before reduction mod p
-        M = self._digits([self._mul_raw(p ** i, c) for i in range(e)])
-        return self._undigits(self._digits(a) @ M % p)
+        # row i of M holds the digits of X^i * c, each row the one before
+        # times X: a shift, with X^e = -(f_0 + ... + f_{e-1} X^{e-1}) mod f;
+        # digits(a) @ M are the digits of a * c before reduction mod p
+        low = np.array(self.modulus[:-1], dtype=np.int64)
+        M = [self._digits(c)]
+        for _ in range(e - 1):
+            M.append((np.concatenate(([0], M[-1][:-1])) - M[-1][-1] * low) % p)
+        return self._undigits(self._digits(a) @ np.array(M) % p)
 
     def _find_generator(self) -> int:
-        # canonical modulus is primitive, so X (code p) generates; for a
-        # user-supplied modulus search the smallest generating code instead
-        q = self.q
+        """The smallest code generating GF(q)*; below p the codes are
+        constants, whose order divides p - 1, so the search starts at p
+        when e > 1 (X when the modulus is primitive)."""
+        p, e, q = self.p, self.e, self.q
         if q == 2:
             return 1
-        factors = _prime_factors(q - 1)
-        for cand in range(2, q):
-            if self.e == 1 and cand == 0:
-                continue
-            ok = True
-            for ell in factors:
-                t, n = 1, (q - 1) // ell
-                b = cand
-                while n:
-                    if n & 1:
-                        t = self._mul_raw(t, b)
-                    b = self._mul_raw(b, b)
-                    n >>= 1
-                if t == 1:
-                    ok = False
-                    break
-            if ok:
-                return cand
+        for code in range(2 if e == 1 else p, q):
+            if _is_primitive(_code_digits(code, p, e), self.modulus, p, q):
+                return code
         raise RuntimeError("no multiplicative generator found")
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._gen = min_primitive_root(p)
-        else:
-            # X is a generator when the modulus is primitive
-            self._gen = p if _x_is_primitive(self.modulus, p, q) else None
-            if self._gen is None:
-                self._gen = self._find_generator()
-        # exp by doubling, exp[k:2k] = exp[:k] * g^k: one array-by-constant
-        # multiply per step; log is the inverse permutation of exp[:q - 1]
+        self._gen = self._find_generator()
+        # exp by doubling: with g^0 .. g^(k-1) in exp[:k], exp[k:2k-1] =
+        # exp[1:k] * g^(k-1), one array-by-constant multiply per step; log is
+        # the inverse permutation of exp[:q - 1]
         exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        exp[0] = 1
-        k = 1
+        exp[:2] = 1, self._gen
+        k = 2
         while k < q - 1:
-            m = min(k, q - 1 - k)
-            exp[k:k + m] = self._mul_const(exp[:m], self._mul_raw(int(exp[k - 1]), self._gen))
+            m = min(k - 1, q - 1 - k)
+            exp[k:k + m] = self._mul_const(exp[1:m + 1], int(exp[k - 1]))
             k += m
         exp[q - 1:] = exp[: q - 1]
         log = np.full(q, -1, dtype=np.int64)
@@ -498,16 +469,6 @@ class Field:
     def random(self, rng: np.random.Generator, shape=None, nonzero: bool = False):
         lo = 1 if nonzero else 0
         return rng.integers(lo, self.q, size=shape, dtype=np.int64)
-
-
-def min_primitive_root(p: int) -> int:
-    if p == 2:
-        return 1
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
-            return g
-    raise RuntimeError("no primitive root")
 
 
 def GF(q: int) -> Field:

@@ -33,7 +33,6 @@ class InconsistentInput(RuntimeError):
 @dataclass
 class CorrectionCoset:
     representative: np.ndarray
-    modulus: str  # "qx_perp" or "qz_perp"
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,6 @@ class QuantumDecodeResult:
     coset_z: CorrectionCoset
     fallback_x: bool
     fallback_z: bool
-    notes: dict = dfield(default_factory=dict)
 
     @property
     def fallback(self) -> bool:
@@ -202,8 +200,8 @@ def subsystem_decode(inst: SubsystemProductInstance, c_x: np.ndarray,
     to the corrupted words (the cleanup output itself is the representative)."""
     rep_z, fb_z = _decode_side(inst, c_z, "z")
     rep_x, fb_x = _decode_side(inst, c_x, "x")
-    return QuantumDecodeResult(CorrectionCoset(rep_x.ravel(), "qz_perp"),
-                               CorrectionCoset(rep_z.ravel(), "qx_perp"),
+    return QuantumDecodeResult(CorrectionCoset(rep_x.ravel()),
+                               CorrectionCoset(rep_z.ravel()),
                                fb_x, fb_z)
 
 
@@ -268,8 +266,8 @@ def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray
     rep_x, fb_x = _decode_side(inst, c_x, "x")
     z = _project_coset(F, inst.project_z, code.qz.gen, rep_z.ravel())
     x = _project_coset(F, inst.project_x, code.qx.gen, rep_x.ravel())
-    return QuantumDecodeResult(CorrectionCoset(x, "qz_perp"),
-                               CorrectionCoset(z, "qx_perp"), fb_x, fb_z)
+    return QuantumDecodeResult(CorrectionCoset(x),
+                               CorrectionCoset(z), fb_x, fb_z)
 
 
 def _project_coset(F: Field, solve, code_gen: np.ndarray, rep: np.ndarray) -> np.ndarray:
@@ -307,8 +305,8 @@ def syndrome_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
     res = subsystem_decode(inst, c_x, c_z)
     bx = F.sub(c_x, res.coset_x.representative)
     bz = F.sub(c_z, res.coset_z.representative)
-    return QuantumDecodeResult(CorrectionCoset(bx, "qz_perp"),
-                               CorrectionCoset(bz, "qx_perp"),
+    return QuantumDecodeResult(CorrectionCoset(bx),
+                               CorrectionCoset(bz),
                                res.fallback_x, res.fallback_z)
 
 
@@ -443,7 +441,7 @@ def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
         if e is None:
             return SingleShotResult(None, failures, True, s_prime,
                                     {"reason": f"no correction of weight < {distance}/2"})
-        return SingleShotResult(CorrectionCoset(e, "qx_perp"), failures, True,
+        return SingleShotResult(CorrectionCoset(e), failures, True,
                                 s_prime, {"method": "search"})
     # pipeline route: w is a corrupted Q_Z'-word; peel the decoded part off
     try:
@@ -454,4 +452,4 @@ def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
     if fallback:
         notes["fallback"] = True
     e = F.sub(w, rep.ravel())
-    return SingleShotResult(CorrectionCoset(e, "qx_perp"), failures, True, s_prime, notes)
+    return SingleShotResult(CorrectionCoset(e), failures, True, s_prime, notes)

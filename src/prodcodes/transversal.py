@@ -646,8 +646,7 @@ class TripleProductGate:
 
     def to_json(self) -> dict:
         return {"label": self.label, "params": self.params.to_json(),
-                "field": {"p": self.field.p, "e": self.field.e,
-                          "modulus": list(self.field.modulus)},
+                "field": self.field.to_json(),
                 "points": [[int(x) for x in E.ravel()] for E in self.points],
                 "gammas": [[int(x) for x in g] for g in self.gammas],
                 "j_star": list(self.j_star),

@@ -17,6 +17,8 @@ import prodcodes
 from prodcodes.cli import main, canonical_json
 from prodcodes.gf import GF
 from prodcodes import linalg as la
+from prodcodes.codes import LinearCode, rs_code
+from prodcodes.expansion import pe_exact
 
 
 def run(tmp_path, *argv):
@@ -715,3 +717,14 @@ def test_pe_exact_rejects_an_empty_code_list(tmp_path, capsys):
     empty.write_text("[]")
     assert main(["pe-exact", "--codes", str(empty)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pe_exact_rejects_codes_over_different_fields(tmp_path, capsys):
+    """RS over GF(4) next to RS over GF(5) is a usage error, not an
+    IndexError traceback from mixing their element codes."""
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps([rs_code(GF(4), 4, 2).to_json(), rs_code(GF(5), 4, 2).to_json()]))
+    assert main(["pe-exact", "--codes", str(mixed)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ValueError, match="one field"):
+        pe_exact([LinearCode.from_json(d) for d in json.loads(mixed.read_text())])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
@@ -157,6 +158,48 @@ def test_min_distance_budget_fallback(gf16):
     d = C.min_distance(budget=1000)
     assert not d.exact and d.method == "sampling-upper-bound"
     assert d.value >= 16 - 8 + 1  # the estimate upper-bounds from above
+
+
+def ref_sampled_distance(C, seed, trials):
+    """min_distance's sampling branch with a rank test before each
+    information-set solve."""
+    F = C.field
+    rng = np.random.default_rng(seed)
+    best = int(np.count_nonzero(C.gen, axis=1).min())
+    for _ in range(trials // 10):
+        cols = rng.permutation(C.n)[: C.k]
+        sub = C.gen[:, cols]
+        if la.rank(F, sub) < C.k:
+            continue
+        coefs = la.solve_right(F, sub.T, la.identity(C.k))
+        if coefs is None:
+            continue
+        rows = la.matmul(F, coefs.T, C.gen)
+        best = min(best, int(np.count_nonzero(rows, axis=1).min()))
+    for _ in range(trials):
+        msg = F.random(rng, C.k)
+        if msg.any():
+            best = min(best, la.weight(C.codeword(msg)))
+    return best
+
+
+@given(st.sampled_from([2, 3, 4, 8]), st.integers(2, 10), st.integers(1, 10),
+       st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80)
+def test_sampled_distance_matches_rank_tested_loop(q, n, k, trials, seed):
+    """A budget of 1 forces sampling; repeated and zero columns make many
+    information-set draws singular, which solve_right alone now skips."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    gen = F.random(rng, (min(k, n), n))
+    gen[:, rng.integers(n)] = 0
+    gen[:, rng.integers(n, size=n // 2)] = gen[:, rng.integers(n, size=n // 2)]
+    C = LinearCode(F, n, gen)
+    if C.k == 0:
+        return
+    d = C.min_distance(budget=1, seed=seed, trials=trials)
+    assert (d.exact, d.method) == (False, "sampling-upper-bound")
+    assert d.value == ref_sampled_distance(C, seed, trials)
 
 
 def test_punctured_tensor_rs():

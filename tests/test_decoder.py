@@ -18,7 +18,7 @@ from prodcodes.decoder import (AlphaResult, DualTensorInstance, PromiseViolation
                                _locator_matrix, _off_cell_columns,
                                alpha_decode, berlekamp_welch, dec_close, dec_finish,
                                dec_init, random_codeword, random_error)
-from prodcodes.poly import uni_divmod, uni_trim
+from prodcodes.poly import uni_divmod, uni_monic, uni_trim
 from prodcodes.qdecoder import QdecParams
 from prodcodes.rng import stream
 
@@ -165,11 +165,11 @@ def _reference_dec_init(inst, c, hits=None):
     e_rows2 = [row_polys(u.reshape(s + 1, s + 1)) for u in basis2]
     for x1 in np.nonzero(alive1)[0]:
         g = _gcd_over(F, [rows[x1] for rows, _ in e_rows2])
-        if not (g.size == 1 and g[0] == 1):
+        if g.size != 1:
             alive1[x1] = False
     for x2 in np.nonzero(alive2)[0]:
         g = _gcd_over(F, [cols[:, x2] for _, cols in e_rows2])
-        if not (g.size == 1 and g[0] == 1):
+        if g.size != 1:
             alive2[x2] = False
 
     T = current_T()
@@ -878,6 +878,26 @@ def test_dec_init_eliminates_again_after_a_gcd_kill():
     inst = DualTensorInstance.build(GF(16), 8, 1, 2, Fraction(1, 2), Fraction(1, 8), gamma=1)
     assert stage1_eliminations(
         inst, locator_quotient_word(inst, np.random.default_rng(2))) == ([], 3)
+
+
+def test_dec_init_keeps_lines_whose_gcd_is_any_nonzero_constant():
+    """A line lives on when its locators are coprime, whatever unit their
+    gcd comes scaled by: dec_init returns the same word when every gcd is
+    made monic first.  On this word some line gcds are constants other
+    than 1."""
+    inst = DualTensorInstance.build(GF(13), 8, 1, 2, Fraction(1, 2), Fraction(1, 8), gamma=1)
+    c = locator_quotient_word(inst, np.random.default_rng(14))
+    seen = []
+
+    def monic_gcd(F, rows):
+        seen.append(_gcd_over(F, rows))
+        return uni_monic(F, seen[-1])
+
+    with mock.patch.object(decoder, "_gcd_over", monic_gcd):
+        want = dec_init(inst, c)
+    assert any(g.size == 1 and g[0] != 1 for g in seen)
+    assert np.array_equal(dec_init(inst, c), want)
+    assert_dec_init_matches_reference(inst, c)
 
 
 def test_instance_rejects_bad_evaluation_points():

@@ -2,9 +2,11 @@
 
 The reference functions below are the earlier `Field.mul`, `Field.inv`,
 `linalg.matmul` (its odd p^e branch adds the terms one at a time) and
-`linalg.rref`, the exp/log table loop and digit negation, kept verbatim in
-behaviour: the fast paths must return bit-identical arrays (the rref of a
-matrix is unique)."""
+`linalg.rref`, the exp/log table loop, digit negation, and the earlier
+field construction (`Field._mul_raw`, `min_primitive_root`, the generator
+rule, the canonical-modulus search and `Field.of_order`'s trial loop), kept
+verbatim in behaviour: the fast paths must return bit-identical arrays (the
+rref of a matrix is unique)."""
 
 import time
 import tracemalloc
@@ -15,11 +17,37 @@ from hypothesis import given, settings, strategies as st
 
 from prodcodes import linalg as la
 from prodcodes.codes import vandermonde
-from prodcodes.gf import GF, MUL_TABLE_MAX_ORDER, Field, canonical_modulus
+from prodcodes import gf
+from prodcodes.gf import (GF, MUL_TABLE_MAX_ORDER, Field, _ppowmod, _prem, _prime_factors,
+                          canonical_modulus, is_irreducible)
 
 # both sides of the multiplication-table cut, odd extensions, primes, and
 # the two large fields the transversal and BLAS paths use
 FIELD_ORDERS = [2, 4, 8, 9, 16, 49, 97, 243, 256, 512, 3 ** 6, 1 << 17, 1048573]
+
+
+def ref_mul_raw(F, a: int, b: int) -> int:
+    """Table-free multiply of two element codes."""
+    p, e = F.p, F.e
+    if p == 2:
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a >> e & 1:
+                a ^= F._modmask
+        return r
+    da = [(a // p ** i) % p for i in range(e)]
+    db = [(b // p ** i) % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    red = _prem(prod, F.modulus, p)
+    return sum(c * p ** i for i, c in enumerate(red))
 
 
 def ref_exp_log(F):
@@ -32,9 +60,112 @@ def ref_exp_log(F):
     for i in range(q - 1):
         exp[i] = v
         log[v] = i
-        v = F._mul_raw(v, F.generator)
+        v = ref_mul_raw(F, v, F.generator)
     exp[q - 1:] = exp[: q - 1]
     return exp, log
+
+
+def ref_of_order(q):
+    """(p, e) with p^e = q, by trial division up to q."""
+    n, p = q, None
+    for d in range(2, q + 1):
+        if n % d == 0:
+            p = d
+            break
+    if p is None:
+        raise ValueError("q must be >= 2")
+    e = 0
+    while n > 1:
+        if n % p:
+            raise ValueError(f"{q} is not a prime power")
+        n //= p
+        e += 1
+    return p, e
+
+
+def ref_min_primitive_root(p):
+    if p == 2:
+        return 1
+    factors = _prime_factors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
+            return g
+    raise RuntimeError("no primitive root")
+
+
+def ref_x_is_primitive(f, p, q):
+    if q == 2:
+        return True
+    return all(_ppowmod((0, 1), (q - 1) // ell, f, p) != (1,) for ell in _prime_factors(q - 1))
+
+
+def ref_canonical_modulus(p, e):
+    """The first monic f (non-leading coefficients in mixed-radix order)
+    that is irreducible, not divisible by X, and has X primitive."""
+    for code in range(p ** e):
+        f = tuple(code // p ** i % p for i in range(e)) + (1,)
+        if f[0] and is_irreducible(f, p) and ref_x_is_primitive(f, p, p ** e):
+            return f
+
+
+def ref_generator(F):
+    """The smallest primitive root when e = 1; X when the modulus is
+    primitive, else the smallest code whose _mul_raw powers generate."""
+    p, e, q = F.p, F.e, F.q
+    if e == 1:
+        return ref_min_primitive_root(p)
+    if ref_x_is_primitive(F.modulus, p, q):
+        return p
+
+    def power(b, n):
+        t = 1
+        while n:
+            if n & 1:
+                t = ref_mul_raw(F, t, b)
+            b = ref_mul_raw(F, b, b)
+            n >>= 1
+        return t
+    factors = _prime_factors(q - 1)
+    return next(c for c in range(2, q) if all(power(c, (q - 1) // ell) != 1 for ell in factors))
+
+
+def ref_mul_const(F, a, c):
+    """Array-by-constant multiply, the odd p^e digit matrix built from
+    _mul_raw products."""
+    p, e = F.p, F.e
+    if e == 1:
+        return a * c % p
+    if p == 2:
+        out = np.zeros_like(a)
+        a = a.copy()
+        while c:
+            if c & 1:
+                out ^= a
+            c >>= 1
+            a <<= 1
+            a ^= (a >> e & 1) * F._modmask
+        return out
+    M = F._digits([ref_mul_raw(F, p ** i, c) for i in range(e)])
+    return F._undigits(F._digits(a) @ M % p)
+
+
+def ref_tables(F):
+    """Generator and exp/log/inv tables by doubling, as the field built them
+    with _mul_raw and min_primitive_root."""
+    q, g = F.q, ref_generator(F)
+    exp = np.zeros(2 * (q - 1), dtype=np.int64)
+    exp[0] = 1
+    k = 1
+    while k < q - 1:
+        m = min(k, q - 1 - k)
+        exp[k:k + m] = ref_mul_const(F, exp[:m], ref_mul_raw(F, int(exp[k - 1]), g))
+        k += m
+    exp[q - 1:] = exp[: q - 1]
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
+    return g, exp, log, inv
 
 
 def ref_neg(F, a):
@@ -185,6 +316,63 @@ def test_exp_log_tables_match_power_loop(p, e, modulus):
         assert F.generator != p
     exp, log = ref_exp_log(F)
     assert np.array_equal(F._exp, exp) and np.array_equal(F._log, log)
+
+
+def assert_tables_match_reference(F):
+    """Generator and every table against the earlier construction; the
+    addition table (up to 110 MB) row block by row block."""
+    g, exp, log, inv = ref_tables(F)
+    assert F.generator == g
+    assert (np.array_equal(F._exp, exp) and np.array_equal(F._log, log)
+            and np.array_equal(F._inv, inv))
+    q, p = F.q, F.p
+    codes = np.arange(q, dtype=np.int64)
+    assert (F._neg is not None) == (p != 2 and F.e > 1)
+    if F._neg is not None:
+        assert np.array_equal(F._neg, ref_neg(F, codes))
+    assert (F._mul_table is not None) == (F.e > 1 and q <= MUL_TABLE_MAX_ORDER)
+    if F._mul_table is not None:
+        lg = np.maximum(log, 0)
+        want = np.where((codes[:, None] == 0) | (codes == 0), 0, exp[lg[:, None] + lg])
+        assert np.array_equal(F._mul_table, want.ravel())
+    assert (F._add_table is not None) == (p != 2 and F.e > 1 and q <= 1 << 12)
+    if F._add_table is not None:
+        dig = (codes[:, None] // F._powers) % p
+        for lo in range(0, q, 256):
+            want = ((dig[lo:lo + 256, None, :] + dig) % p * F._powers).sum(axis=2)
+            assert np.array_equal(F._add_table[lo:lo + 256], want)
+
+
+@pytest.mark.parametrize("lo", range(0, 4097, 512))
+def test_fields_up_to_4096_match_earlier_construction(lo, monkeypatch):
+    """For every q in [lo, lo + 512): of_order refuses exactly what the trial
+    loop refused, with its message, and every prime-power field has the
+    earlier (p, e), canonical modulus, generator and tables.  Each field is
+    dropped before the next is built (the largest addition table is 110 MB)."""
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    for q in range(lo, min(lo + 512, 4097)):
+        try:
+            pe = ref_of_order(q)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                Field.of_order(q)
+            continue
+        F = Field.of_order(q)
+        assert (F.p, F.e) == pe and F.modulus == ref_canonical_modulus(*pe)
+        assert_tables_match_reference(F)
+        del F
+        gf._FIELD_CACHE.clear()
+
+
+@pytest.mark.parametrize("p, e, modulus", [
+    (3, 8, None), (5, 6, None), (7, 5, None), (2, 17, None), (2, 20, None),
+    (3, 12, None), (999983, 1, None), (1048573, 1, None),
+    (3, 2, (1, 0, 1)), (2, 4, (1, 1, 1, 1, 1))])
+def test_large_and_custom_fields_match_earlier_construction(p, e, modulus):
+    F = Field(p, e, modulus)
+    if modulus is None:
+        assert F.modulus == ref_canonical_modulus(p, e)
+    assert_tables_match_reference(F)
 
 
 def test_largest_prime_field_builds_fast():

@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, trace/Frobenius behavior, canonical moduli."""
 
+import time
 from functools import reduce
 
 import numpy as np
@@ -157,7 +158,7 @@ def test_prod_matches_mul_loop(q, rows, cols, axis, seed):
 
 def test_from_json_round_trip_and_rejections():
     F = GF(49)
-    assert Field.from_json({"p": 7, "e": 2, "modulus": list(F.modulus)}) == F
+    assert Field.from_json({"p": 7, "e": 2, "modulus": list(F.modulus)}) is F
     bad = [[2, 1], {"p": "2", "e": 1, "modulus": [1, 1]},
            {"p": 2, "e": True, "modulus": [1, 1]}, {"p": 2, "e": 1, "modulus": None},
            {"p": 2, "e": 1, "modulus": [1, 1.0]}, {"e": 1, "modulus": [1, 1]},
@@ -166,3 +167,30 @@ def test_from_json_round_trip_and_rejections():
     for doc in bad:
         with pytest.raises(ValueError):
             Field.from_json(doc)
+
+
+@pytest.mark.parametrize("p, e, modulus", [(2, 1, None), (2, 8, None), (7, 2, None),
+                                           (1048573, 1, None), (3, 2, (1, 0, 1)),
+                                           (2, 4, (1, 1, 1, 1, 1))])
+def test_one_field_per_description(p, e, modulus):
+    """Field.get keys by the resolved modulus: the canonical field, the same
+    modulus spelled out, and the field read back from to_json() are one
+    object."""
+    F = Field.get(p, e, modulus)
+    assert F.to_json() == {"p": p, "e": e, "modulus": list(F.modulus)}
+    assert Field.from_json(F.to_json()) is F
+    assert Field.get(p, e, list(F.modulus) + [0]) is F
+    if modulus is None:
+        assert GF(p ** e) is F and Field.get(p, e, canonical_modulus(p, e)) is F
+
+
+def test_cached_lookup_of_a_large_prime_field_is_fast():
+    """of_order factors q by trial division up to its square root, not up to
+    q (66 ms for GF(1048573) when it did)."""
+    F = GF(1048573)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert GF(1048573) is F
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.010
