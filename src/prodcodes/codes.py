@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dfield
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,7 +80,7 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         if self._dual is None:
-            ker = la.right_kernel(self.field, self.gen) if self.k else la.identity(self.n)
+            ker = la.right_kernel(self.field, self.gen)
             self._dual = LinearCode(self.field, self.n, ker, label=f"dual({self.label})")
             self._dual._dual = self
         return self._dual
@@ -90,10 +91,7 @@ class LinearCode:
 
     def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=np.int64)
-        H = self.parity_check()
-        if H.shape[0] == 0:
-            return True
-        return not np.any(la.matvec(self.field, H, v))
+        return not np.any(la.matvec(self.field, self.parity_check(), v))
 
     def same_subspace(self, other: "LinearCode") -> bool:
         return (self.field == other.field and self.n == other.n
@@ -191,7 +189,10 @@ class LinearCode:
             if not np.array_equal(code.gen, gen):
                 raise ValueError("serialized RS generator does not match its points")
             return code
-        return LinearCode(F, n, gen, label=label)
+        code = LinearCode(F, n, gen, label=label)
+        if code.k != k:
+            raise ValueError(f"code gen has rank {code.k}, not k = {k}")
+        return code
 
 
 def _int_list(x) -> bool:
@@ -228,18 +229,12 @@ def monomial_eval_matrix(F: Field, points: np.ndarray,
     """Rows = evaluations of the monomials X^a on the given points.
 
     points has shape (N, t); exponents is a sequence of length-t tuples.
+    Row a is the product over j of column a_j of vandermonde(points[:, j]).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.int64))
-    rows = []
-    for expo in exponents:
-        row = np.ones(points.shape[0], dtype=np.int64)
-        for j, d in enumerate(expo):
-            if d:
-                row = F.mul(row, F.power(points[:, j], d))
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, points.shape[0]), dtype=np.int64)
-    return np.stack(rows, axis=0)
+    expo = np.array(exponents, dtype=np.int64).reshape(len(exponents), points.shape[1])
+    return reduce(F.mul, [vandermonde(F, x, int(d.max(initial=0)) + 1).T[d]
+                          for x, d in zip(points.T, expo.T)])
 
 
 class ReedSolomon(LinearCode):

@@ -147,9 +147,13 @@ def hom_product(A: SingleSectorComplex, B: SingleSectorComplex) -> SingleSectorC
 # ---------------------------------------------------------------------------
 
 
+# seed and draws of the sampled systolic distance
+SYSTOLIC_SEED = 0
+SYSTOLIC_TRIALS = 5000
+
+
 def systolic_distance(C: SingleSectorComplex,
-                      budget: int = DEFAULT_DISTANCE_BUDGET,
-                      seed: int = 0, trials: int = 5000) -> DistanceResult:
+                      budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Min weight over cycles that are not boundaries; exact, by one scan of
     the q^dim(Z) cycles, when (q^k - 1) * q^dim(B) fits the budget."""
     F = C.field
@@ -163,9 +167,9 @@ def systolic_distance(C: SingleSectorComplex,
                                     exclude=la.right_kernel(F, bnd))
         return DistanceResult(int(w[0]), True, "coset-enumeration")
     reps = C.homology_reps()
-    rng = stream(seed)
+    rng = stream(SYSTOLIC_SEED)
     best = C.dim + 1
-    for _ in range(trials):
+    for _ in range(SYSTOLIC_TRIALS):
         coef = F.random(rng, k)
         if not coef.any():
             continue
@@ -176,10 +180,8 @@ def systolic_distance(C: SingleSectorComplex,
     return DistanceResult(best, False, "coset-sampling-upper-bound")
 
 
-def cosystolic_distance(C: SingleSectorComplex,
-                        budget: int = DEFAULT_DISTANCE_BUDGET,
-                        seed: int = 0) -> DistanceResult:
-    return systolic_distance(C.transpose(), budget, seed)
+def cosystolic_distance(C: SingleSectorComplex) -> DistanceResult:
+    return systolic_distance(C.transpose())
 
 
 @dataclass

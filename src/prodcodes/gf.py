@@ -330,13 +330,16 @@ class Field:
         self._neg = None
         if p != 2 and e > 1:
             # digit-wise addition of every pair and negation of every code,
-            # one digit at a time: one q x q scratch array beside the table
+            # one digit at a time; the table is filled in blocks of rows, so
+            # the scratch beside it holds at most 2^20 entries
             codes = np.arange(q, dtype=np.int64)
             if q <= 1 << 12:
                 self._add_table = np.zeros((q, q), dtype=np.int64)
-                for pw in self._powers:
-                    s = np.add.outer(codes // pw % p, codes // pw % p)
-                    self._add_table += np.multiply(np.remainder(s, p, out=s), pw, out=s)
+                rows = max(1, (1 << 20) // q)
+                for r in range(0, q, rows):
+                    for pw in self._powers:
+                        s = np.add.outer(codes[r:r + rows] // pw % p, codes // pw % p)
+                        self._add_table[r:r + rows] += s % p * pw
             self._neg = np.zeros(q, dtype=np.int64)
             for pw in self._powers:
                 self._neg += (-(codes // pw) % p) * pw

@@ -168,10 +168,6 @@ def rref_kernel(F: Field, R: np.ndarray, piv: list[int]) -> np.ndarray:
     return basis
 
 
-def left_kernel(F: Field, M: np.ndarray) -> np.ndarray:
-    return right_kernel(F, np.atleast_2d(np.asarray(M, dtype=np.int64)).T)
-
-
 def solve_right(F: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Deterministic particular solution of A x = b, or None if inconsistent.
 
@@ -250,17 +246,15 @@ def row_space_equal(F: Field, A: np.ndarray, B: np.ndarray) -> bool:
 
 
 def row_space_intersection(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Full-rank basis of rowspace(A) and rowspace(B) intersection."""
-    A = row_space(F, A)
-    B = row_space(F, B)
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, A.shape[1] if A.size else B.shape[1]), dtype=np.int64)
-    stacked = np.concatenate([A, B], axis=0)
-    lk = left_kernel(F, stacked)
-    if lk.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.int64)
-    inter = matmul(F, lk[:, : A.shape[0]], A)
-    return row_space(F, inter)
+    """Full-rank basis, in rref, of rowspace(A) intersect rowspace(B), by
+    Zassenhaus's algorithm: the rows of rref([[A, A], [B, 0]]) with a pivot
+    in the right half are zero on the left half and the basis on the right."""
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    B = np.atleast_2d(np.asarray(B, dtype=np.int64))
+    n = A.shape[1]
+    R, piv = rref(F, np.block([[A, A], [B, np.zeros_like(B)]]))
+    left = sum(c < n for c in piv)
+    return R[left:len(piv), n:].copy()
 
 
 def weight(v: np.ndarray) -> int:

@@ -315,18 +315,19 @@ def syndrome_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
 # ---------------------------------------------------------------------------
 
 
+# supports bounded_syndrome_search may try before it refuses
+SYNDROME_SEARCH_BUDGET = 2_000_000
+
+
 def bounded_syndrome_search(F: Field, H: np.ndarray, target: np.ndarray,
-                            max_weight: int, budget: int = 2_000_000
-                            ) -> np.ndarray | None:
+                            max_weight: int) -> np.ndarray | None:
     """Minimum-weight e with H e = target, searched by increasing weight up
     to max_weight; None if nothing within range."""
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
-    m, n = H.shape
+    n = H.shape[1]
     target = np.asarray(target, dtype=np.int64)
     if not target.any():
         return np.zeros(n, dtype=np.int64)
-    if m == 0:
-        return None
     # weight 1: the first column j with v_j H[:, j] = target, where
     # v_j = target[i] / H[i, j] at the first nonzero row i of target
     # (a column with H[i, j] = 0 cannot match)
@@ -343,7 +344,7 @@ def bounded_syndrome_search(F: Field, H: np.ndarray, target: np.ndarray,
     for w in range(2, max_weight + 1):
         for support in itertools.combinations(range(n), w):
             work += 1
-            if work > budget:
+            if work > SYNDROME_SEARCH_BUDGET:
                 raise BudgetExceeded("bounded syndrome search exceeded budget")
             sol = la.solve_right(F, H[:, list(support)], target)
             if sol is not None and np.count_nonzero(sol) == w:
@@ -353,14 +354,10 @@ def bounded_syndrome_search(F: Field, H: np.ndarray, target: np.ndarray,
     return None
 
 
-def coset_min_weight(F: Field, H: np.ndarray, v: np.ndarray,
-                     cap: int, budget: int = 2_000_000) -> int | None:
+def coset_min_weight(F: Field, H: np.ndarray, v: np.ndarray, cap: int) -> int | None:
     """Weight of the lightest element of v + ker(H), searched up to the cap;
     None when the true minimum exceeds the cap."""
-    if H.shape[0] == 0:
-        return 0
-    target = la.matvec(F, H, v)
-    e = bounded_syndrome_search(F, H, target, cap, budget)
+    e = bounded_syndrome_search(F, H, la.matvec(F, H, v), cap)
     return None if e is None else la.weight(e)
 
 

@@ -128,23 +128,26 @@ def subsystem_product(factors: list[CssPair]) -> CssPair:
 # ---------------------------------------------------------------------------
 
 
+# words subsystem_distance draws per side when it cannot enumerate
+DISTANCE_TRIALS = 5000
+
+
 def _side_distance(F: Field, logical_space: np.ndarray, gauge_dual: np.ndarray,
-                   budget: int, rng: np.random.Generator | None,
-                   trials: int) -> tuple[float, bool]:
+                   budget: int, rng: np.random.Generator | None) -> tuple[float, bool]:
     """Min weight over span(logical_space) setminus span(gauge_dual)."""
     dim = logical_space.shape[0]
     n = logical_space.shape[1]
     if dim == 0:
         return math.inf, True
     # membership in the gauge span tested through its parity map
-    gauge_par = la.right_kernel(F, gauge_dual) if gauge_dual.shape[0] else la.identity(n)
+    gauge_par = la.right_kernel(F, gauge_dual)
     if F.q ** dim <= budget:
         w = int(la.min_weight_search(F, logical_space, np.zeros((1, n), dtype=np.int64),
                                      exclude=gauge_par)[0][0])
         return (math.inf if w > n else w), True
     assert rng is not None
     best = math.inf
-    for _ in range(trials):
+    for _ in range(DISTANCE_TRIALS):
         coef = F.random(rng, dim)
         v = la.matmul(F, coef[None, :], logical_space)[0]
         if not np.any(la.matvec(F, gauge_par, v)):
@@ -155,13 +158,13 @@ def _side_distance(F: Field, logical_space: np.ndarray, gauge_dual: np.ndarray,
 
 
 def subsystem_distance(Q: CssPair, budget: int = DEFAULT_DISTANCE_BUDGET,
-                       seed: int = 0, trials: int = 5000) -> DistanceResult:
+                       seed: int = 0) -> DistanceResult:
     """Subsystem distance: min weight over the two dressed-logical classes
     (Q_X + Q_Z^perp) setminus Q_Z^perp and (Q_Z + Q_X^perp) setminus Q_X^perp."""
     F = Q.field
     rng = stream(seed)
-    dz, ez = _side_distance(F, Q.logical_z_space(), Q.qx.dual().gen, budget, rng, trials)
-    dx, ex = _side_distance(F, Q.logical_x_space(), Q.qz.dual().gen, budget, rng, trials)
+    dz, ez = _side_distance(F, Q.logical_z_space(), Q.qx.dual().gen, budget, rng)
+    dx, ex = _side_distance(F, Q.logical_x_space(), Q.qz.dual().gen, budget, rng)
     val = min(dx, dz)
     exact = ex and ez
     return DistanceResult(val, exact,

@@ -205,11 +205,6 @@ class TransRsParams:
         return (self.k1x + self.k1z - self.q, self.k2x + self.k2z - self.q)
 
     @property
-    def code_dim(self) -> int:
-        d1, d2 = self.factor_dims
-        return d1 * d2
-
-    @property
     def gate_qudits(self) -> int:
         return (self.ell_hi - self.ell_lo) ** 2
 
@@ -225,13 +220,6 @@ class TransRsParams:
             for b in range(self.k2z):
                 out.add((a, b))
         return out
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "q": self.q,
-                "eps": [self.eps.numerator, self.eps.denominator],
-                "k1x": self.k1x, "k1z": self.k1z, "k2x": self.k2x, "k2z": self.k2z,
-                "ell_lo": self.ell_lo, "ell_hi": self.ell_hi,
-                "code_dim": self.code_dim, "gate_qudits": self.gate_qudits}
 
 
 def transrs_params(r: int, q: int) -> TransRsParams:
@@ -328,18 +316,14 @@ def synthesize_gate(factors: list[CssPair], L_list: list[LinearCode], r: int,
 
 
 def _unit_encodings(F: Field, factors: list[CssPair], L_list: list[LinearCode]):
-    """Per-factor information sets (the pivots of each rref generator), their
-    flat product indices in message order, and the unit-message encodings."""
-    A_sets = [la.rref(F, L.gen)[1] for L in L_list]
-    enc_factors = []
-    for L, A in zip(L_list, A_sets):
-        coefs = la.solve_right(F, L.gen[:, A].T, la.identity(len(A)))
-        assert coefs is not None
-        enc_factors.append(la.matmul(F, coefs.T, L.gen))
-    enc_basis = reduce(lambda a, b: la.kron(F, a, b), enc_factors)
+    """Per-factor information sets, their flat product indices in message
+    order, and the unit-message encodings.  Each L.gen is in rref: its row
+    pivots are the information set, and its rows encode the unit messages."""
+    A_sets = [(L.gen != 0).argmax(axis=1).tolist() for L in L_list]
+    enc_basis = reduce(lambda a, b: la.kron(F, a, b), [L.gen for L in L_list])
     A_flat = np.array([np.ravel_multi_index(idx, tuple(f.n for f in factors))
                        for idx in itertools.product(*A_sets)], dtype=np.int64)
-    return [list(map(int, A)) for A in A_sets], A_flat, enc_basis
+    return A_sets, A_flat, enc_basis
 
 
 @dataclass
@@ -382,15 +366,15 @@ def phase_identity_test(gate: GateInstance, trials: int, seed: int) -> PhaseRepo
 
 def _certify_monomial_stabilizer(F: Field, factors: list[CssPair],
                                  S_monomial: np.ndarray,
-                                 t_exps: list[tuple[int, int]]) -> None:
+                                 t_exps: list[tuple[int, int]]) -> np.ndarray:
     """Machine-check that the monomial rows span S = Q_Z intersect Q_X^perp
     of the product, using factor-level tests only.
 
     Membership: each row, reshaped to a matrix, is killed by the factor Q_Z
     parity checks and orthogonal to Q_X^1 (x) Q_X^2.  Independence: distinct
     reduced monomials on a full grid are independent because the univariate
-    Vandermonde matrices are invertible.  Dimension: dim S = dim Q_Z - k with
-    k the product of the factor dimensions.
+    Vandermonde matrix has an inverse, which is returned.  Dimension: dim S =
+    dim Q_Z - k with k the product of the factor dimensions.
     """
     n1, n2 = factors[0].n, factors[1].n
     h1z = factors[0].qz.parity_check()
@@ -413,23 +397,27 @@ def _certify_monomial_stabilizer(F: Field, factors: list[CssPair],
         side = "Q_Z" if escapes_z[bad[0]] else "Q_X^perp"
         raise RuntimeError(f"monomial stabilizer row escapes {side}")
     pts = canonical_points(F, F.q)
-    V1 = vandermonde(F, pts, pts.size)
-    if la.rank(F, V1) != F.q:
+    Vinv = la.solve_right(F, vandermonde(F, pts, pts.size), la.identity(F.q))
+    if Vinv is None:
         raise RuntimeError("full-grid Vandermonde is singular")
     k = factors[0].dimension * factors[1].dimension
     dim_s = factors[0].qz.k * factors[1].qz.k - k
     if len(t_exps) != dim_s:
         raise RuntimeError(f"monomial count {len(t_exps)} != dim S = {dim_s}")
+    return Vinv
 
 
-def build_transrs_gate(F: Field, r: int,
-                       use_monomial_structure: bool | None = None) -> GateInstance:
+# build_transrs_gate takes the generic dense-rank route up to this field order
+DENSE_ROUTE_MAX_Q = 16
+
+
+def build_transrs_gate(F: Field, r: int) -> GateInstance:
     """Gate instance for the two-factor quantum-RS construction at q = |F|.
 
-    Small fields run the generic dense-rank route; larger ones exploit that
-    every space involved is spanned by monomial evaluations on the full grid
-    (certified at the factor level), where star products act on exponent
-    sets and the projection is diagonal in monomial coordinates.
+    Fields up to DENSE_ROUTE_MAX_Q run the generic dense-rank route; larger
+    ones exploit that every space involved is spanned by monomial evaluations
+    on the full grid (certified at the factor level), where star products act
+    on exponent sets and the projection is diagonal in monomial coordinates.
     """
     q = F.q
     p = transrs_params(r, q)
@@ -440,17 +428,15 @@ def build_transrs_gate(F: Field, r: int,
     grid = grid_points(F, 2)
     t_exps = sorted(p.t_box())
     S_monomial = monomial_eval_matrix(F, grid, t_exps)
-    if use_monomial_structure is None:
-        use_monomial_structure = q > 16
     label = f"transRS(r={r},q={q})"
-    if not use_monomial_structure:
+    if q <= DENSE_ROUTE_MAX_Q:
         gate = synthesize_gate(factors, L_list, r, label=label)
         S = gate.S_basis
         if S.shape[0] != len(t_exps) or \
                 la.rank(F, np.concatenate([S, S_monomial], axis=0)) != S.shape[0]:
             raise RuntimeError("monomial model of the stabilizer space is wrong")
         return gate
-    _certify_monomial_stabilizer(F, factors, S_monomial, t_exps)
+    Vinv = _certify_monomial_stabilizer(F, factors, S_monomial, t_exps)
     chk = exponent_set_check(r, q)
     # distinct reduced monomials on the full grid are independent, so set
     # sizes are the ranks once the Vandermonde factors are invertible
@@ -460,24 +446,20 @@ def build_transrs_gate(F: Field, r: int,
     if not cert.holds:
         raise ValueError(f"multiplication property fails: {cert}")
     return _synthesize_monomial(F, factors, L_list, p, sorted(chk.l_power_set),
-                                S_monomial, cert, label=label)
+                                S_monomial, Vinv, cert, label=label)
 
 
 def _synthesize_monomial(F: Field, factors: list[CssPair],
                          L_list: list[LinearCode], p: TransRsParams,
                          lpow_exps: list[tuple[int, int]],
-                         S_basis: np.ndarray, cert: MultCertificate,
-                         label: str) -> GateInstance:
+                         S_basis: np.ndarray, Vinv: np.ndarray,
+                         cert: MultCertificate, label: str) -> GateInstance:
     """Coefficients vector via monomial coordinates: the projection onto the
     L-power monomials along all remaining monomials is a coordinate
     projection after full-grid interpolation, so
     a = sum_d (1_A . ev(X^d)) * (V1^{-1}[d1, :] (x) V2^{-1}[d2, :]), one
     matmul of the beta_d = 1_A . ev(X^d) against the stacked Kronecker rows."""
     q = F.q
-    pts = canonical_points(F, q)
-    V = vandermonde(F, pts, pts.size)
-    Vinv = la.solve_right(F, V, la.identity(q))
-    assert Vinv is not None
     A_sets, A_flat, enc_basis = _unit_encodings(F, factors, L_list)
     beta = F.sum(monomial_eval_matrix(F, grid_points(F, 2)[A_flat], lpow_exps), axis=1)
     d1, d2 = np.array(lpow_exps, dtype=np.int64).reshape(-1, 2).T
@@ -550,9 +532,13 @@ def triple_product_params(m: int, u: int) -> TripleProductParams:
                                ell_lo, ell_hi)
 
 
-def smallest_window_m(start: int = 8, stop: int = 10_000) -> int:
+# smallest_window_m scans m in [8, WINDOW_SEARCH_STOP)
+WINDOW_SEARCH_STOP = 10_000
+
+
+def smallest_window_m() -> int:
     """Smallest m whose logical window [ell_lo, ell_hi) is nonempty."""
-    for m in range(start, stop):
+    for m in range(8, WINDOW_SEARCH_STOP):
         if triple_product_params(m, 1).window_size > 0:
             return m
     raise RuntimeError("no nonempty window below the search bound")

@@ -638,6 +638,21 @@ def test_distance_rejects_malformed_code_documents(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_distance_rejects_a_generator_of_rank_below_k(tmp_path, capsys):
+    """Two equal rows span a code of dimension 1, not the declared k = 2;
+    the distance of that rank-1 code was reported with exit 0."""
+    F = GF(5)
+    code = {"field": F.to_json(), "n": 4, "k": 2, "gen": [1, 2, 3, 4] * 2}
+    inst = tmp_path / "deficient.json"
+    inst.write_text(json.dumps({"kind": "rs", "code": code}))
+    capsys.readouterr()
+    assert main(["distance", "--instance", str(inst), "--out", str(tmp_path / "d.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: code gen has rank 1, not k = 2")
+    code["gen"] = [1, 2, 3, 4, 0, 1, 1, 1]
+    inst.write_text(json.dumps({"kind": "rs", "code": code}))
+    assert main(["distance", "--instance", str(inst), "--out", str(tmp_path / "d.json")]) == 0
+
+
 @pytest.mark.parametrize("kind", ["subsystem-product", "css-product"])
 def test_decode_trials_rejects_subsystem_factors(trial_instances, tmp_path, capsys, kind):
     """A product factor flagged as a subsystem pair is refused when the

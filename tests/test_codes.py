@@ -220,6 +220,55 @@ def test_punctured_tensor_rs():
     assert ec.dim <= 4
 
 
+def _reference_monomial_eval_matrix(F, points, exponents):
+    """monomial_eval_matrix by one F.power per monomial and coordinate."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.int64))
+    rows = []
+    for expo in exponents:
+        row = np.ones(points.shape[0], dtype=np.int64)
+        for j, d in enumerate(expo):
+            if d:
+                row = F.mul(row, F.power(points[:, j], d))
+        rows.append(row)
+    if not rows:
+        return np.zeros((0, points.shape[0]), dtype=np.int64)
+    return np.stack(rows, axis=0)
+
+
+@given(st.sampled_from([2, 4, 5, 9, 16, 97]), st.integers(1, 3), st.integers(1, 12),
+       st.integers(0, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_monomial_rows_match_per_exponent_loop(q, t, n, count, with_zero, seed):
+    """Vandermonde columns give the per-exponent loop's rows, for empty
+    exponent lists, exponent 0, exponents of q and above, and points
+    containing 0."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    points = F.random(rng, (n, t))
+    if with_zero:
+        points[0] = 0
+    exps = [tuple(int(d) for d in rng.integers(0, 2 * q + 2, size=t)) for _ in range(count)]
+    if count:
+        exps[0] = (0,) * t
+        exps[-1] = (q,) + exps[-1][1:]
+    got = monomial_eval_matrix(F, points, exps)
+    want = _reference_monomial_eval_matrix(F, points, exps)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", [2, 9, 97])
+def test_empty_generators_and_parity_checks(q):
+    """The zero code's dual is the full space, and the full code, whose
+    parity check has no rows, contains every word."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    assert np.array_equal(zero_code(F, 5).dual().gen, la.identity(5))
+    full = full_code(F, 5)
+    assert full.parity_check().shape == (0, 5)
+    assert all(full.contains(F.random(rng, 5)) for _ in range(4))
+    assert zero_code(F, 5).contains(np.zeros(5, dtype=np.int64))
+    assert not zero_code(F, 5).contains(la.identity(5)[2])
+
+
 def test_eval_code_arity_checks(gf4):
     with pytest.raises(ValueError):
         eval_code(gf4, np.array([[0, 1], [1, 0]]), [(1,)])

@@ -8,6 +8,10 @@ rule, the canonical-modulus search and `Field.of_order`'s trial loop), kept
 verbatim in behaviour: the fast paths must return bit-identical arrays (the
 rref of a matrix is unique)."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -421,6 +425,22 @@ def test_add_table_build_memory():
         tracemalloc.stop()
     assert F._add_table.nbytes == 729 * 729 * 8
     assert peak <= 16 << 20
+
+
+def test_large_add_table_builds_without_a_second_table():
+    """GF(61^2) keeps a 110 MB addition table; built in row blocks it peaks
+    near 150 MB of RSS in a fresh interpreter, where a q x q scratch beside
+    the table took it to 346 MB.  The peak is the interpreter's VmHWM, which
+    unlike ru_maxrss does not count the RSS of the process that started it."""
+    src = str(pathlib.Path(gf.__file__).resolve().parents[1])
+    code = ("from prodcodes.gf import GF\n"
+            "assert GF(61 ** 2)._add_table.shape == (3721, 3721)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 250 * 1024  # kB
 
 
 @given(st.sampled_from(FIELD_ORDERS), st.integers(0, 12), st.integers(0, 12),

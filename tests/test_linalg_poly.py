@@ -148,6 +148,63 @@ def test_row_space_intersection(gf4):
     assert inter.shape[0] == ra + rb - rsum
 
 
+def _reference_row_space_intersection(F, A, B):
+    """row_space_intersection by four eliminations: reduce A and B, take the
+    left kernel of their stack, map its A half back through A, reduce."""
+    A = la.row_space(F, A)
+    B = la.row_space(F, B)
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return np.zeros((0, A.shape[1] if A.size else B.shape[1]), dtype=np.int64)
+    stacked = np.concatenate([A, B], axis=0)
+    lk = la.right_kernel(F, stacked.T)
+    if lk.shape[0] == 0:
+        return np.zeros((0, A.shape[1]), dtype=np.int64)
+    return la.row_space(F, la.matmul(F, lk[:, : A.shape[0]], A))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(F, A, B): spanning sets over char 2, odd prime and odd p^e fields,
+    with no rows, repeated rows, or B equal to, sharing rows with, or
+    spanning a complement of A, at lengths from 1."""
+    F = GF(draw(st.sampled_from([2, 4, 8, 3, 7, 97, 9, 25, 27])))
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = F.random(rng, (draw(st.integers(0, 5)), n))
+    if A.shape[0] > 1 and draw(st.booleans()):
+        A[-1] = A[0]  # rank-deficient
+    kind = draw(st.sampled_from(["random", "identical", "shared", "disjoint"]))
+    if kind == "identical":
+        B = A.copy()
+    elif kind == "disjoint":
+        # a complement of rowspace(A): the identity rows on its free columns
+        B = la.identity(n)[[c for c in range(n) if c not in la.rref(F, A)[1]]]
+    else:
+        B = F.random(rng, (draw(st.integers(0, 5)), n))
+        if kind == "shared" and A.shape[0]:
+            B = np.concatenate([A[:1], F.mul(A[-1:], np.int64(F.q - 1)), B])
+    return F, A, B
+
+
+@given(subspace_pairs())
+def test_row_space_intersection_matches_four_eliminations(pair):
+    F, A, B = pair
+    got = la.row_space_intersection(F, A, B)
+    want = _reference_row_space_intersection(F, A, B)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_row_space_intersection_is_one_elimination(monkeypatch):
+    F = GF(7)
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda *a: calls.append(1) or rref(*a))
+    A = np.array([[1, 2, 3], [0, 1, 1]])
+    got = la.row_space_intersection(F, A, np.array([[1, 3, 4], [0, 0, 1]]))
+    assert len(calls) == 1 and got.tolist() == [[1, 3, 4]]
+
+
 def _reference_right_kernel(F, M):
     """right_kernel with the per-entry fill loop it had before the free
     columns were filled as one block."""

@@ -310,8 +310,15 @@ def test_ltc_soundness_matches_old_loop(inst, coset_budget, seed):
 def test_side_distance_matches_old_loop(inst):
     F, basis, _, _, rng = inst
     gauge_dual = _matrix(F, rng, int(rng.integers(0, 3)), basis.shape[1])
-    got = _side_distance(F, basis, gauge_dual, budget=10 ** 6, rng=None, trials=0)
+    got = _side_distance(F, basis, gauge_dual, budget=10 ** 6, rng=None)
     assert got == (ref_side_distance(F, basis, gauge_dual), True)
+
+
+def test_side_distance_with_no_gauge_counts_every_nonzero_word():
+    F = GF(9)
+    basis = np.array([[1, 2, 0, 0], [0, 0, 1, 1]], dtype=np.int64)
+    got = _side_distance(F, basis, np.zeros((0, 4), dtype=np.int64), budget=10 ** 6, rng=None)
+    assert got == (2, True) == (ref_side_distance(F, basis, np.zeros((0, 4))), True)
 
 
 @given(st.sampled_from([(2, 7), (4, 5), (8, 4)]), st.integers(0, 2 ** 32 - 1))

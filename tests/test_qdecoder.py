@@ -189,7 +189,7 @@ def test_syndrome_to_word_and_inconsistency(sub16):
     assert la.in_row_space(F, inst.product.qx.gen, F.sub(c_x, e))
     # inconsistent syndromes are rejected as such
     bad = s_x.copy()
-    par = la.left_kernel(F, cm.hx.T)
+    par = la.right_kernel(F, cm.hx)
     outside = None
     for i in range(s_x.size):
         cand = s_x.copy()
@@ -350,6 +350,8 @@ def test_coset_min_weight(gf4):
     space = np.array([[1, 1, 0, 0]], dtype=np.int64)
     v = np.array([1, 1, 1, 0], dtype=np.int64)
     assert coset_min_weight(gf4, la.right_kernel(gf4, space), v, cap=3) == 1
+    # no checks: every word is in the kernel, so the coset holds 0
+    assert coset_min_weight(gf4, np.zeros((0, 4), dtype=np.int64), v, cap=3) == 0
 
 
 @pytest.fixture(scope="module")

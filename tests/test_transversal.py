@@ -3,8 +3,10 @@ checks, gate synthesis, phase identity, sabotage, and the triple product."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
+import types
 from functools import reduce
 
 import numpy as np
@@ -240,7 +242,7 @@ def test_exponent_set_check_perturbed_window():
 
 @pytest.fixture(scope="module")
 def gate16():
-    return tv.build_transrs_gate(GF(16), 2, use_monomial_structure=False)
+    return tv.build_transrs_gate(GF(16), 2)
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +265,9 @@ def test_gate37_certificate_and_phase(gate37):
     assert rep.all_passed
 
 
-def test_monomial_dense_certificates_agree(gate16):
-    mono = tv.build_transrs_gate(GF(16), 2, use_monomial_structure=True)
+def test_monomial_dense_certificates_agree(gate16, monkeypatch):
+    monkeypatch.setattr(tv, "DENSE_ROUTE_MAX_Q", 0)
+    mono = tv.build_transrs_gate(GF(16), 2)
     cd, cm = gate16.certificate, mono.certificate
     assert (cd.rank_l_power, cd.rank_obstruction, cd.intersection_dim) == \
         (cm.rank_l_power, cm.rank_obstruction, cm.intersection_dim)
@@ -276,10 +279,13 @@ def test_monomial_dense_certificates_agree(gate16):
     (16, 2, True, "d972216077d98e92526c0156510102e7e15996d2b643497396a4a6f3ace1df26"),
     (37, 3, None, "8c04d214d2b986b7fb380b6ab59453379abea5a71a9dc8e72340c57068fee198"),
 ])
-def test_gate_json_pinned(q, r, monomial, digest):
+def test_gate_json_pinned(q, r, monomial, digest, monkeypatch):
     """The whole gate document (factors, L, S, information sets,
-    coefficients, certificate) of each build route, pinned by hash."""
-    gate = tv.build_transrs_gate(GF(q), r, use_monomial_structure=monomial)
+    coefficients, certificate) of each build route, pinned by hash; the
+    monomial route is forced at q = 16 by lowering the dense route's bound."""
+    if monomial:
+        monkeypatch.setattr(tv, "DENSE_ROUTE_MAX_Q", 0)
+    gate = tv.build_transrs_gate(GF(q), r)
     doc = json.dumps(gate.to_json(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
@@ -341,7 +347,7 @@ def test_dense_build_spans_each_star_power_once(monkeypatch):
         return star_span(*args)
 
     monkeypatch.setattr(tv, "star_span", counted)
-    tv.build_transrs_gate(GF(16), 2, use_monomial_structure=False)
+    tv.build_transrs_gate(GF(16), 2)
     assert len(calls) == 2
 
 
@@ -349,6 +355,68 @@ def test_enc_injectivity(gate16, gate37):
     for gate in (gate16, gate37):
         F = gate.field
         assert la.rank(F, gate.enc_basis) == gate.n_logical
+
+
+def _reference_unit_encodings(F, factors, L_list):
+    """_unit_encodings by elimination: the pivots of an rref of each
+    generator, and the unit encodings solved for on them."""
+    A_sets = [la.rref(F, L.gen)[1] for L in L_list]
+    enc_factors = []
+    for L, A in zip(L_list, A_sets):
+        coefs = la.solve_right(F, L.gen[:, A].T, la.identity(len(A)))
+        enc_factors.append(la.matmul(F, coefs.T, L.gen))
+    enc_basis = reduce(lambda a, b: la.kron(F, a, b), enc_factors)
+    A_flat = np.array([np.ravel_multi_index(idx, tuple(f.n for f in factors))
+                       for idx in itertools.product(*A_sets)], dtype=np.int64)
+    return [list(map(int, A)) for A in A_sets], A_flat, enc_basis
+
+
+def _assert_same_encodings(got, want):
+    assert got[0] == want[0] and all(type(a) is int for A in got[0] for a in A)
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_unit_encodings_of_the_gates_match_elimination(gate16, gate37):
+    for gate in (gate16, gate37):
+        got = (gate.A_sets, gate.A_flat, gate.enc_basis)
+        _assert_same_encodings(got, _reference_unit_encodings(gate.field, gate.factors,
+                                                              gate.L_list))
+
+
+@given(st.sampled_from([2, 7, 9, 16]),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5)), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_unit_encodings_match_elimination(q, shapes, seed):
+    """Information sets and unit encodings read off rref generators equal
+    those solved for, on random codes of every rank, the zero code too."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    L_list = [LinearCode(F, n, F.random(rng, (k, n))) for n, k in shapes]
+    # _unit_encodings reads only the length of each factor
+    factors = [types.SimpleNamespace(n=L.n) for L in L_list]
+    _assert_same_encodings(tv._unit_encodings(F, factors, L_list),
+                           _reference_unit_encodings(F, factors, L_list))
+
+
+def test_monomial_build_inverts_one_vandermonde(monkeypatch):
+    """The monomial route builds and inverts the q x q Vandermonde matrix
+    once, for the certificate and the synthesis both."""
+    built, solved = [], []
+    vandermonde, solve_right = tv.vandermonde, la.solve_right
+
+    def counted_vandermonde(F, points, k):
+        built.append(k)
+        return vandermonde(F, points, k)
+
+    def counted_solve(F, A, b):
+        solved.append(np.shape(A))
+        return solve_right(F, A, b)
+
+    monkeypatch.setattr(tv, "vandermonde", counted_vandermonde)
+    monkeypatch.setattr(la, "solve_right", counted_solve)
+    tv.build_transrs_gate(GF(37), 3)
+    assert built == [37] and solved.count((37, 37)) == 1
 
 
 def _perturbed_gate(gate, pos, delta):
