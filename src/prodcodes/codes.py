@@ -4,7 +4,8 @@ products, star products, MDS and distance checks, and a Monte-Carlo local
 testability estimator.
 
 A LinearCode is an immutable row space.  Generator matrices are stored in
-reduced row echelon form so that equal subspaces have identical generators.
+reduced row echelon form so that equal subspaces have identical generators;
+a generator already in that form is kept as given.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ from . import linalg as la
 from .rng import stream
 
 DEFAULT_DISTANCE_BUDGET = 2_000_000
+# seed and draws of min_distance's sampled upper bound
+SAMPLED_DISTANCE_SEED = 0
+SAMPLED_DISTANCE_TRIALS = 2000
+# largest coset span ltc_soundness_estimate minimizes exactly
+SOUNDNESS_COSET_BUDGET = 200_000
+# generator pairs one star_span may form before it refuses
+PAIR_CAP = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -41,23 +49,22 @@ class DistanceResult:
 
 
 class LinearCode:
-    """A k-dimensional subspace of F^n carried as an rref generator matrix.
+    """A k-dimensional subspace of F^n carried as an rref generator matrix
+    gen with leading columns pivots; a generator already in rref is kept,
+    any other is reduced once."""
 
-    assume_reduced skips the reduction for generators already known to be in
-    reduced row echelon form (e.g. Kronecker products of rref generators).
-    """
-
-    def __init__(self, field: Field, n: int, gen: np.ndarray, label: str = "",
-                 assume_reduced: bool = False):
+    def __init__(self, field: Field, n: int, gen: np.ndarray, label: str = ""):
         gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
         if np.any(gen < 0) or np.any(gen >= field.q):
             raise ValueError("generator entries outside field")
         self.field = field
         self.n = int(n)
-        if assume_reduced or gen.shape[0] == 0:
-            self.gen = gen.copy()
+        self.pivots = la.rref_pivots(gen)
+        if self.pivots is None:
+            gen, self.pivots = la.rref(field, gen)
+            self.gen = gen[: len(self.pivots)]
         else:
-            self.gen = la.row_space(field, gen)
+            self.gen = gen.copy()
         self.gen.setflags(write=False)
         self.label = label
         self._dual: LinearCode | None = None
@@ -68,10 +75,6 @@ class LinearCode:
     def k(self) -> int:
         return self.gen.shape[0]
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"LinearCode[{self.n},{self.k}]_{self.field.q}{tag}"
@@ -80,7 +83,7 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         if self._dual is None:
-            ker = la.right_kernel(self.field, self.gen)
+            ker = la.rref_kernel(self.field, self.gen, self.pivots)
             self._dual = LinearCode(self.field, self.n, ker, label=f"dual({self.label})")
             self._dual._dual = self
         return self._dual
@@ -103,8 +106,7 @@ class LinearCode:
 
     # metrics -----------------------------------------------------------------
 
-    def min_distance(self, budget: int = DEFAULT_DISTANCE_BUDGET,
-                     seed: int = 0, trials: int = 2000) -> DistanceResult:
+    def min_distance(self, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
         """Exact distance by enumeration when q^k <= budget, otherwise a
         flagged information-set sampling estimate (an upper bound on d)."""
         F = self.field
@@ -114,9 +116,9 @@ class LinearCode:
             w, _ = la.min_weight_search(F, self.gen, np.zeros((1, self.n), dtype=np.int64),
                                         exclude=la.identity(self.n))
             return DistanceResult(int(w[0]), True, "enumeration")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SAMPLED_DISTANCE_SEED)
         best = int(np.count_nonzero(self.gen, axis=1).min())
-        for _ in range(trials // 10):
+        for _ in range(SAMPLED_DISTANCE_TRIALS // 10):
             # information-set resampling: systematic rows over a random
             # full-rank column set are low-weight codeword candidates
             cols = rng.permutation(self.n)[: self.k]
@@ -125,7 +127,7 @@ class LinearCode:
                 continue
             rows = la.matmul(F, coefs.T, self.gen)
             best = min(best, int(np.count_nonzero(rows, axis=1).min()))
-        for _ in range(trials):
+        for _ in range(SAMPLED_DISTANCE_TRIALS):
             msg = F.random(rng, self.k)
             if msg.any():
                 best = min(best, la.weight(self.codeword(msg)))
@@ -369,8 +371,7 @@ def tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:
     if C1.k == 0 or C2.k == 0:
         return zero_code(F, C1.n * C2.n)
     gen = la.kron(F, C1.gen, C2.gen)
-    return LinearCode(F, C1.n * C2.n, gen, label=f"{C1.label}(x){C2.label}",
-                      assume_reduced=True)
+    return LinearCode(F, C1.n * C2.n, gen, label=f"{C1.label}(x){C2.label}")
 
 
 def dual_tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:
@@ -380,19 +381,54 @@ def dual_tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:
     return out
 
 
-def star_product(A: LinearCode, B: LinearCode, cap: int | None = None) -> LinearCode:
-    """Span of component-wise products of all generator-row pairs."""
+def _dedup_rows(rows: np.ndarray) -> np.ndarray:
+    if rows.shape[0] <= 1:
+        return rows
+    seen: set[bytes] = set()
+    keep = []
+    for i in range(rows.shape[0]):
+        key = rows[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return rows[keep]
+
+
+def _pair_products(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """All products A[i] * B[j], i-major, built about 2^20 entries at a time."""
+    n = A.shape[1]
+    out = []
+    step = max(1, (1 << 20) // max(1, B.shape[0] * n))
+    for i in range(0, A.shape[0], step):
+        block = F.mul(A[i:i + step, None, :], B[None, :, :])
+        out.append(block.reshape(-1, n))
+    return np.concatenate(out, axis=0)
+
+
+def star_span(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Spanning rows of span(A) * span(B): pairwise products, duplicates
+    collapsed, compressed to a row basis when they outgrow the ambient
+    dimension.  Refuses (BudgetExceeded) past PAIR_CAP generator pairs."""
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return np.zeros((0, A.shape[1]), dtype=np.int64)
+    if A.shape[0] * B.shape[0] > PAIR_CAP:
+        raise BudgetExceeded(
+            f"star product with {A.shape[0] * B.shape[0]} generator pairs exceeds cap")
+    rows = _dedup_rows(_pair_products(F, A, B))
+    rows = rows[np.any(rows, axis=1)]
+    if rows.shape[0] > A.shape[1]:
+        rows = la.row_space(F, rows)
+    return rows
+
+
+def star_product(A: LinearCode, B: LinearCode) -> LinearCode:
+    """The code spanned by the component-wise products of codewords."""
     if A.field != B.field:
         raise ValueError("field mismatch")
     if A.n != B.n:
         raise ValueError("length mismatch")
-    F = A.field
-    if A.k == 0 or B.k == 0:
-        return zero_code(F, A.n)
-    if cap is not None and A.k * B.k > cap:
-        raise BudgetExceeded(f"star product with {A.k * B.k} generator pairs exceeds cap {cap}")
-    rows = F.mul(A.gen[:, None, :], B.gen[None, :, :]).reshape(A.k * B.k, A.n)
-    return LinearCode(F, A.n, rows, label=f"{A.label}*{B.label}")
+    return LinearCode(A.field, A.n, star_span(A.field, A.gen, B.gen),
+                      label=f"{A.label}*{B.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +445,20 @@ class SoundnessEstimate:
     samples: list = dfield(default_factory=list)
 
 
-def ltc_soundness_estimate(F: Field, H: np.ndarray, trials: int, seed: int,
-                           coset_budget: int = 200_000) -> SoundnessEstimate:
+def ltc_soundness_estimate(F: Field, H: np.ndarray, trials: int,
+                           seed: int) -> SoundnessEstimate:
     """Empirical upper estimate of the soundness rho of the check matrix H.
 
     rho <= (|He|/m) / (|e*|/n) for the minimal-weight e* in e + ker(H); the
     minimum is taken over sampled errors.  The coset minimum is computed
-    exactly when q^dim(ker H) fits the budget, otherwise the injected weight
-    stands in (making the estimate an upper bound only for coset-minimal
-    injections; flagged in the methodology note).
+    exactly when q^dim(ker H) <= SOUNDNESS_COSET_BUDGET, otherwise the
+    injected weight stands in (making the estimate an upper bound only for
+    coset-minimal injections; flagged in the methodology note).
     """
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
     m, n = H.shape
     ker = la.right_kernel(F, H)
-    exact = F.q ** ker.shape[0] <= coset_budget
+    exact = F.q ** ker.shape[0] <= SOUNDNESS_COSET_BUDGET
     rng = stream(seed)
     errors, syn_ws = [], []
     while len(errors) < trials:

@@ -39,10 +39,6 @@ class SingleSectorComplex:
         self._boundaries: np.ndarray | None = None
 
     @property
-    def coboundary(self) -> np.ndarray:
-        return self.boundary.T
-
-    @property
     def locality(self) -> int:
         if self.dim == 0:
             return 0
@@ -78,10 +74,10 @@ class SingleSectorComplex:
 
     def homology_reps(self) -> np.ndarray:
         """Cycle representatives completing the boundary basis to the cycles."""
-        return _complete_basis(self.field, self.boundaries(), self.cycles())
+        return la.complete_basis(self.field, self.boundaries(), self.cycles())
 
     def cohomology_reps(self) -> np.ndarray:
-        return _complete_basis(self.field, self.coboundaries(), self.cocycles())
+        return la.complete_basis(self.field, self.coboundaries(), self.cocycles())
 
     def dual_bases(self) -> tuple[np.ndarray, np.ndarray]:
         """(cocycle_basis, cycle_basis) with cocycle_i . cycle_j = 1_{i=j}."""
@@ -106,14 +102,6 @@ class SingleSectorComplex:
 
     def __repr__(self) -> str:
         return f"SingleSectorComplex(dim={self.dim}, k={self.homology_dim()})"
-
-
-def _complete_basis(F: Field, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Rows of `outer` extending rowspace(inner) to rowspace(outer): row i
-    is picked when it lies outside the span of inner and the earlier rows,
-    that is when column len(inner) + i of [inner; outer]^T is a pivot."""
-    _, piv = la.rref(F, np.concatenate([inner, outer], axis=0).T)
-    return outer[[c - inner.shape[0] for c in piv if c >= inner.shape[0]]]
 
 
 def from_css(qx: LinearCode, qz: LinearCode) -> SingleSectorComplex:

@@ -23,6 +23,8 @@ from .rng import stream
 from .codes import BudgetExceeded, LinearCode
 
 DEFAULT_PE_BUDGET = 2_000_000
+# largest adjustment lattice pe_monte_carlo minimizes over exactly
+PE_LATTICE_BUDGET = 4096
 # elements per candidate array of the lattice-minimization kernel
 _KERNEL_BLOCK = 1 << 18
 
@@ -230,15 +232,14 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
     return PeResult(best[0], True, best[1], best[2], scanned)
 
 
-def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
-                   lattice_budget: int = 4096) -> PeResult:
+def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int) -> PeResult:
     """Upper estimate of the product-expansion from sampled codewords.
 
     Every sampled witness ratio upper-bounds rho.  Decompositions are
-    minimized exactly when the adjustment lattice is small, otherwise by
-    greedy coordinate descent over lattice generators.  The sample always
-    includes the cheap single-column witnesses built from minimum-weight
-    factor codewords.
+    minimized exactly when the adjustment lattice has at most
+    PE_LATTICE_BUDGET points, otherwise by greedy coordinate descent over
+    lattice generators.  The sample always includes the cheap single-column
+    witnesses built from minimum-weight factor codewords.
     """
     F = common_field(codes)
     t = len(codes)
@@ -272,7 +273,7 @@ def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int,
 
     words = np.array([w for w in samples if w.any()]).reshape(-1, N)
     parts = decomposer(F, codes)(words)
-    if t > 1 and math.prod(F.q ** B.shape[0] for _, B in pair_bases) <= lattice_budget:
+    if t > 1 and math.prod(F.q ** B.shape[0] for _, B in pair_bases) <= PE_LATTICE_BUDGET:
         costs, parts = _cheapest_decompositions(F, pair_bases, lengths, parts)
     else:
         parts = _descend_decomposition(F, parts, pair_bases, lengths)

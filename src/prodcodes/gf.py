@@ -143,23 +143,24 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 
 
 def _is_primitive(a, f, p, q) -> bool:
-    """Whether the nonzero residue a (GF(p) coefficients, low to high)
-    generates the q - 1 units mod the irreducible f: a^((q-1)/l) != 1 for
-    every prime l | q - 1."""
-    return all(_ppowmod(a, (q - 1) // ell, f, p) != (1,) for ell in _prime_factors(q - 1))
+    """Whether the residue a (GF(p) coefficients, low to high) has order
+    q - 1 mod the degree-e monic f, q = p^e: a^(q-1) = 1 and a^((q-1)/l) != 1
+    for every prime l | q - 1.  Then the q - 1 powers of a are distinct
+    units, so every nonzero residue is a unit and f is irreducible."""
+    return _ppowmod(a, q - 1, f, p) == (1,) and \
+        all(_ppowmod(a, (q - 1) // ell, f, p) != (1,) for ell in _prime_factors(q - 1))
 
 
 @functools.lru_cache(maxsize=None)
 def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     """First primitive monic degree-e polynomial over GF(p), in a fixed
-    enumeration of the non-leading coefficient vector (mixed-radix order)."""
+    enumeration of the non-leading coefficient vector (mixed-radix order).
+    X of order q - 1 proves f irreducible (see _is_primitive)."""
     q = p ** e
     for code in range(q):
         f = _code_digits(code, p, e) + (1,)
         if f[0] == 0:
             continue  # divisible by X
-        if not is_irreducible(f, p):
-            continue
         if _is_primitive((0, 1), f, p, q):
             return f
     raise RuntimeError(f"no primitive polynomial found for GF({p}^{e})")

@@ -156,6 +156,20 @@ def right_kernel(F: Field, M: np.ndarray) -> np.ndarray:
     return rref_kernel(F, *rref(F, M))
 
 
+def rref_pivots(M: np.ndarray) -> list[int] | None:
+    """The leading columns of M when M is in rref with no zero row, else
+    None: leading columns strictly increase and M is the identity on them."""
+    if M.shape[0] == 0:
+        return []
+    nz = M != 0
+    if not nz.any(axis=1).all():
+        return None
+    piv = nz.argmax(axis=1)
+    if np.any(np.diff(piv) <= 0) or not np.array_equal(M[:, piv], identity(len(piv))):
+        return None
+    return piv.tolist()
+
+
 def rref_kernel(F: Field, R: np.ndarray, piv: list[int]) -> np.ndarray:
     """right_kernel from a matrix already in rref with pivot columns piv: the
     basis is the identity on the free columns."""
@@ -229,20 +243,23 @@ def left_solver(F: Field, A: np.ndarray):
     return solve
 
 
-def in_row_space(F: Field, M: np.ndarray, v: np.ndarray) -> bool:
-    return solve_left(F, M, v) is not None
+def complete_basis(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The rows of B outside the span of A and of the earlier rows of B, in
+    order: row i is picked when column len(A) + i of rref([A; B]^T) is a
+    pivot.  They extend rowspace(A) to rowspace(A) + rowspace(B)."""
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    B = np.atleast_2d(np.asarray(B, dtype=np.int64))
+    _, piv = rref(F, np.concatenate([A, B], axis=0).T)
+    return B[[c - A.shape[0] for c in piv if c >= A.shape[0]]]
 
 
 def row_space_contains(F: Field, A: np.ndarray, B: np.ndarray) -> bool:
     """True iff rowspace(B) is contained in rowspace(A)."""
-    ra = rank(F, A)
-    return rank(F, np.concatenate([np.atleast_2d(A), np.atleast_2d(B)], axis=0)) == ra
+    return complete_basis(F, A, B).shape[0] == 0
 
 
-def row_space_equal(F: Field, A: np.ndarray, B: np.ndarray) -> bool:
-    Ra = row_space(F, A)
-    Rb = row_space(F, B)
-    return Ra.shape == Rb.shape and bool(np.array_equal(Ra, Rb))
+# the same test for one vector v (a 1-D row)
+in_row_space = row_space_contains
 
 
 def row_space_intersection(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -375,12 +375,15 @@ class SingleShotResult:
     notes: dict = dfield(default_factory=dict)
 
 
-def nearest_syndrome_exact(F: Field, img: np.ndarray, s: np.ndarray,
-                           budget: int = 200_000) -> np.ndarray | None:
+# largest span nearest_syndrome_exact scans
+NEAREST_SYNDROME_BUDGET = 200_000
+
+
+def nearest_syndrome_exact(F: Field, img: np.ndarray, s: np.ndarray) -> np.ndarray | None:
     """Exact minimum-distance projection of s onto the span of the basis
     rows img, the first nearest word in enumerate_span's order; None when
-    the span is too large for the budget."""
-    if F.q ** img.shape[0] > budget:
+    the span has more than NEAREST_SYNDROME_BUDGET words."""
+    if F.q ** img.shape[0] > NEAREST_SYNDROME_BUDGET:
         return None
     return la.min_weight_search(F, img, F.neg(s)[None, :])[1][0]
 

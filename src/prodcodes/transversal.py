@@ -25,56 +25,8 @@ from .gf import Field
 from . import linalg as la
 from .rng import stream
 from .codes import (BudgetExceeded, LinearCode, box_exponents, canonical_points,
-                    distinct_points, monomial_eval_matrix, vandermonde)
+                    distinct_points, monomial_eval_matrix, star_span, vandermonde)
 from .subsystem import CssPair, quantum_rs, subsystem_product
-
-
-# ---------------------------------------------------------------------------
-# star-power spans with duplicate collapse
-# ---------------------------------------------------------------------------
-
-# generator pairs one star_span may form before it refuses
-PAIR_CAP = 2_000_000
-
-
-def _dedup_rows(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] <= 1:
-        return rows
-    seen: set[bytes] = set()
-    keep = []
-    for i in range(rows.shape[0]):
-        key = rows[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return rows[keep]
-
-
-def _pair_products(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All products A[i] * B[j], i-major, built about 2^20 entries at a time."""
-    n = A.shape[1]
-    out = []
-    step = max(1, (1 << 20) // max(1, B.shape[0] * n))
-    for i in range(0, A.shape[0], step):
-        block = F.mul(A[i:i + step, None, :], B[None, :, :])
-        out.append(block.reshape(-1, n))
-    return np.concatenate(out, axis=0)
-
-
-def star_span(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Spanning rows of span(A) * span(B): pairwise products, duplicates
-    collapsed, compressed to a row basis when they outgrow the ambient
-    dimension.  Refuses (BudgetExceeded) past PAIR_CAP generator pairs."""
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((0, A.shape[1]), dtype=np.int64)
-    if A.shape[0] * B.shape[0] > PAIR_CAP:
-        raise BudgetExceeded(
-            f"star product with {A.shape[0] * B.shape[0]} generator pairs exceeds cap")
-    rows = _dedup_rows(_pair_products(F, A, B))
-    rows = rows[np.any(rows, axis=1)]
-    if rows.shape[0] > A.shape[1]:
-        rows = la.row_space(F, rows)
-    return rows
 
 
 @dataclass
@@ -319,7 +271,7 @@ def _unit_encodings(F: Field, factors: list[CssPair], L_list: list[LinearCode]):
     """Per-factor information sets, their flat product indices in message
     order, and the unit-message encodings.  Each L.gen is in rref: its row
     pivots are the information set, and its rows encode the unit messages."""
-    A_sets = [(L.gen != 0).argmax(axis=1).tolist() for L in L_list]
+    A_sets = [L.pivots for L in L_list]
     enc_basis = reduce(lambda a, b: la.kron(F, a, b), [L.gen for L in L_list])
     A_flat = np.array([np.ravel_multi_index(idx, tuple(f.n for f in factors))
                        for idx in itertools.product(*A_sets)], dtype=np.int64)
@@ -432,8 +384,7 @@ def build_transrs_gate(F: Field, r: int) -> GateInstance:
     if q <= DENSE_ROUTE_MAX_Q:
         gate = synthesize_gate(factors, L_list, r, label=label)
         S = gate.S_basis
-        if S.shape[0] != len(t_exps) or \
-                la.rank(F, np.concatenate([S, S_monomial], axis=0)) != S.shape[0]:
+        if S.shape[0] != len(t_exps) or not la.row_space_contains(F, S, S_monomial):
             raise RuntimeError("monomial model of the stabilizer space is wrong")
         return gate
     Vinv = _certify_monomial_stabilizer(F, factors, S_monomial, t_exps)
@@ -645,20 +596,16 @@ class GammaSolveError(RuntimeError):
     pass
 
 
-def _solve_gamma(F: Field, points: np.ndarray, k0: int, u: int,
+def _solve_gamma(F: Field, M: np.ndarray, target: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """Vector gamma with gamma . ev(X^a) = 1_{a = (k0..k0)} over the box
-    [0, 2k0]^u, randomized inside the solution coset until entrywise nonzero
-    (64 draws at most)."""
-    exps = box_exponents(0, 2 * k0 + 1, u)
-    M = monomial_eval_matrix(F, points, exps)
+    """Vector gamma with M gamma = target, for M the evaluations of the box
+    [0, 2k0]^u and target the indicator of (k0..k0), randomized inside the
+    solution coset until entrywise nonzero (64 draws at most)."""
     n = M.shape[1]
-    target = np.zeros((len(exps), 1), dtype=np.int64)
-    target[exps.index(tuple([k0] * u))] = 1
     # one reduction of [M | target]: its first n columns are rref(M), and a
     # full row rank M leaves no pivot on the target, so the system is solvable
-    R, piv = la.rref(F, np.concatenate([M, target], axis=1))
-    if len(piv) != len(exps) or piv[-1] >= n:
+    R, piv = la.rref(F, np.concatenate([M, target[:, None]], axis=1))
+    if len(piv) != M.shape[0] or piv[-1] >= n:
         raise GammaSolveError("monomial box evaluations are not independent")
     g0 = np.zeros(n, dtype=np.int64)
     g0[piv] = R[:, n]
@@ -692,16 +639,16 @@ def triple_product_build(F: Field, m: int, u: int, seed: int) -> TripleProductGa
     n = p.n
     rng = stream(seed)
     points = [distinct_points(F, n, u, rng) for _ in range(3)]
-    gammas = [_solve_gamma(F, E, p.k0, u, rng) for E in points]
-    for i, (E, g) in enumerate(zip(points, gammas)):
-        exps = box_exponents(0, 2 * p.k0 + 1, u)
+    exps = box_exponents(0, 2 * p.k0 + 1, u)
+    target = np.zeros(len(exps), dtype=np.int64)
+    target[exps.index(tuple([p.k0] * u))] = 1
+    gammas = []
+    for i, E in enumerate(points):
         M = monomial_eval_matrix(F, E, exps)
-        got = la.matmul(F, M, g[:, None])[:, 0]
-        want = np.zeros(len(exps), dtype=np.int64)
-        want[exps.index(tuple([p.k0] * u))] = 1
-        if not np.array_equal(got, want):
+        gammas.append(_solve_gamma(F, M, target, rng))
+        if not np.array_equal(la.matvec(F, M, gammas[i]), target):
             raise GammaSolveError(f"gamma conditions fail for factor {i}")
-        checks[f"gamma{i}_nonzero"] = bool(np.all(g != 0))
+        checks[f"gamma{i}_nonzero"] = bool(np.all(gammas[i] != 0))
     ok_kill, failed = _kill_certificate(p)
     checks["pattern_kill"] = ok_kill
     shift = p.k0 - 3 * p.ell_lo

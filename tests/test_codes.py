@@ -2,13 +2,14 @@
 puncturing, the soundness estimator, and serialization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
-from prodcodes import linalg as la
+from prodcodes import codes, linalg as la
 from prodcodes.codes import (BudgetExceeded, LinearCode, canonical_points, distinct_points,
                              dual_tensor, eval_code, full_code,
                              ltc_soundness_estimate, monomial_eval_matrix,
@@ -113,7 +114,7 @@ def _canonical_sum_form(F, C1, C2):
     return canonical_generator(F, [C1, C2])
 
 
-def test_star_product_basics(gf5):
+def test_star_product_basics(gf5, monkeypatch):
     A = rs_code(gf5, 5, 2)
     ones = LinearCode(gf5, 5, np.ones((1, 5), dtype=np.int64))
     assert star_product(A, ones).same_subspace(A)
@@ -123,8 +124,91 @@ def test_star_product_basics(gf5):
     assert la.row_space_contains(gf5, rs_code(gf5, 5, 4).gen, S.gen)
     with pytest.raises(ValueError):
         star_product(A, rs_code(gf5, 4, 2))
+    monkeypatch.setattr(codes, "PAIR_CAP", 1)
     with pytest.raises(BudgetExceeded):
-        star_product(A, A, cap=1)
+        star_product(A, A)
+
+
+def ref_linear_code(F, n, gen):
+    """LinearCode's generator and parity check as they were built: every
+    generator with rows reduced again, the dual through right_kernel."""
+    gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
+    if gen.shape[0]:
+        gen = la.row_space(F, gen)
+    return gen, la.row_space(F, la.right_kernel(F, gen))
+
+
+def ref_star_product(A, B):
+    """star_product's generator as it was: every pairwise product of
+    generator rows, reduced."""
+    if A.k == 0 or B.k == 0:
+        return np.zeros((0, A.n), dtype=np.int64)
+    return la.row_space(A.field, A.field.mul(A.gen[:, None, :], B.gen[None, :, :]).reshape(-1, A.n))
+
+
+@st.composite
+def generators(draw):
+    """(F, n, gen) over GF(2), GF(9), GF(64) or GF(97) with n from 1 and
+    rank from 0 to n: a spanning set with dependent rows, its rref, or that
+    rref with a zero row appended, its rows permuted or one row scaled."""
+    F = GF(draw(st.sampled_from([2, 9, 64, 97])))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gen = la.matmul(F, F.random(rng, (k + draw(st.integers(0, 2)), k)), F.random(rng, (k, n)))
+    kind = draw(st.sampled_from(["spanning", "rref", "zero row", "permuted", "scaled"]))
+    if kind != "spanning":
+        gen = la.row_space(F, gen)
+    if kind == "zero row":
+        gen = np.concatenate([gen, np.zeros((1, n), dtype=np.int64)])
+    elif kind == "permuted":
+        gen = gen[rng.permutation(gen.shape[0])]
+    elif kind == "scaled" and gen.shape[0]:
+        i = rng.integers(gen.shape[0])
+        gen[i] = F.mul(gen[i], F.random(rng, None, nonzero=True))
+    return F, n, gen
+
+
+@given(generators())
+def test_linear_code_matches_always_reduced_generator(case):
+    F, n, gen = case
+    C = LinearCode(F, n, gen)
+    want_gen, want_dual = ref_linear_code(F, n, gen)
+    assert C.gen.shape == want_gen.shape and np.array_equal(C.gen, want_gen)
+    assert C.pivots == la.rref(F, want_gen)[1]
+    assert C.dual().gen.shape == want_dual.shape and np.array_equal(C.dual().gen, want_dual)
+    # the caller's array is neither shared nor frozen
+    assert not np.shares_memory(C.gen, gen) and gen.flags.writeable
+
+
+@given(generators(), st.integers(0, 2 ** 32 - 1))
+def test_star_product_and_tensor_match_reduced_products(case, seed):
+    F, n, gen = case
+    A = LinearCode(F, n, gen)
+    rng = np.random.default_rng(seed)
+    B = LinearCode(F, n, F.random(rng, (int(rng.integers(0, n + 1)), n)))
+    for X, Y in ((A, B), (B, A), (A, A)):
+        got, want = star_product(X, Y).gen, ref_star_product(X, Y)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        # the Kronecker product of rref generators is an rref, kept as given
+        T = tensor(X, Y)
+        assert np.array_equal(T.gen, la.row_space(F, la.kron(F, X.gen, Y.gen)))
+        assert X.k * Y.k == 0 or T.pivots == la.rref_pivots(la.kron(F, X.gen, Y.gen))
+
+
+def test_rref_generators_are_reduced_at_most_once(monkeypatch):
+    """An rref generator and a Kronecker product of two are kept with no
+    elimination; a dual reduces only its kernel basis."""
+    F = GF(9)
+    C, D = rs_code(F, 9, 4), rs_code(F, 9, 5)
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda F, M: calls.append(M.shape) or rref(F, M))
+    assert LinearCode(F, 9, C.gen).same_subspace(C)
+    assert tensor(C, C).k == 16
+    assert calls == []
+    assert C.dual().same_subspace(D)
+    assert calls == [(5, 9)]
 
 
 def test_rs_multiplicativity_seeded(gf8):
@@ -197,7 +281,9 @@ def test_sampled_distance_matches_rank_tested_loop(q, n, k, trials, seed):
     C = LinearCode(F, n, gen)
     if C.k == 0:
         return
-    d = C.min_distance(budget=1, seed=seed, trials=trials)
+    with mock.patch.object(codes, "SAMPLED_DISTANCE_SEED", seed), \
+            mock.patch.object(codes, "SAMPLED_DISTANCE_TRIALS", trials):
+        d = C.min_distance(budget=1)
     assert (d.exact, d.method) == (False, "sampling-upper-bound")
     assert d.value == ref_sampled_distance(C, seed, trials)
 

@@ -470,7 +470,8 @@ def test_grs_parity_check_spans_the_dual(q, n):
         H = _grs_parity_check(F, points, k)
         assert H.shape == (n - k, n)
         assert la.rank(F, H) == n - k
-        assert la.row_space_equal(F, H, rs_code(F, n, k, points).parity_check())
+        assert np.array_equal(la.row_space(F, H),
+                              la.row_space(F, rs_code(F, n, k, points).parity_check()))
 
 
 GRS_CASE = (GF(13), np.array([3, 11, 0, 7, 5, 12, 1], dtype=np.int64), 3)

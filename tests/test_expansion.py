@@ -4,6 +4,7 @@ invariance properties, closures, and the canonical-generator rank test."""
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -472,7 +473,8 @@ def test_pe_exact_matches_reference_loop(codes):
 @given(small_code_tuples(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 4096]))
 def test_pe_monte_carlo_matches_reference_loop(codes, seed, lattice_budget):
     # lattice_budget 1 takes the coordinate-descent branch for t > 1
-    got = pe_monte_carlo(codes, trials=8, seed=seed, lattice_budget=lattice_budget)
+    with mock.patch.object(expansion, "PE_LATTICE_BUDGET", lattice_budget):
+        got = pe_monte_carlo(codes, trials=8, seed=seed)
     want = _reference_pe_monte_carlo(codes, 8, seed, lattice_budget)
     assert got.to_json() == want.to_json()
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prodcodes.gf import GF, Field, canonical_modulus, is_irreducible
+from prodcodes.gf import (GF, Field, _is_primitive, _ppowmod, _prime_factors,
+                          canonical_modulus, is_irreducible)
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -105,6 +106,26 @@ def test_user_supplied_modulus_checked():
     other = Field.get(2, 3, (1, 1, 0, 1))  # X^3 + X + 1 irreducible
     assert other.q == 8
     assert is_irreducible((1, 1, 0, 1), 2)
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 4),
+                                  (5, 2), (5, 3), (7, 2)])
+def test_x_of_order_q_minus_1_proves_irreducible(p, e):
+    """Over every monic degree-e f with f(0) != 0, X passes _is_primitive
+    exactly when f is irreducible with X primitive.  Without the check
+    X^(q-1) = 1, the (q-1)/l tests alone pass some reducible f."""
+    q = p ** e
+    alone = 0
+    for code in range(1, q):
+        f = tuple(code // p ** i % p for i in range(e)) + (1,)
+        if f[0] == 0:
+            continue
+        powers_pass = all(_ppowmod((0, 1), (q - 1) // ell, f, p) != (1,)
+                          for ell in _prime_factors(q - 1))
+        irreducible = is_irreducible(f, p)
+        assert _is_primitive((0, 1), f, p, q) == (irreducible and powers_pass)
+        alone += powers_pass and not irreducible
+    assert alone > 0
 
 
 def test_odd_extension_field_digits():

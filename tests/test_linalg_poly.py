@@ -265,6 +265,80 @@ def test_left_solver_keeps_only_its_transform():
     assert held[0].base is None
 
 
+def _reference_row_space_contains(F, A, B):
+    """row_space_contains by two eliminations: rank(A) = rank([A; B])."""
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+    return la.rank(F, A) == la.rank(F, np.concatenate([A, B], axis=0))
+
+
+@st.composite
+def containment_cases(draw):
+    """(F, A, B) over GF(2), GF(9), GF(64) or GF(97) at lengths from 1: A
+    with no rows or dependent rows, B with no rows, inside rowspace(A) or
+    random, and sometimes a single 1-D vector."""
+    F = GF(draw(st.sampled_from([2, 9, 64, 97])))
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = F.random(rng, (draw(st.integers(0, 5)), n))
+    if A.shape[0] > 1 and draw(st.booleans()):
+        A[-1] = F.mul(A[0], np.int64(F.q - 1))
+    b = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        B = la.matmul(F, F.random(rng, (b, A.shape[0])), A)
+    else:
+        B = F.random(rng, (b, n))
+    if b and draw(st.booleans()):
+        B = B[0]
+    return F, A, B
+
+
+@given(containment_cases())
+def test_row_space_contains_matches_two_ranks(case):
+    F, A, B = case
+    want = _reference_row_space_contains(F, A, B)
+    assert la.row_space_contains(F, A, B) is want
+    assert la.in_row_space(F, A, B) is (la.solve_left(F, A, B) is not None) is want
+
+
+def test_row_space_contains_is_one_elimination(monkeypatch):
+    F = GF(7)
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda *a: calls.append(1) or rref(*a))
+    A = np.array([[1, 2, 3], [0, 1, 1]])
+    assert la.row_space_contains(F, A, np.array([[1, 3, 4]]))
+    assert not la.in_row_space(F, A, np.array([0, 0, 1]))
+    assert len(calls) == 2
+
+
+@st.composite
+def rref_variants(draw):
+    """(F, M): a random matrix from ranked_matrices, its rref basis, or that
+    basis with a zero row appended, its rows permuted or one row scaled."""
+    F, M, rng = draw(ranked_matrices())
+    kind = draw(st.sampled_from(["matrix", "rref", "zero row", "permuted", "scaled"]))
+    if kind == "matrix":
+        return F, M
+    R = la.row_space(F, M)
+    if kind == "zero row":
+        R = np.concatenate([R, np.zeros((1, R.shape[1]), dtype=np.int64)])
+    elif kind == "permuted":
+        R = R[rng.permutation(R.shape[0])]
+    elif kind == "scaled" and R.shape[0]:
+        i = rng.integers(R.shape[0])
+        R[i] = F.mul(R[i], F.random(rng, None, nonzero=True))
+    return F, R
+
+
+@given(rref_variants())
+def test_rref_pivots_matches_reduction(case):
+    """rref_pivots gives the pivots exactly when rref leaves M as it is."""
+    F, M = case
+    R, piv = la.rref(F, M)
+    kept = len(piv) == M.shape[0] and np.array_equal(R, M)
+    assert la.rref_pivots(M) == (piv if kept else None)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ must match exactly."""
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prodcodes import linalg as la
+from prodcodes import codes, linalg as la, qdecoder
 from prodcodes.codes import LinearCode, ltc_soundness_estimate
 from prodcodes.complexes import (FillingEstimate, SingleSectorComplex,
                                  filling_constant_estimate, systolic_distance, _descend)
@@ -300,7 +301,8 @@ def test_ltc_soundness_matches_old_loop(inst, coset_budget, seed):
     n = basis.shape[1]
     H = _matrix(F, rng, int(rng.integers(1, 4)), n)
     H[0, int(rng.integers(n))] = 1  # a nonzero row, so some errors are detected
-    got = ltc_soundness_estimate(F, H, trials=6, seed=seed, coset_budget=coset_budget)
+    with mock.patch.object(codes, "SOUNDNESS_COSET_BUDGET", coset_budget):
+        got = ltc_soundness_estimate(F, H, trials=6, seed=seed)
     best, exact, samples = ref_ltc_soundness_estimate(F, H, 6, seed, coset_budget)
     assert (got.rho_hat, got.used_exact_coset_min, got.samples) == (best, exact, samples)
     assert all(type(ew) is int for ew, *_ in got.samples)
@@ -350,15 +352,17 @@ def test_nearest_syndrome_exact_matches_old_loop(inst):
         assert np.array_equal(got, ref_nearest_syndrome_exact(F, basis, s))
 
 
-def test_nearest_syndrome_exact_projects_and_refuses_over_budget():
+def test_nearest_syndrome_exact_projects_and_refuses_over_budget(monkeypatch):
     F = GF(8)
     img = np.array([[1, 0, 3, 0], [0, 1, 0, 5]], dtype=np.int64)
     word = la.matmul(F, np.array([[2, 7]]), img)[0]
     noisy = word.copy()
     noisy[2] = F.add(noisy[2], 1)
     assert np.array_equal(nearest_syndrome_exact(F, img, noisy), word)
-    assert nearest_syndrome_exact(F, img, noisy, budget=63) is None
-    assert np.array_equal(nearest_syndrome_exact(F, img, noisy, budget=64), word)
+    monkeypatch.setattr(qdecoder, "NEAREST_SYNDROME_BUDGET", 63)
+    assert nearest_syndrome_exact(F, img, noisy) is None
+    monkeypatch.setattr(qdecoder, "NEAREST_SYNDROME_BUDGET", 64)
+    assert np.array_equal(nearest_syndrome_exact(F, img, noisy), word)
     empty = np.zeros((0, 4), dtype=np.int64)
     assert np.array_equal(nearest_syndrome_exact(F, empty, noisy), np.zeros(4, dtype=np.int64))
 

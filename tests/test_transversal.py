@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from prodcodes.cli import canonical_json
 from prodcodes.gf import GF
-from prodcodes import linalg as la
-from prodcodes.codes import BudgetExceeded, LinearCode, rs_code
+from prodcodes import codes, linalg as la
+from prodcodes.codes import (BudgetExceeded, LinearCode, box_exponents, monomial_eval_matrix,
+                             rs_code)
 from prodcodes import transversal as tv
 from prodcodes.subsystem import quantum_rs
 
@@ -165,7 +166,7 @@ def test_star_span_matches_star_product(gf8, rng):
     rows = tv.star_span(gf8, A, B)
     from prodcodes.codes import star_product
     direct = star_product(LinearCode(gf8, 8, A), LinearCode(gf8, 8, B))
-    assert la.row_space_equal(gf8, rows, direct.gen)
+    assert np.array_equal(la.row_space(gf8, rows), la.row_space(gf8, direct.gen))
 
 
 def test_multiplication_property_trivial_s(gf8, rng):
@@ -178,7 +179,7 @@ def test_multiplication_property_trivial_s(gf8, rng):
 def test_multiplication_property_caps(gf8, rng, monkeypatch):
     L = gf8.random(rng, (2, 8))
     S = gf8.random(rng, (2, 8))
-    monkeypatch.setattr(tv, "PAIR_CAP", 1)
+    monkeypatch.setattr(codes, "PAIR_CAP", 1)
     with pytest.raises(BudgetExceeded):
         tv.multiplication_property(gf8, L, S, 2)
 
@@ -600,9 +601,26 @@ def test_triple_build_pinned(triple_gate):
 def test_solve_gamma_rejects_dependent_box():
     F = GF(1 << 17)
     points = np.array([[1], [2], [3], [3], [4], [4]], dtype=np.int64)
+    M = monomial_eval_matrix(F, points, box_exponents(0, 5, 1))
+    target = np.zeros(5, dtype=np.int64)
+    target[2] = 1
     rng = np.random.default_rng(0)
     with pytest.raises(tv.GammaSolveError):
-        tv._solve_gamma(F, points, 2, 1, rng)
+        tv._solve_gamma(F, M, target, rng)
+
+
+def test_triple_build_evaluates_each_box_once(monkeypatch, triple_gate):
+    """Each factor's [0, 2k0]^u box is evaluated once, for the gamma solve
+    and its check alike, and the document is unchanged."""
+    p = tv.triple_product_params(408, 1)
+    box = len(box_exponents(0, 2 * p.k0 + 1, p.u))
+    sizes = []
+    evaluate = tv.monomial_eval_matrix
+    monkeypatch.setattr(tv, "monomial_eval_matrix",
+                        lambda F, E, exps: sizes.append(len(exps)) or evaluate(F, E, exps))
+    gate = tv.triple_product_build(GF(1 << 17), 408, 1, seed=2024)
+    assert sizes.count(box) == 3
+    assert gate.to_json() == triple_gate.to_json()
 
 
 def test_triple_determinism():
