@@ -525,8 +525,8 @@ def cmd_gate_verify(args) -> int:
 
 def cmd_single_shot_trials(args) -> int:
     doc = _load_instance(args.instance)
+    _, inst = _decodable_instance(doc, ("subsystem-product", "css-product"))
     with _boundary():
-        inst = SubsystemProductInstance.from_json(doc)
         cm = check_matrices(inst.product, "amplified")
     F = inst.field
     prod = inst.product

@@ -92,10 +92,6 @@ class LinearCode:
         """Full-rank parity-check matrix (lazily computed as the dual basis)."""
         return self.dual().gen
 
-    def contains(self, v: np.ndarray) -> bool:
-        v = np.asarray(v, dtype=np.int64)
-        return not np.any(la.matvec(self.field, self.parity_check(), v))
-
     def same_subspace(self, other: "LinearCode") -> bool:
         return (self.field == other.field and self.n == other.n
                 and self.gen.shape == other.gen.shape
@@ -174,8 +170,10 @@ class LinearCode:
         F = Field.from_json(doc["field"])
         n, k, gen, label = doc["n"], doc["k"], doc["gen"], doc.get("label", "")
         # type(...) is int: JSON true/false are not integers here
-        if not (type(n) is int and type(k) is int and n >= 0 and k >= 0):
-            raise ValueError(f"code n and k must be non-negative integers, got {n!r}, {k!r}")
+        if not (type(n) is int and n >= 1):
+            raise ValueError(f"code n must be a positive integer, got {n!r}")
+        if not (type(k) is int and k >= 0):
+            raise ValueError(f"code k must be a non-negative integer, got {k!r}")
         if not (_int_list(gen) and len(gen) == k * n):
             raise ValueError(f"code gen must be a flat list of k*n = {k * n} integers")
         if not isinstance(label, str):
@@ -203,10 +201,6 @@ def _int_list(x) -> bool:
 
 def zero_code(F: Field, n: int) -> LinearCode:
     return LinearCode(F, n, np.zeros((0, n), dtype=np.int64), label="zero")
-
-
-def full_code(F: Field, n: int) -> LinearCode:
-    return LinearCode(F, n, la.identity(n), label="full")
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +271,6 @@ class EvalCode:
     @property
     def dim(self) -> int:
         return self.base.k
-
-    @property
-    def requested_dim(self) -> int:
-        return len(self.exponent_set)
 
 
 def eval_code(F: Field, points: np.ndarray,
@@ -419,16 +409,6 @@ def star_span(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if rows.shape[0] > A.shape[1]:
         rows = la.row_space(F, rows)
     return rows
-
-
-def star_product(A: LinearCode, B: LinearCode) -> LinearCode:
-    """The code spanned by the component-wise products of codewords."""
-    if A.field != B.field:
-        raise ValueError("field mismatch")
-    if A.n != B.n:
-        raise ValueError("length mismatch")
-    return LinearCode(A.field, A.n, star_span(A.field, A.gen, B.gen),
-                      label=f"{A.label}*{B.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,6 @@ class SingleSectorComplex:
     def cocycles(self) -> np.ndarray:
         return la.right_kernel(self.field, self.boundary.T)
 
-    def coboundaries(self) -> np.ndarray:
-        return la.row_space(self.field, self.boundary)
-
     def homology_dim(self) -> int:
         return self.cycles().shape[0] - self.boundaries().shape[0]
 
@@ -75,24 +72,6 @@ class SingleSectorComplex:
     def homology_reps(self) -> np.ndarray:
         """Cycle representatives completing the boundary basis to the cycles."""
         return la.complete_basis(self.field, self.boundaries(), self.cycles())
-
-    def cohomology_reps(self) -> np.ndarray:
-        return la.complete_basis(self.field, self.coboundaries(), self.cocycles())
-
-    def dual_bases(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cocycle_basis, cycle_basis) with cocycle_i . cycle_j = 1_{i=j}."""
-        F = self.field
-        cyc = self.homology_reps()
-        coc = self.cohomology_reps()
-        pairing = la.matmul(F, coc, cyc.T)
-        k = cyc.shape[0]
-        if k == 0:
-            return coc, cyc
-        # nondegeneracy of the pairing lets us normalize the cocycle side
-        inv = la.solve_right(F, pairing, la.identity(k))
-        if inv is None:
-            raise RuntimeError("degenerate homology pairing")
-        return la.matmul(F, inv.T, coc), cyc
 
     def associated_code(self) -> tuple[LinearCode, LinearCode]:
         """(Q_X, Q_Z) = (ker coboundary, ker boundary)."""
@@ -166,10 +145,6 @@ def systolic_distance(C: SingleSectorComplex,
             v = F.add(v, la.matmul(F, F.random(rng, bnd.shape[0])[None, :], bnd)[0])
         best = min(best, la.weight(v))
     return DistanceResult(best, False, "coset-sampling-upper-bound")
-
-
-def cosystolic_distance(C: SingleSectorComplex) -> DistanceResult:
-    return systolic_distance(C.transpose())
 
 
 @dataclass

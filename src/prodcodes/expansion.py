@@ -1,6 +1,6 @@
 """Product-expansion toolkit: exact brute-force computation at desk scale,
-Monte-Carlo upper estimates, epsilon-closures of cell sets, and the
-canonical-generator rank test for inner-generated sets.
+epsilon-closures of cell sets, and the canonical-generator rank test for
+inner-generated sets.
 
 The product-expansion of codes (C_1, ..., C_t) is the largest rho with: every
 dual-tensor codeword c admits a decomposition c = c_1 + ... + c_t, c_i in
@@ -19,12 +19,9 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .rng import stream
 from .codes import BudgetExceeded, LinearCode
 
 DEFAULT_PE_BUDGET = 2_000_000
-# largest adjustment lattice pe_monte_carlo minimizes over exactly
-PE_LATTICE_BUDGET = 4096
 # elements per candidate array of the lattice-minimization kernel
 _KERNEL_BLOCK = 1 << 18
 
@@ -118,8 +115,8 @@ def decomposer(F: Field, codes: list[LinearCode]):
 
 @dataclass
 class PeResult:
-    rho: Fraction              # exact, or an upper estimate for Monte-Carlo
-    exact: bool
+    rho: Fraction              # the exact product-expansion
+    exact: bool                # always True; a field of the pinned pe-exact report
     witness_word: np.ndarray | None
     witness: Decomposition | None
     codewords_scanned: int
@@ -232,56 +229,6 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
     return PeResult(best[0], True, best[1], best[2], scanned)
 
 
-def pe_monte_carlo(codes: list[LinearCode], trials: int, seed: int) -> PeResult:
-    """Upper estimate of the product-expansion from sampled codewords.
-
-    Every sampled witness ratio upper-bounds rho.  Decompositions are
-    minimized exactly when the adjustment lattice has at most
-    PE_LATTICE_BUDGET points, otherwise by greedy coordinate descent over
-    lattice generators.  The sample always includes the cheap single-column
-    witnesses built from minimum-weight factor codewords.
-    """
-    F = common_field(codes)
-    t = len(codes)
-    lengths = tuple(c.n for c in codes)
-    N = int(np.prod(lengths))
-    rng = stream(seed)
-
-    dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
-    if dt_gen.shape[0] == 0:
-        return PeResult(Fraction(0), False, None, None, 0)
-
-    pair_bases = _pair_bases(F, codes)
-
-    samples: list[np.ndarray] = []
-    # cheap witnesses: a min-weight codeword of C_i on a single direction-i column
-    for i, C in enumerate(codes):
-        if C.k == 0:
-            continue
-        _, word = la.min_weight_search(F, C.gen, np.zeros((1, C.n), dtype=np.int64),
-                                       exclude=la.identity(C.n))
-        emb = np.zeros(lengths, dtype=np.int64)
-        sl = [0] * t
-        sl[i] = slice(None)
-        emb[tuple(sl)] = word[0]
-        samples.append(emb.ravel())
-    for _ in range(trials):
-        coef = F.random(rng, dt_gen.shape[0])
-        if not coef.any():
-            continue
-        samples.append(la.matmul(F, coef[None, :], dt_gen)[0])
-
-    words = np.array([w for w in samples if w.any()]).reshape(-1, N)
-    parts = decomposer(F, codes)(words)
-    if t > 1 and math.prod(F.q ** B.shape[0] for _, B in pair_bases) <= PE_LATTICE_BUDGET:
-        costs, parts = _cheapest_decompositions(F, pair_bases, lengths, parts)
-    else:
-        parts = _descend_decomposition(F, parts, pair_bases, lengths)
-        costs = sum(lengths[i] * dir_weights(parts[i], i, lengths) for i in range(t))
-    ratio, word, dec = _first_min_ratio((Fraction(0), None, None), words, costs, parts, lengths)
-    return PeResult(ratio, False, word, dec, len(samples))
-
-
 def _first_min_ratio(best, words, costs, parts, lengths):
     """Fold the block's first minimal ratio |word| / cost, in scan order, into
     best = (ratio, word, Decomposition); a best without a word loses to any
@@ -297,36 +244,6 @@ def _first_min_ratio(best, words, costs, parts, lengths):
     if best[1] is None or ratio < best[0]:
         best = (ratio, words[r].copy(), Decomposition([p[r] for p in parts], lengths))
     return best
-
-
-def _descend_decomposition(F: Field, parts, pair_bases, lengths):
-    """Greedy coordinate descent on a batch: parts[i] holds part i (W, N) of
-    W words.  Each scalar multiple of each C^(i,j) generator is tried once
-    for the whole batch and moved from part j to part i of every word whose
-    cost it lowers.  A sweep that improves nothing leaves a word's candidates
-    as they were, so later sweeps leave it unchanged: each row ends as the
-    descent of that word alone would."""
-    t = len(parts)
-    cur = [p.copy() for p in parts]
-    part_cost = [lengths[i] * dir_weights(cur[i], i, lengths) for i in range(t)]
-    for _ in range(3):
-        improved = False
-        for (i, j), B in pair_bases:
-            for row in B:
-                for scalar in range(1, F.q):
-                    z = F.mul(np.int64(scalar), row)
-                    # only parts i and j change, so only their costs compare
-                    cand_i, cand_j = F.add(cur[i], z), F.sub(cur[j], z)
-                    cost_i = lengths[i] * dir_weights(cand_i, i, lengths)
-                    cost_j = lengths[j] * dir_weights(cand_j, j, lengths)
-                    better = cost_i + cost_j < part_cost[i] + part_cost[j]
-                    if better.any():
-                        cur[i][better], cur[j][better] = cand_i[better], cand_j[better]
-                        part_cost[i][better], part_cost[j][better] = cost_i[better], cost_j[better]
-                        improved = True
-        if not improved:
-            break
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +303,3 @@ def inner_generated_test(codes: list[LinearCode], cells: np.ndarray) -> bool:
     r_sub = la.rank(F, sub) if sub.size else 0
     return r_sub == r_full - r_off
 
-
-def decomposition_difference_witness(F: Field, codes: list[LinearCode],
-                                     parts_a: list[np.ndarray],
-                                     parts_b: list[np.ndarray]):
-    """Solve for c_{i,j} in C^(i,j) expressing the difference of two
-    decompositions of the same word; returns {(i,j): vector} or None."""
-    t = len(codes)
-    N = int(np.prod([c.n for c in codes]))
-    pair_bases = _pair_bases(F, codes)
-    cols = []
-    for (i, j), B in pair_bases:
-        block = np.zeros((B.shape[0], t * N), dtype=np.int64)
-        block[:, i * N:(i + 1) * N] = B
-        block[:, j * N:(j + 1) * N] = F.neg(B)
-        cols.append(block)
-    M = np.concatenate(cols, axis=0) if cols else np.zeros((0, t * N), dtype=np.int64)
-    d = np.concatenate([F.sub(parts_a[i], parts_b[i]) for i in range(t)])
-    x = la.solve_left(F, M, d)
-    if x is None:
-        return None
-    out = {}
-    ofs = 0
-    for (i, j), B in pair_bases:
-        coef = x[ofs:ofs + B.shape[0]]
-        out[(i, j)] = la.matmul(F, coef[None, :], B)[0] if B.shape[0] else \
-            np.zeros(N, dtype=np.int64)
-        ofs += B.shape[0]
-    return out

@@ -208,24 +208,14 @@ def solve_right(F: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return X[:, 0] if squeeze else X
 
 
-def solve_left(F: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """x with x A = b (row-vector convention), or None."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim == 1:
-        x = solve_right(F, A.T, b)
-        return x
-    x = solve_right(F, A.T, b.T)
-    return None if x is None else x.T
-
-
 def left_solver(F: Field, A: np.ndarray):
-    """solve_left for many right-hand sides against one A, row-reducing A
-    once: the returned function maps rows b (2-D) to the same solution rows
-    x with x A = b that solve_left gives, or None if some row is outside the
-    row space of A.  rref([A^T | I]) stores the transform P with P A^T in
-    rref; P b^T then holds the pivot coordinates and, below the rank, zeros
-    exactly when the system is consistent."""
+    """Solve x A = b (row-vector convention) for many right-hand sides
+    against one A, row-reducing A once: the returned function maps rows b
+    (2-D) to the solution rows x that solve_right(F, A^T, b^T)^T gives, or
+    None if some row is outside the row space of A.  rref([A^T | I]) stores
+    the transform P with P A^T in rref; P b^T then holds the pivot
+    coordinates and, below the rank, zeros exactly when the system is
+    consistent."""
     At = np.atleast_2d(np.asarray(A, dtype=np.int64)).T
     m, n = At.shape
     R, piv = rref(F, np.concatenate([At, identity(m)], axis=1))

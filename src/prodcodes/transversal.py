@@ -153,10 +153,6 @@ class TransRsParams:
     ell_hi: int
 
     @property
-    def factor_dims(self) -> tuple[int, int]:
-        return (self.k1x + self.k1z - self.q, self.k2x + self.k2z - self.q)
-
-    @property
     def gate_qudits(self) -> int:
         return (self.ell_hi - self.ell_lo) ** 2
 

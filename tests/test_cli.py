@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prodcodes
-from prodcodes.cli import main, canonical_json
+from prodcodes.cli import main
 from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import LinearCode, rs_code
@@ -743,3 +743,183 @@ def test_pe_exact_rejects_codes_over_different_fields(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(ValueError, match="one field"):
         pe_exact([LinearCode.from_json(d) for d in json.loads(mixed.read_text())])
+
+
+SINGLE_SHOT = ["single-shot-trials", "--syndrome-noise", "1", "--error-weight", "1",
+               "--distance", "4", "--trials", "1", "--seed", "3"]
+
+
+def test_single_shot_reads_only_product_kinds(trial_instances, tmp_path, capsys):
+    """single-shot-trials refuses a document of an unknown kind or with no
+    kind, as decode-trials does, and still runs a css-product instance."""
+    doc = json.loads(trial_instances["subsystem-product"].read_text())["results"]
+    inst = tmp_path / "kind.json"
+    for mutant in ({**doc, "kind": "bogus"}, {k: v for k, v in doc.items() if k != "kind"}):
+        inst.write_text(json.dumps(mutant))
+        capsys.readouterr()
+        assert main([SINGLE_SHOT[0], "--instance", str(inst), *SINGLE_SHOT[1:],
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot decode instances of kind")
+    assert main([SINGLE_SHOT[0], "--instance", str(trial_instances["css-product"]),
+                 *SINGLE_SHOT[1:], "--out", str(tmp_path / "r.json")]) in (0, 2)
+
+
+def test_code_documents_need_a_positive_length(tmp_path, capsys):
+    """A code of length 0 is refused by name in pe-exact and distance, not
+    by numpy's reshape."""
+    code = {"field": GF(4).to_json(), "n": 0, "k": 0, "gen": []}
+    codes, inst = tmp_path / "codes.json", tmp_path / "inst.json"
+    codes.write_text(json.dumps([code, code]))
+    inst.write_text(json.dumps({"kind": "rs", "code": code}))
+    for argv in (["pe-exact", "--codes", str(codes)], ["distance", "--instance", str(inst)]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: code n must be a positive integer")
+
+
+# a JSON value of every type, to retype a field to any type but its own
+JSON_VALUES = [None, True, 3, 1.5, "x", [], {}]
+DROP = object()
+
+
+def _malformations(doc, elements=(), sized=(), optional=("label", "rs")):
+    """(path, value) pairs, each of which makes a valid document invalid when
+    the value is set at the path (DROP deletes it): every required key
+    dropped, every field and list entry retyped, every integer pushed to -1,
+    every entry of an element list (its key in elements, None for the root)
+    pushed to 10**6, and every fixed-size list (its key in sized) cut or
+    grown by one entry."""
+    out = []
+
+    def walk(node, path, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                if k not in optional:
+                    out.append((path + (k,), DROP))
+                out.extend((path + (k,), w) for w in JSON_VALUES if type(w) is not type(v))
+                walk(v, path + (k,), k)
+        elif isinstance(node, list):
+            if key in sized:
+                out.extend([(path, node[:-1]), (path, node + node[-1:])])
+            for i, v in enumerate(node):
+                out.extend((path + (i,), w) for w in JSON_VALUES if type(w) is not type(v))
+                if key in elements:
+                    out.append((path + (i,), 10 ** 6))
+                walk(v, path + (i,), None)
+        elif type(node) is int:
+            out.append((path, -1))
+
+    walk(doc, (), None)
+    return out
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def _exits_with_an_error_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 1 and err.getvalue().startswith("error: ")
+
+
+CODE_ELEMENTS, CODE_SIZED = ("gen", "points"), ("gen", "points", "modulus")
+
+
+@pytest.fixture(scope="module")
+def pe_exact_codes(nested_documents):
+    doc = nested_documents["pe-exact"][0]
+    # the list itself may hold one code or three, so only its entries vary
+    return doc, _malformations(doc, CODE_ELEMENTS, CODE_SIZED)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_pe_exact_rejects_malformed_code_lists(pe_exact_codes, tmp_path_factory, data):
+    """One field of a pe-exact code list dropped, retyped or pushed out of
+    range (the list, a code, its field, n, k, gen or rs): exit 1 with an
+    error line."""
+    doc, mutations = pe_exact_codes
+    mutant = tmp_path_factory.getbasetemp() / "pe-mutant.json"
+    mutant.write_text(json.dumps(_mutated(doc, *data.draw(st.sampled_from(mutations)))))
+    _exits_with_an_error_line(["pe-exact", "--codes", str(mutant),
+                               "--out", str(mutant.with_name("pe-report.json"))])
+
+
+@pytest.fixture(scope="module")
+def decode_one_documents(trial_instances, tmp_path_factory):
+    """(instance path, payload flag, valid payload, its mutations) for a
+    dual-tensor word, a subsystem word pair and a subsystem syndrome pair,
+    and the mutations of the instance kind."""
+    from prodcodes.qdecoder import SubsystemProductInstance
+    from prodcodes.subsystem import check_matrices
+    dt, sp = trial_instances["dual-tensor"], trial_instances["subsystem-product"]
+    sub = SubsystemProductInstance.from_json(json.loads(sp.read_text())["results"])
+    cm = check_matrices(sub.product, "tensor")
+    cells = json.loads(dt.read_text())["results"]["n"] ** 2
+    payloads = [(dt, "--word", [0] * cells),
+                (sp, "--word", {"c_x": [0] * sub.n ** 2, "c_z": [0] * sub.n ** 2}),
+                (sp, "--syndrome", {"s_x": [0] * cm.hx.shape[0], "s_z": [0] * cm.hz.shape[0]})]
+    keys = ("c_x", "c_z", "s_x", "s_z")
+    cases = [(path, flag, payload, _malformations(payload, (None, *keys), (None, *keys)))
+             for path, flag, payload in payloads]
+    # decode-one reads neither css-product nor unknown kinds
+    kinds = [DROP, None, 3, "bogus", "css-product"]
+    return cases, kinds, tmp_path_factory.mktemp("decode-one-fuzz")
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_decode_one_rejects_malformed_documents(decode_one_documents, data):
+    """A decode-one word or syndrome document with a key dropped, a value
+    retyped, an entry out of [0, q) or the wrong length, or an instance of
+    a kind decode-one does not read: exit 1 with an error line."""
+    cases, kinds, out = decode_one_documents
+    inst, flag, payload, mutations = data.draw(st.sampled_from(cases))
+    if data.draw(st.booleans(), label="mutate the instance kind"):
+        doc = json.loads(inst.read_text())["results"]
+        inst = out / "instance.json"
+        inst.write_text(json.dumps(_mutated(doc, ("kind",), data.draw(st.sampled_from(kinds)))))
+    else:
+        payload = _mutated(payload, *data.draw(st.sampled_from(mutations)))
+    pf = out / "payload.json"
+    pf.write_text(json.dumps(payload))
+    _exits_with_an_error_line(["decode-one", "--instance", str(inst), flag, str(pf),
+                               "--out", str(out / "report.json")])
+
+
+@pytest.fixture(scope="module")
+def single_shot_instance(trial_instances):
+    doc = json.loads(trial_instances["subsystem-product"].read_text())["results"]
+    mutations = _malformations(doc, CODE_ELEMENTS, (*CODE_SIZED, "eps", "rho", "factors"))
+    mutations += [(("eps", 0), 0), (("rho", 1), 0), (("gamma",), 0),
+                  (("factors", 0, "subsystem"), True)]
+    kinds = [(("kind",), kind) for kind in (DROP, None, "bogus", "rs", "qrs", "dual-tensor")]
+    return doc, mutations, kinds
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_single_shot_rejects_malformed_instances(single_shot_instance, tmp_path_factory,
+                                                 data):
+    """A single-shot-trials instance with a key dropped, a value retyped or
+    out of range (top level, factor pairs and their codes), or a kind it does
+    not read: exit 1 with an error line."""
+    doc, mutations, kinds = single_shot_instance
+    mutation = data.draw(st.sampled_from(kinds) | st.sampled_from(mutations))
+    mutant = tmp_path_factory.getbasetemp() / "ss-mutant.json"
+    mutant.write_text(json.dumps(_mutated(doc, *mutation)))
+    _exits_with_an_error_line([SINGLE_SHOT[0], "--instance", str(mutant), *SINGLE_SHOT[1:],
+                               "--out", str(mutant.with_name("ss-report.json"))])

@@ -1,10 +1,8 @@
-"""Product-expansion oracles: exact values, Monte-Carlo agreement,
-invariance properties, closures, and the canonical-generator rank test."""
+"""Product-expansion oracles: exact values, invariance properties, closures,
+and the canonical-generator rank test."""
 
 import itertools
-import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +10,13 @@ from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import expansion, linalg as la
-from prodcodes.codes import BudgetExceeded, LinearCode, full_code, rs_code
-from prodcodes.expansion import (Decomposition, PeResult, _descend_decomposition,
-                                 canonical_generator, ci_basis, cij_basis,
-                                 decomposer, decomposition_difference_witness,
-                                 dir_weights, epsilon_closure, closure_size_bound,
-                                 inner_generated_test, pe_exact, pe_monte_carlo)
+from prodcodes.codes import BudgetExceeded, LinearCode, rs_code
+from prodcodes.expansion import (Decomposition, PeResult, canonical_generator, ci_basis,
+                                 cij_basis, decomposer, dir_weights, epsilon_closure,
+                                 closure_size_bound, inner_generated_test, pe_exact)
 from prodcodes.codes import punctured_tensor_rs
+
+from test_linalg_poly import solve_left
 
 
 def test_dir_weight_matches_definition():
@@ -78,7 +76,7 @@ def test_pe_full_space_tuple():
     # a full-space factor admits single-column covers: rho = 1/n exactly at
     # this size (the asymptotic statement degrades to 0 only as n grows)
     F = GF(2)
-    res = pe_exact([full_code(F, 2), LinearCode(F, 2, np.array([[1, 1]]))],
+    res = pe_exact([LinearCode(F, 2, la.identity(2)), LinearCode(F, 2, np.array([[1, 1]]))],
                    budget=10_000_00)
     assert res.rho == Fraction(1, 2)
 
@@ -114,38 +112,6 @@ def test_pe_subcode_bound():
     S2 = rs_code(F, 3, 1)
     rho_sub = pe_exact([S1, S2], budget=10_000_000).rho
     assert rho_sub >= rho ** 4 / 4
-
-
-def test_pe_monte_carlo_agrees_and_bounds():
-    F = GF(4)
-    C = rs_code(F, 4, 1)
-    exact = pe_exact([C, C], budget=30_000_000).rho
-    mc = pe_monte_carlo([C, C], trials=2000, seed=7)
-    assert mc.rho == exact  # seeded run reproduces the exact optimum
-    # an upper estimate can never fall below the true value
-    assert mc.rho >= exact
-
-
-def test_pe_monte_carlo_includes_cheap_witnesses():
-    F = GF(5)
-    C1 = rs_code(F, 5, 2)
-    C2 = rs_code(F, 5, 3)
-    mc = pe_monte_carlo([C1, C2], trials=0, seed=0)
-    # with zero random trials only the single-column products remain, whose
-    # best ratio is min_i distance_i / n
-    assert mc.rho <= Fraction(4, 5)
-    assert mc.rho > 0
-
-
-def test_pe_decreases_when_dual_contained():
-    # rate sum > 1 with C1^perp <= C2 admits unusually light codewords
-    F = GF(5)
-    C1 = rs_code(F, 5, 3)
-    C2 = rs_code(F, 5, 3)  # C1^perp = RS(2) <= RS(3) = C2
-    mc = pe_monte_carlo([C1, C2], trials=500, seed=3)
-    healthy = pe_monte_carlo([rs_code(F, 5, 1), rs_code(F, 5, 1)],
-                             trials=500, seed=3)
-    assert mc.rho < healthy.rho
 
 
 def test_closure_examples():
@@ -254,22 +220,6 @@ def test_base_decomposition_reconstructs(gf4, rng):
         assert not np.any(la.matmul(gf4, parts[1].reshape(3, 3), H1.T))
 
 
-def test_decomposition_difference_witness_seeded(gf4, rng):
-    codes = [rs_code(gf4, 3, 2), rs_code(gf4, 3, 1)]
-    from prodcodes.codes import dual_tensor
-    DT = dual_tensor(codes[0], codes[1])
-    B = cij_basis(gf4, codes, 0, 1)
-    for _ in range(100):
-        w = DT.codeword(gf4.random(rng, DT.k))
-        pa = [p[0] for p in decomposer(gf4, codes)(w[None, :])]
-        z = la.matmul(gf4, gf4.random(rng, B.shape[0])[None, :], B)[0]
-        pb = [gf4.add(pa[0], z), gf4.sub(pa[1], z)]
-        wit = decomposition_difference_witness(gf4, codes, pa, pb)
-        assert wit is not None
-        assert np.array_equal(gf4.sub(pa[0], pb[0]), gf4.neg(wit[(0, 1)]))
-        assert np.array_equal(gf4.sub(pa[1], pb[1]), wit[(0, 1)])
-
-
 def test_closure_size_bound_holds(rng):
     for _ in range(50):
         A = rng.random((4, 4)) < 0.2
@@ -313,7 +263,7 @@ def _reference_lattices(F, codes):
 
 def _reference_base_parts(F, codes, word):
     G, spans = canonical_generator(F, codes)
-    x = la.solve_left(F, G, word[None, :])[0]
+    x = solve_left(F, G, word[None, :])[0]
     return [la.matmul(F, x[a:b][None, :], G[a:b])[0] for a, b in spans]
 
 
@@ -360,87 +310,6 @@ def _reference_pe_exact(codes, budget):
     return PeResult(best, True, best_word, best_dec, scanned)
 
 
-def _reference_pe_monte_carlo(codes, trials, seed, lattice_budget):
-    F = codes[0].field
-    t = len(codes)
-    lengths = tuple(c.n for c in codes)
-    N = int(np.prod(lengths))
-    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
-    if dt_gen.shape[0] == 0:
-        return PeResult(Fraction(0), False, None, None, 0)
-    pair_bases = [((i, j), cij_basis(F, codes, i, j))
-                  for i in range(t) for j in range(i + 1, t)]
-    lattice_size = math.prod(F.q ** b.shape[0] for _, b in pair_bases)
-    lattices = (_reference_lattices(F, codes)
-                if lattice_size <= lattice_budget and t > 1 else None)
-    samples = []
-    for i, C in enumerate(codes):
-        if C.k == 0:
-            continue
-        w, word = N + 1, None
-        for _, chunk in la.enumerate_span(F, C.gen):
-            ws = np.count_nonzero(chunk, axis=1)
-            pos = np.nonzero(ws > 0)[0]
-            if pos.size and ws[pos].min() < w:
-                w = int(ws[pos].min())
-                word = chunk[pos[np.argmin(ws[pos])]]
-        if word is None:
-            continue
-        emb = np.zeros(lengths, dtype=np.int64)
-        sl = [0] * t
-        sl[i] = slice(None)
-        emb[tuple(sl)] = word
-        samples.append(emb.ravel())
-    for _ in range(trials):
-        coef = F.random(rng, dt_gen.shape[0])
-        if coef.any():
-            samples.append(la.matmul(F, coef[None, :], dt_gen)[0])
-    best, best_word, best_dec = None, None, None
-    for word in samples:
-        if not word.any():
-            continue
-        parts = _reference_base_parts(F, codes, word)
-        if lattices is not None:
-            cost, parts = _reference_min_decomposition(F, lattices, lengths, parts)
-        else:
-            parts = _reference_descend_decomposition(F, parts, pair_bases, lengths)
-            cost = sum(lengths[i] * _reference_dir_weight(parts[i], i, lengths)
-                       for i in range(t))
-        ratio = Fraction(int(np.count_nonzero(word)), cost)
-        if best is None or ratio < best:
-            best, best_word, best_dec = ratio, word, Decomposition(parts, lengths)
-    return PeResult(best if best is not None else Fraction(0), False,
-                    best_word, best_dec, len(samples))
-
-
-def _reference_descend_decomposition(F, parts, pair_bases, lengths, sweeps=3):
-    """Greedy coordinate descent that copies every part for every candidate."""
-    t = len(parts)
-    cur = [p.copy() for p in parts]
-
-    def cost(ps):
-        return sum(lengths[i] * _reference_dir_weight(ps[i], i, lengths) for i in range(t))
-
-    cur_cost = cost(cur)
-    for _ in range(sweeps):
-        improved = False
-        for (i, j), B in pair_bases:
-            for row in B:
-                for scalar in range(1, F.q):
-                    z = F.mul(np.int64(scalar), row)
-                    cand = [p.copy() for p in cur]
-                    cand[i] = F.add(cand[i], z)
-                    cand[j] = F.sub(cand[j], z)
-                    cc = cost(cand)
-                    if cc < cur_cost:
-                        cur, cur_cost = cand, cc
-                        improved = True
-        if not improved:
-            break
-    return cur
-
-
 @st.composite
 def small_code_tuples(draw):
     """t in {2, 3} random codes over GF(2), GF(3) or GF(4), possibly rank
@@ -470,36 +339,6 @@ def test_pe_exact_matches_reference_loop(codes):
         _json_or_refusal(lambda: _reference_pe_exact(codes, budget))
 
 
-@given(small_code_tuples(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 4096]))
-def test_pe_monte_carlo_matches_reference_loop(codes, seed, lattice_budget):
-    # lattice_budget 1 takes the coordinate-descent branch for t > 1
-    with mock.patch.object(expansion, "PE_LATTICE_BUDGET", lattice_budget):
-        got = pe_monte_carlo(codes, trials=8, seed=seed)
-    want = _reference_pe_monte_carlo(codes, 8, seed, lattice_budget)
-    assert got.to_json() == want.to_json()
-
-
-@given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))
-def test_descend_decomposition_matches_reference(codes, seed):
-    """The batched descent on arbitrary parts, not only decompositions of a
-    codeword: each word of the batch ends with the parts that the
-    copy-everything loop gives it alone, and the input parts are untouched."""
-    F = codes[0].field
-    lengths = tuple(c.n for c in codes)
-    pair_bases = [((i, j), cij_basis(F, codes, i, j))
-                  for i in range(len(codes)) for j in range(i + 1, len(codes))]
-    rng = np.random.default_rng(seed)
-    W = 8
-    parts = list(F.random(rng, (len(codes), W, math.prod(lengths))))
-    before = [p.copy() for p in parts]
-    got = _descend_decomposition(F, parts, pair_bases, lengths)
-    assert len(got) == len(codes)
-    assert all(np.array_equal(p, b) for p, b in zip(parts, before))
-    for r in range(W):
-        want = _reference_descend_decomposition(F, [p[r] for p in parts], pair_bases, lengths)
-        assert all(np.array_equal(g[r], w) for g, w in zip(got, want))
-
-
 @given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))
 def test_decomposer_matches_solve_left(codes, seed):
     """One reduction of the canonical generator serves block after block and
@@ -512,7 +351,7 @@ def test_decomposer_matches_solve_left(codes, seed):
     for words in (la.matmul(F, F.random(rng, (5, G.shape[0])), G),
                   F.random(rng, (3, G.shape[1])),
                   la.matmul(F, F.random(rng, (7, G.shape[0])), G)):
-        X = la.solve_left(F, G, words)
+        X = solve_left(F, G, words)
         if X is None:
             with pytest.raises(ValueError):
                 decompose(words)

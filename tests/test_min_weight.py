@@ -5,10 +5,8 @@ Each ref_* function below is one of those loops, kept in behaviour: the
 exact branches of LinearCode.min_distance, ltc_soundness_estimate,
 subsystem._side_distance, complexes.systolic_distance (one pass over the
 boundaries per class representative), filling_constant_estimate and
-qdecoder.nearest_syndrome_exact.  The cheap-witness scan of
-expansion.pe_monte_carlo is kept in tests/test_expansion.py's
-_reference_pe_monte_carlo.  Values, returned words, samples and tie-breaks
-must match exactly."""
+qdecoder.nearest_syndrome_exact.  Values, returned words, samples and
+tie-breaks must match exactly."""
 
 import functools
 import math

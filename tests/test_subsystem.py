@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
-from prodcodes.codes import LinearCode, full_code, rs_code, zero_code
+from prodcodes.codes import LinearCode, rs_code, zero_code
 from prodcodes.subsystem import (CheckMatrices, CssPair, check_matrices,
                                  logical_coset_equal, quantum_rs,
                                  subsystem_distance, subsystem_product)
@@ -103,7 +103,7 @@ def test_sampled_subsystem_distance_with_full_gauge_is_infinite():
     """With Q_X = 0 every word of Q_Z' = F^n is a gauge word, so both the
     exact scan and the sampled bound find no dressed logical."""
     F = GF(2)
-    P = CssPair(zero_code(F, 4), full_code(F, 4))
+    P = CssPair(zero_code(F, 4), LinearCode(F, 4, la.identity(4)))
     exact, sampled = subsystem_distance(P), subsystem_distance(P, budget=1)
     assert math.isinf(exact.value) and exact.exact
     assert math.isinf(sampled.value) and not sampled.exact
