@@ -154,12 +154,16 @@ def _build_document(args) -> dict:
         if args.kind not in ("punctured-tensor-rs", "triple-product"):
             return _instance_document(F, args)
     if args.kind == "punctured-tensor-rs":
-        if not 1 <= args.k < args.m <= F.q:
-            raise UsageError("need 1 <= k < m <= q")
+        if not 1 <= args.k < args.m <= F.q or args.u < 1:
+            raise UsageError("need 1 <= k < m <= q and u >= 1")
         ec = punctured_tensor_rs(F, args.m, args.u, args.k, seed=args.seed)
+        try:
+            is_mds = ec.base.is_mds()
+        except BudgetExceeded as exc:
+            raise UsageError(str(exc)) from exc
         return {"kind": "punctured-tensor-rs", "code": ec.base.to_json(),
                 "points": [int(x) for x in ec.points.ravel()], "u": args.u,
-                "m": args.m, "box_k": args.k, "is_mds": bool(ec.base.is_mds())}
+                "m": args.m, "box_k": args.k, "is_mds": bool(is_mds)}
     _check_triple_params(args.m, args.u, F.q)
     doc = tv.triple_product_build(F, args.m, args.u, args.seed).to_json()
     doc["kind"] = "triple-product"

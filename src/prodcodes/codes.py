@@ -314,32 +314,22 @@ def error_vector(F: Field, n: int, weight: int, rng: np.random.Generator) -> np.
     return e
 
 
-def punctured_tensor_rs(F: Field, m: int, u: int, k: int,
-                        points: np.ndarray | None = None,
-                        seed: int | None = None) -> EvalCode:
+def punctured_tensor_rs(F: Field, m: int, u: int, k: int, seed: int) -> EvalCode:
     """Evaluation code of the box [0, k)^u on n = m^u points of F^u.
 
-    Points default to a uniformly random subset without replacement drawn
-    from the given seed (Fisher-Yates over an enumeration of F^u when that
-    fits in memory, otherwise independent draws with collision rejection).
+    The points are a uniformly random subset without replacement drawn from
+    the given seed (Fisher-Yates over an enumeration of F^u when that fits
+    in memory, otherwise independent draws with collision rejection).
     """
-    if not 1 <= k < m <= F.q:
-        raise ValueError("need 1 <= k < m <= q")
+    if not 1 <= k < m <= F.q or u < 1:
+        raise ValueError("need 1 <= k < m <= q and u >= 1")
     n = m ** u
-    if points is None:
-        if seed is None:
-            raise ValueError("either points or seed must be given")
-        rng = stream(seed)
-        if F.q ** u <= 1 << 22:
-            grid = np.array(list(itertools.product(range(F.q), repeat=u)), dtype=np.int64)
-            sel = rng.permutation(grid.shape[0])[:n]
-            points = grid[sel]
-        else:
-            points = distinct_points(F, n, u, rng)
+    rng = stream(seed)
+    if F.q ** u <= 1 << 22:
+        grid = np.array(list(itertools.product(range(F.q), repeat=u)), dtype=np.int64)
+        points = grid[rng.permutation(grid.shape[0])[:n]]
     else:
-        points = np.atleast_2d(np.asarray(points, dtype=np.int64))
-        if points.shape[0] != n:
-            raise ValueError(f"|E| = {points.shape[0]} != m^u = {n}")
+        points = distinct_points(F, n, u, rng)
     return eval_code(F, points, box_exponents(0, k, u),
                      label=f"ptRS(m={m},u={u},k={k})")
 
@@ -349,19 +339,21 @@ def punctured_tensor_rs(F: Field, m: int, u: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-def tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:
-    """Tensor code: generator = Kronecker product of the generators.
+def tensor(*codes: LinearCode) -> LinearCode:
+    """Tensor code of one or more codes: generator = Kronecker product of
+    the generators.
 
-    The Kronecker product of two rref matrices is again rref (pivot columns
-    pair up), so no re-reduction is needed.
+    The Kronecker product of rref matrices is again rref (pivot columns
+    combine), so no re-reduction is needed.
     """
-    if C1.field != C2.field:
+    F = codes[0].field
+    if any(C.field != F for C in codes):
         raise ValueError("field mismatch")
-    F = C1.field
-    if C1.k == 0 or C2.k == 0:
-        return zero_code(F, C1.n * C2.n)
-    gen = la.kron(F, C1.gen, C2.gen)
-    return LinearCode(F, C1.n * C2.n, gen, label=f"{C1.label}(x){C2.label}")
+    n = math.prod(C.n for C in codes)
+    if any(C.k == 0 for C in codes):
+        return zero_code(F, n)
+    gen = la.kron(F, *(C.gen for C in codes))
+    return LinearCode(F, n, gen, label="(x)".join(C.label for C in codes))
 
 
 def dual_tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:

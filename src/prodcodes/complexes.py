@@ -103,9 +103,7 @@ def hom_product(A: SingleSectorComplex, B: SingleSectorComplex) -> SingleSectorC
     if A.field != B.field:
         raise ValueError("field mismatch")
     F = A.field
-    ia = la.identity(A.dim)
-    ib = la.identity(B.dim)
-    boundary = F.add(la.kron(F, A.boundary, ib), la.kron(F, ia, B.boundary))
+    boundary = F.add(*la.axis_blocks(F, [A.boundary, B.boundary], [A.dim, B.dim]))
     return SingleSectorComplex(F, boundary)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -39,27 +38,10 @@ def dir_weights(cs: np.ndarray, i: int, lengths: tuple[int, ...]) -> np.ndarray:
     return np.count_nonzero(has.reshape(lead + (-1,)), axis=-1)
 
 
-def axis_space(F: Field, codes: list[LinearCode], constrained: dict[int, LinearCode]) -> np.ndarray:
-    """Basis of the tensor space with the given axes constrained to their
-    codes and the remaining axes free."""
-    mats = []
-    for axis, C in enumerate(codes):
-        mats.append(constrained[axis].gen if axis in constrained else la.identity(C.n))
-    return reduce(lambda a, b: la.kron(F, a, b), mats)
-
-
-def ci_basis(F: Field, codes: list[LinearCode], i: int) -> np.ndarray:
-    return axis_space(F, codes, {i: codes[i]})
-
-
-def cij_basis(F: Field, codes: list[LinearCode], i: int, j: int) -> np.ndarray:
-    return axis_space(F, codes, {i: codes[i], j: codes[j]})
-
-
 def canonical_generator(F: Field, codes: list[LinearCode]) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Canonical generator matrix of the dual tensor code: the stacked
     direction-i blocks I (x) .. G_i .. (x) I.  Returns (G, row block spans)."""
-    blocks = [ci_basis(F, codes, i) for i in range(len(codes))]
+    blocks = la.axis_blocks(F, [C.gen for C in codes], [C.n for C in codes])
     spans = []
     row = 0
     for b in blocks:
@@ -134,7 +116,9 @@ def _pair_bases(F: Field, codes: list[LinearCode]) -> list[tuple[tuple[int, int]
     """Bases of the C^(i,j) lattices, i < j: any two decompositions of the
     same word differ exactly by such pairwise adjustments."""
     t = len(codes)
-    return [((i, j), cij_basis(F, codes, i, j)) for i in range(t) for j in range(i + 1, t)]
+    return [((i, j), la.kron(F, *(C.gen if axis in (i, j) else la.identity(C.n)
+                                  for axis, C in enumerate(codes))))
+            for i in range(t) for j in range(i + 1, t)]
 
 
 def _lattice_deltas(F: Field, lattice, t: int, combos: np.ndarray) -> np.ndarray:
@@ -213,7 +197,7 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
         return PeResult(Fraction(int(d.value), lengths[0]), True, None, None,
                         F.q ** codes[0].k)
 
-    dt_gen = la.row_space(F, np.concatenate([ci_basis(F, codes, i) for i in range(t)], axis=0))
+    dt_gen = la.row_space(F, canonical_generator(F, codes)[0])
     assert dt_gen.shape[0] == dt_dim
     best = (Fraction(0), None, None)
     scanned = 0

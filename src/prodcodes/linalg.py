@@ -33,6 +33,8 @@ v + w at a time, never the whole span.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .gf import Field
@@ -268,12 +270,24 @@ def weight(v: np.ndarray) -> int:
     return int(np.count_nonzero(v))
 
 
-def kron(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product over F (row-major tensor index convention)."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.int64))
-    out = F.mul(A[:, None, :, None], B[None, :, None, :])
-    return out.reshape(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
+def kron(F: Field, *mats: np.ndarray) -> np.ndarray:
+    """Kronecker product over F of one or more matrices, folded left to
+    right (row-major tensor index convention)."""
+    out = np.atleast_2d(np.asarray(mats[0], dtype=np.int64))
+    for B in mats[1:]:
+        B = np.atleast_2d(np.asarray(B, dtype=np.int64))
+        out = F.mul(out[:, None, :, None], B[None, :, None, :]).reshape(
+            out.shape[0] * B.shape[0], out.shape[1] * B.shape[1])
+    return out
+
+
+def axis_blocks(F: Field, mats: list[np.ndarray], lengths: list[int]) -> list[np.ndarray]:
+    """I (x) ... (x) mats[i] (x) ... (x) I for each axis i, the identities
+    of the lengths before and after axis i.  Since I_a (x) I_b = I_ab and
+    F.mul by 0 and 1 is exact, each block equals the fold of kron over one
+    identity per other axis."""
+    return [kron(F, identity(math.prod(lengths[:i])), M, identity(math.prod(lengths[i + 1:])))
+            for i, M in enumerate(mats)]
 
 
 def identity(n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .codes import BudgetExceeded, canonical_points, tensor
+from .codes import BudgetExceeded, canonical_points
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
                       berlekamp_welch, clean_stripes, params_from_json)
@@ -235,12 +235,12 @@ class CssProductInstance(SubsystemProductInstance):
     @cached_property
     def qxx_perp(self) -> np.ndarray:
         """Generator of (Q^1_X (x) Q^2_X)^perp, the cleanup modulus of c_z."""
-        return tensor(*(f.qx for f in self.factors)).dual().gen
+        return self.product.qx.dual().gen
 
     @cached_property
     def qzz_perp(self) -> np.ndarray:
         """Generator of (Q^1_Z (x) Q^2_Z)^perp, the cleanup modulus of c_x."""
-        return tensor(*(f.qz for f in self.factors)).dual().gen
+        return self.product.qz.dual().gen
 
     @cached_property
     def project_z(self):
@@ -388,17 +388,17 @@ def nearest_syndrome_exact(F: Field, img: np.ndarray, s: np.ndarray) -> np.ndarr
     return la.min_weight_search(F, img, F.neg(s)[None, :])[1][0]
 
 
-def _denoise_product_syndrome(F: Field, factors: list[CssPair], side: str,
+def _denoise_product_syndrome(F: Field, factors: list[CssPair],
                               s: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-block Reed-Solomon denoising of an amplified product syndrome.
+    """Per-block Reed-Solomon denoising of an amplified product Z-syndrome.
 
     Block 1 columns lie in the factor-1 outer RS code, block 2 rows in the
     factor-2 outer code; each block decodes its stripes within the unique
     radius in one berlekamp_welch batch.
     """
     n = factors[0].n
-    m1 = (factors[0].qx if side == "x" else factors[0].qz).parity_check().shape[0]
-    m2 = (factors[1].qx if side == "x" else factors[1].qz).parity_check().shape[0]
+    m1 = factors[0].qz.parity_check().shape[0]
+    m2 = factors[1].qz.parity_check().shape[0]
     out = np.asarray(s, dtype=np.int64).copy()
     failures = 0
     # the stripes of each block as row views of out
@@ -427,7 +427,7 @@ def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
     if exact is not None:
         s_prime, failures = exact, 0
     else:
-        s_prime, failures = _denoise_product_syndrome(F, inst.factors, "z", s_z)
+        s_prime, failures = _denoise_product_syndrome(F, inst.factors, s_z)
     w = checks.solve_z(s_prime[None, :])
     if w is None:
         return SingleShotResult(None, failures, False, s_prime,

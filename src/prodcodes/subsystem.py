@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -111,15 +111,9 @@ def subsystem_product(factors: list[CssPair]) -> CssPair:
         raise ValueError("factors must share a field")
     if len(factors) == 1:
         return factors[0]
-    qx = reduce(tensor, (f.qx for f in factors))
-    qz = reduce(tensor, (f.qz for f in factors))
-    out = CssPair(qx, qz, subsystem=True,
-                  label=" (x) ".join(f.label or "?" for f in factors))
+    out = CssPair(tensor(*(f.qx for f in factors)), tensor(*(f.qz for f in factors)),
+                  subsystem=True, label=" (x) ".join(f.label or "?" for f in factors))
     out.factors = list(factors)
-    # locality adds across factors (checks are H_i (x) I blocks)
-    out.locality_record = sum(
-        CheckMatrices._locality(f.qx.parity_check(), f.qz.parity_check())
-        for f in factors)
     return out
 
 
@@ -225,17 +219,6 @@ class CheckMatrices:
                 "n": self.hx.shape[1], "locality": self.locality, "style": self.style}
 
 
-def _stacked_tensor_checks(F: Field, mats: list[np.ndarray], lengths: list[int]) -> np.ndarray:
-    """vstack over i of I (x) ... (x) H_i (x) ... (x) I (row-major flattening)."""
-    blocks = []
-    for i, H in enumerate(mats):
-        left = int(np.prod(lengths[:i])) if i else 1
-        right = int(np.prod(lengths[i + 1:])) if i + 1 < len(lengths) else 1
-        blk = la.kron(F, la.identity(left), la.kron(F, H, la.identity(right)))
-        blocks.append(blk)
-    return np.concatenate(blocks, axis=0)
-
-
 def check_matrices(Q: CssPair, style: str = "tensor") -> CheckMatrices:
     """Parity checks of a subsystem product.
 
@@ -254,8 +237,8 @@ def check_matrices(Q: CssPair, style: str = "tensor") -> CheckMatrices:
         hzs = [_amplify(F, H) for H in hzs]
     elif style != "tensor":
         raise ValueError(f"unknown style {style!r}")
-    hx = _stacked_tensor_checks(F, hxs, lengths)
-    hz = _stacked_tensor_checks(F, hzs, lengths)
+    hx = np.concatenate(la.axis_blocks(F, hxs, lengths), axis=0)
+    hz = np.concatenate(la.axis_blocks(F, hzs, lengths), axis=0)
     return CheckMatrices(F, hx, hz, CheckMatrices._locality(hx, hz), style)
 
 

@@ -243,12 +243,11 @@ def synthesize_gate(factors: list[CssPair], L_list: list[LinearCode], r: int,
             raise ValueError("L_i must intersect (Q_X^i)^perp trivially")
     product = subsystem_product(factors) if len(factors) > 1 else factors[0]
     S_basis = product.stabilizer_basis()
-    L_gen = reduce(lambda a, b: la.kron(F, a, b), [L.gen for L in L_list])
-    lpow, obst, piv, certificate = _star_powers(F, L_gen, S_basis, r)
+    # the unit encodings are the Kronecker product of the L generators
+    A_sets, A_flat, enc_basis = _unit_encodings(F, factors, L_list)
+    lpow, obst, piv, certificate = _star_powers(F, enc_basis, S_basis, r)
     if not certificate.holds:
         raise ValueError(f"multiplication property fails: {certificate}")
-
-    A_sets, A_flat, enc_basis = _unit_encodings(F, factors, L_list)
 
     # eta = projection onto span(lpow) along span(obst), zero on the free
     # columns of their stack; a._z = indicator(A) . eta(z), so a vanishes off
@@ -268,7 +267,7 @@ def _unit_encodings(F: Field, factors: list[CssPair], L_list: list[LinearCode]):
     order, and the unit-message encodings.  Each L.gen is in rref: its row
     pivots are the information set, and its rows encode the unit messages."""
     A_sets = [L.pivots for L in L_list]
-    enc_basis = reduce(lambda a, b: la.kron(F, a, b), [L.gen for L in L_list])
+    enc_basis = la.kron(F, *(L.gen for L in L_list))
     A_flat = np.array([np.ravel_multi_index(idx, tuple(f.n for f in factors))
                        for idx in itertools.product(*A_sets)], dtype=np.int64)
     return A_sets, A_flat, enc_basis

@@ -191,8 +191,10 @@ def test_usage_errors(tmp_path):
     assert main(["pe-exact", "--codes", str(bad)]) == 1
     assert main(["build-code", "--kind", "triple-product", "--q", "64", "--m", "4",
                  "--seed", "1"]) == 1
-    assert main(["build-code", "--kind", "punctured-tensor-rs", "--q", "16", "--m", "3",
-                 "--u", "2", "--k", "3", "--seed", "1"]) == 1
+    # k = m, u < 1, and a code too long for the MDS check within its budget
+    for m, u, k in (("3", "2", "3"), ("4", "0", "2"), ("4", "-1", "2"), ("3", "3", "2")):
+        assert main(["build-code", "--kind", "punctured-tensor-rs", "--q", "16", "--m", m,
+                     "--u", u, "--k", k, "--seed", "1"]) == 1
 
 
 @pytest.mark.parametrize("kind, argv", [
@@ -685,10 +687,20 @@ def test_decode_trials_checks_css_rate_conditions(trial_instances, tmp_path, cap
 # an argument that names a built document (an instance kind, or "pe-exact"
 # for a list of two rs codes) stands for its path
 NUMERIC_COMMANDS = {
-    "build-rs": (["build-code", "--kind", "rs", "--q", "4", "--n", "3", "--k", "2"],
-                 ["--seed"]),
-    "build-punctured": (["build-code", "--kind", "punctured-tensor-rs", "--q", "16",
-                         "--m", "4", "--u", "2", "--k", "2"], ["--seed"]),
+    "build-rs": (["build-code", "--kind", "rs", "--q", "4"], ["--n", "--k", "--seed"]),
+    "build-qrs": (["build-code", "--kind", "qrs", "--q", "4"],
+                  ["--n", "--kx", "--kz", "--seed"]),
+    "build-subsystem-product": (["build-code", "--kind", "subsystem-product", "--q", "4"],
+                                ["--n", "--kx", "--kz", "--kx2", "--kz2", "--gamma",
+                                 "--seed"]),
+    "build-css-product": (["build-code", "--kind", "css-product", "--q", "4"],
+                          ["--n", "--k", "--k2", "--gamma", "--seed"]),
+    "build-dual-tensor": (["build-code", "--kind", "dual-tensor", "--q", "4"],
+                          ["--n", "--k", "--k2", "--gamma", "--seed"]),
+    "build-punctured": (["build-code", "--kind", "punctured-tensor-rs", "--q", "16"],
+                        ["--m", "--u", "--k", "--seed"]),
+    "build-triple-product": (["build-code", "--kind", "triple-product", "--q", "16"],
+                             ["--m", "--u", "--seed"]),
     "decode-trials": (["decode-trials", "--instance", "dual-tensor"],
                       ["--noise-weight", "--trials", "--seed"]),
     "single-shot-trials": (["single-shot-trials", "--instance", "subsystem-product"],
@@ -700,7 +712,7 @@ NUMERIC_COMMANDS = {
 }
 
 
-@settings(max_examples=120)
+@settings(max_examples=220)
 @given(data=st.data())
 def test_numeric_options_exit_with_documented_codes(trial_instances, boundary_instances,
                                                     nested_documents, tmp_path_factory,

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from prodcodes.gf import GF
 from prodcodes import codes, linalg as la
 from prodcodes.codes import (BudgetExceeded, LinearCode, canonical_points, distinct_points,
-                             dual_tensor, eval_code, ltc_soundness_estimate,
+                             box_exponents, dual_tensor, eval_code, ltc_soundness_estimate,
                              monomial_eval_matrix, punctured_tensor_rs, rs_code,
                              star_span, tensor, zero_code)
 from prodcodes.poly import uni_mul
@@ -190,6 +190,9 @@ def test_star_product_and_tensor_match_reduced_products(case, seed):
         T = tensor(X, Y)
         assert np.array_equal(T.gen, la.row_space(F, la.kron(F, X.gen, Y.gen)))
         assert X.k * Y.k == 0 or T.pivots == la.rref_pivots(la.kron(F, X.gen, Y.gen))
+        # three codes at once are the pairwise fold, label included
+        T3, R3 = tensor(X, Y, A), tensor(T, A)
+        assert (T3.n, T3.label) == (R3.n, R3.label) and np.array_equal(T3.gen, R3.gen)
 
 
 def test_rref_generators_are_reduced_at_most_once(monkeypatch):
@@ -294,10 +297,12 @@ def test_punctured_tensor_rs():
     ec1 = punctured_tensor_rs(F, 5, 1, 3, seed=4)
     rs = rs_code(F, 5, 3, points=ec1.points[:, 0])
     assert ec1.base.same_subspace(rs)
-    # k = m on explicit points gives the full space
+    # k = m and u < 1 are refused; k = m on explicit points gives the full space
+    for m, u, k in [(3, 1, 3), (3, 0, 2), (3, -1, 2)]:
+        with pytest.raises(ValueError):
+            punctured_tensor_rs(F, m, u, k, seed=0)
     full_pts = np.array([[0], [1], [2]], dtype=np.int64)
-    with pytest.raises(ValueError):
-        punctured_tensor_rs(F, 3, 1, 3, points=full_pts)
+    assert eval_code(F, full_pts, box_exponents(0, 3, 1)).dim == 3
     # dim monotone under puncturing: dim <= parent box size
     assert ec.dim <= 4
 

@@ -86,6 +86,35 @@ def test_product_with_zero_boundary(gf4):
     assert np.array_equal(P.boundary, expect)
 
 
+def _reference_hom_product_boundary(F, dA, dB):
+    """dA (x) I + I (x) dB by two explicit Kronecker products: the oracle
+    for hom_product's boundary."""
+    ia, ib = la.identity(dA.shape[0]), la.identity(dB.shape[0])
+    return F.add(la.kron(F, dA, ib), la.kron(F, ia, dB))
+
+
+@st.composite
+def square_zero_boundaries(draw, F):
+    """A random boundary with boundary^2 = 0 on 1 to 6 coordinates: a
+    random a x b block M in rows [0, a) and columns [a, a + b), zero
+    elsewhere, its rows and columns permuted alike."""
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = np.zeros((a + b + 1, a + b + 1), dtype=np.int64)
+    d[:a, a:a + b] = F.random(rng, (a, b))
+    perm = rng.permutation(a + b + 1)
+    return d[np.ix_(perm, perm)]
+
+
+@given(st.sampled_from([2, 4]).flatmap(
+    lambda q: st.tuples(st.just(GF(q)), square_zero_boundaries(GF(q)),
+                        square_zero_boundaries(GF(q)))))
+def test_hom_product_matches_explicit_kron(case):
+    F, dA, dB = case
+    P = hom_product(SingleSectorComplex(F, dA), SingleSectorComplex(F, dB))
+    assert np.array_equal(P.boundary, _reference_hom_product_boundary(F, dA, dB))
+
+
 def test_product_cycles_spanned_by_kunneth():
     # Z(A x B) = Z_A (x) Z_B + B(A x B), verified by rank
     A, _ = qrs_complex(4, 4, 3)

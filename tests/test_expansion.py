@@ -1,6 +1,7 @@
 """Product-expansion oracles: exact values, invariance properties, closures,
 and the canonical-generator rank test."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -11,12 +12,58 @@ from hypothesis import given, strategies as st
 from prodcodes.gf import GF
 from prodcodes import expansion, linalg as la
 from prodcodes.codes import BudgetExceeded, LinearCode, rs_code
-from prodcodes.expansion import (Decomposition, PeResult, canonical_generator, ci_basis,
-                                 cij_basis, decomposer, dir_weights, epsilon_closure,
-                                 closure_size_bound, inner_generated_test, pe_exact)
+from prodcodes.expansion import (Decomposition, PeResult, canonical_generator, decomposer,
+                                 dir_weights, epsilon_closure, closure_size_bound,
+                                 inner_generated_test, pe_exact)
 from prodcodes.codes import punctured_tensor_rs
 
 from test_linalg_poly import solve_left
+
+
+def axis_space(F, codes, constrained):
+    """Basis of the tensor space with the given axes constrained to their
+    codes and the remaining axes free, by the fold of pairwise kron: the
+    oracle for the canonical generator and the C^(i,j) lattice bases."""
+    mats = [constrained[axis].gen if axis in constrained else la.identity(C.n)
+            for axis, C in enumerate(codes)]
+    return functools.reduce(lambda a, b: la.kron(F, a, b), mats)
+
+
+def ci_basis(F, codes, i):
+    return axis_space(F, codes, {i: codes[i]})
+
+
+def cij_basis(F, codes, i, j):
+    return axis_space(F, codes, {i: codes[i], j: codes[j]})
+
+
+@st.composite
+def code_lists(draw):
+    """One to three random codes over GF(2), GF(4), GF(9) or GF(97) at
+    lengths 1 to 3, zero codes and full codes included."""
+    F = GF(draw(st.sampled_from([2, 4, 9, 97])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    codes = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        codes.append(LinearCode(F, n, F.random(rng, (draw(st.integers(0, n)), n))))
+    return F, codes
+
+
+@given(code_lists())
+def test_product_bases_match_pairwise_kron(case):
+    """The canonical generator stacks the C^(i) bases and each C^(i,j)
+    lattice basis is the one constrained tensor space, bit for bit."""
+    F, codes = case
+    G, spans = canonical_generator(F, codes)
+    assert [b - a for a, b in spans] == [ci_basis(F, codes, i).shape[0]
+                                         for i in range(len(codes))]
+    assert np.array_equal(G, np.concatenate([ci_basis(F, codes, i)
+                                             for i in range(len(codes))]))
+    pairs = expansion._pair_bases(F, codes)
+    assert [pair for pair, _ in pairs] == list(itertools.combinations(range(len(codes)), 2))
+    for (i, j), B in pairs:
+        assert np.array_equal(B, cij_basis(F, codes, i, j))
 
 
 def test_dir_weight_matches_definition():

@@ -1,5 +1,6 @@
 """Exact linear algebra properties and polynomial arithmetic."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -349,6 +350,54 @@ def test_rref_pivots_matches_reduction(case):
     R, piv = la.rref(F, M)
     kept = len(piv) == M.shape[0] and np.array_equal(R, M)
     assert la.rref_pivots(M) == (piv if kept else None)
+
+
+def _reference_kron(F, *mats):
+    """Kronecker product by numpy's integer kron of the entries and of an
+    all-ones block, multiplied entrywise over F, folded left to right."""
+    out = mats[0]
+    for B in mats[1:]:
+        out = F.mul(np.kron(out, np.ones_like(B)), np.kron(np.ones_like(out), B))
+    return out
+
+
+def pairwise_axis_blocks(F, mats, lengths):
+    """The direction-i embeddings by the fold of pairwise kron over one
+    identity per other axis, as the product constructions built them before
+    la.axis_blocks."""
+    return [functools.reduce(lambda a, b: la.kron(F, a, b),
+                             [M if j == i else la.identity(n) for j, n in enumerate(lengths)])
+            for i, M in enumerate(mats)]
+
+
+@st.composite
+def kron_factors(draw):
+    """(F, mats): one to three random matrices over GF(2), GF(4), GF(9) or
+    GF(97), with 0 to 3 rows and 1 to 3 columns, so 1 x 1 and zero-row
+    factors occur."""
+    F = GF(draw(st.sampled_from([2, 4, 9, 97])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    return F, [F.random(rng, shape) for shape in shapes]
+
+
+@given(kron_factors())
+def test_kron_matches_reference(case):
+    F, mats = case
+    got = la.kron(F, *mats)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_kron(F, *mats))
+
+
+@given(kron_factors())
+def test_axis_blocks_match_pairwise_kron(case):
+    F, mats = case
+    lengths = [M.shape[1] for M in mats]
+    got, want = la.axis_blocks(F, mats, lengths), pairwise_axis_blocks(F, mats, lengths)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

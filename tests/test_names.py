@@ -1,7 +1,7 @@
 """Every function, method and class defined in src/prodcodes is reached from
 what the lab runs: the CLI entry point, module-level code in src, anything
 perfbench references, or one of the named oracles below that the acceptance
-criteria run against the package's own code.  A reached definition reaches
+criteria, or the one test named with it, run against the package's own code.  A reached definition reaches
 every name its body references (matched by bare name: a call, an attribute
 or an import), and a reached class reaches its dunder methods.  A test's
 reference alone keeps nothing alive."""
@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "prodcodes"
 
 # module.qualname -> why the lab runs it: the entry point, and the oracles
-# that the acceptance criteria run against the package's own code
+# that the acceptance criteria, or the test named, run against the package's
+# own code
 ROOTS = {
     "cli.main": "the `prodcodes` entry point",
     "codes.dual_tensor": "criterion 2 checks tensor duality against it",
@@ -21,11 +22,14 @@ ROOTS = {
     "codes.ltc_soundness_estimate": "criterion 10's local-testability estimate",
     "expansion.epsilon_closure": "criterion 7's epsilon-closed sets",
     "expansion.inner_generated_test":
-        "the maximally-recoverable claim on epsilon-closed sets",
+        "test_expansion.py::test_inner_generated_ptRS_closed_sets checks the "
+        "maximally-recoverable claim on epsilon-closed sets through it",
     "transversal.multiplication_property": "criterion 8's multiplication property",
     "transversal.smallest_window_m": "criterion 9's smallest window",
     "transversal.TransRsParams.gate_qudits": "criterion 8's gate support",
     "gf.Field.elements": "criterion 1 enumerates GF(q) through it",
+    "gf.Field.trace": "criterion 1's trace linearity and onto-GF(p) checks",
+    "gf.Field.frobenius": "criterion 1's Frobenius invariance of the trace",
     "gf.Field.generator": "the README's generator convention, pinned over 614 fields",
     "poly.uni_ext_gcd": "criterion 1's extended-gcd suite",
 }

@@ -259,12 +259,15 @@ def test_css_kunneth_inclusions(css16):
 
 
 def test_css_decode_reuses_tensor_duals(css16, monkeypatch):
-    """The two cleanup moduli are built once per instance, not per decode."""
-    from prodcodes import qdecoder
+    """The two cleanup moduli are the duals of the instance's own product
+    codes, built once per instance, not per decode."""
     f1, f2 = css16.factors
+    assert css16.qxx_perp is css16.product.qx.dual().gen
+    assert css16.qzz_perp is css16.product.qz.dual().gen
     assert np.array_equal(css16.qxx_perp, tensor(f1.qx, f2.qx).dual().gen)
     assert np.array_equal(css16.qzz_perp, tensor(f1.qz, f2.qz).dual().gen)
-    monkeypatch.setattr(qdecoder, "tensor", lambda *args: pytest.fail("tensor rebuilt"))
+    monkeypatch.setattr(qdecoder, "subsystem_product",
+                        lambda *args: pytest.fail("product rebuilt"))
     zero = np.zeros(css16.n ** 2, dtype=np.int64)
     res = css_decode(css16, zero, zero)
     assert not res.coset_x.representative.any() and not res.coset_z.representative.any()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
-from prodcodes import linalg as la
+from prodcodes import linalg as la, subsystem
 from prodcodes.codes import LinearCode, rs_code, zero_code
 from prodcodes.subsystem import (CheckMatrices, CssPair, check_matrices,
                                  logical_coset_equal, quantum_rs,
@@ -243,11 +243,61 @@ def test_amplified_product_checks_have_positive_soundness(gf8):
     assert "approximation" in est.methodology
 
 
-def test_product_locality_record_adds(gf8):
+def test_product_locality_adds(gf8):
+    """The stacked checks H_i (x) I of a product are no less local than the
+    sum of the factor localities."""
     Qa = quantum_rs(gf8, 8, 6, 6)
     Qb = quantum_rs(gf8, 8, 4, 5)
     P = subsystem_product([Qa, Qb])
     w1 = CheckMatrices._locality(Qa.qx.parity_check(), Qa.qz.parity_check())
     w2 = CheckMatrices._locality(Qb.qx.parity_check(), Qb.qz.parity_check())
-    assert P.locality_record == w1 + w2
-    assert check_matrices(P, "tensor").locality <= P.locality_record
+    assert check_matrices(P, "tensor").locality <= w1 + w2
+
+
+def _stacked_tensor_checks(F, mats, lengths):
+    """vstack over i of I (x) ... (x) H_i (x) ... (x) I (row-major
+    flattening), each block kron(I_left, kron(H_i, I_right)): the oracle
+    for check_matrices' stacked checks."""
+    blocks = []
+    for i, H in enumerate(mats):
+        left = int(np.prod(lengths[:i])) if i else 1
+        right = int(np.prod(lengths[i + 1:])) if i + 1 < len(lengths) else 1
+        blocks.append(la.kron(F, la.identity(left), la.kron(F, H, la.identity(right))))
+    return np.concatenate(blocks, axis=0)
+
+
+@st.composite
+def product_factors(draw):
+    """Two or three random CSS pairs over GF(2), GF(4), GF(9) or GF(97) at
+    lengths 1 to 4: Q_X spanned by random rows, Q_Z by the rows of Q_X^perp
+    and more random rows, so zero and full codes occur."""
+    F = GF(draw(st.sampled_from([2, 4, 9, 97])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.integers(1, 4))
+        qx = LinearCode(F, n, F.random(rng, (draw(st.integers(0, n)), n)))
+        extra = F.random(rng, (draw(st.integers(0, n)), n))
+        factors.append(CssPair(qx, LinearCode(F, n, np.concatenate([qx.dual().gen, extra]))))
+    return F, factors
+
+
+@given(product_factors(), st.sampled_from(["tensor", "amplified"]))
+def test_check_matrices_match_stacked_kron(case, style):
+    F, factors = case
+    P = subsystem_product(factors)
+    lengths = [f.n for f in factors]
+    hxs = [f.qx.parity_check() for f in factors]
+    hzs = [f.qz.parity_check() for f in factors]
+    if style == "amplified":
+        if any(2 * H.shape[0] > F.q for H in hxs + hzs if H.shape[0]):
+            with pytest.raises(ValueError, match="amplified"):
+                check_matrices(P, style)
+            return
+        hxs = [subsystem._amplify(F, H) for H in hxs]
+        hzs = [subsystem._amplify(F, H) for H in hzs]
+    cm = check_matrices(P, style)
+    hx, hz = _stacked_tensor_checks(F, hxs, lengths), _stacked_tensor_checks(F, hzs, lengths)
+    assert cm.hx.shape == hx.shape and np.array_equal(cm.hx, hx)
+    assert cm.hz.shape == hz.shape and np.array_equal(cm.hz, hz)
+    assert cm.locality == CheckMatrices._locality(hx, hz)
