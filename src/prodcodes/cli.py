@@ -37,8 +37,8 @@ from .qdecoder import (CssProductInstance, InconsistentInput, QdecParams,
                        SubsystemProductInstance, coset_min_weight, css_decode,
                        single_shot_decode, subsystem_decode, syndrome_decode)
 from .rng import stream
-from .subsystem import (CssPair, check_matrices, logical_coset_equal, quantum_rs,
-                        subsystem_distance)
+from .subsystem import (CssPair, amplified_z_stripes, check_matrices, logical_coset_equal,
+                        quantum_rs, subsystem_distance)
 from . import transversal as tv
 
 EXIT_OK, EXIT_USAGE, EXIT_PROMISE, EXIT_INCONSISTENT = 0, 1, 2, 3
@@ -577,23 +577,19 @@ def _stripe_safe_noise(F: Field, inst: SubsystemProductInstance, weight: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Syndrome noise of the given weight hitting distinct stripes, so each
     per-stripe outer decode sees at most one corruption."""
-    f1, f2 = inst.factors
-    n = f1.n
-    m1 = f1.qz.parity_check().shape[0]
-    m2 = f2.qz.parity_check().shape[0]
-    total = 2 * m1 * n + 2 * m2 * n
-    v = np.zeros(total, dtype=np.int64)
-    stripes: set[tuple[int, int]] = set()
+    blocks = [stripes for stripes, _ in amplified_z_stripes(inst.factors)]
+    # the stripe of each position, named by the stripe's first position
+    stripe_of = np.zeros(sum(b.size for b in blocks), dtype=np.int64)
+    for b in blocks:
+        stripe_of[b] = b[:, :1]
+    v = np.zeros(stripe_of.size, dtype=np.int64)
+    hit: set[int] = set()
     placed = 0
     while placed < weight:
-        pos = int(rng.integers(total))
-        if pos < 2 * m1 * n:
-            stripe = (0, pos % n)
-        else:
-            stripe = (1, (pos - 2 * m1 * n) // (2 * m2))
-        if stripe in stripes:
+        pos = int(rng.integers(v.size))
+        if int(stripe_of[pos]) in hit:
             continue
-        stripes.add(stripe)
+        hit.add(int(stripe_of[pos]))
         v[pos] = int(F.random(rng, None, nonzero=True))
         placed += 1
     return v

@@ -132,7 +132,8 @@ class LinearCode:
     def is_mds(self) -> bool:
         """True iff distance equals n-k+1.  Tests the smaller of code/dual
         by exhaustive maximal minors when there are at most 10^6 of them,
-        falling back to a distance computation."""
+        otherwise by the exact distance; BudgetExceeded when q^k exceeds
+        DEFAULT_DISTANCE_BUDGET too."""
         if self.k == 0 or self.k == self.n:
             return True
         side = self if self.k <= self.n - self.k else self.dual()
@@ -142,10 +143,9 @@ class LinearCode:
                 if la.rank(F, side.gen[:, list(cols)]) < side.k:
                     return False
             return True
-        d = self.min_distance()
-        if not d.exact:
+        if self.field.q ** self.k > DEFAULT_DISTANCE_BUDGET:
             raise BudgetExceeded("is_mds: neither minors nor enumeration feasible")
-        return d.value == self.n - self.k + 1
+        return self.min_distance().value == self.n - self.k + 1
 
     # serialization -----------------------------------------------------------
 

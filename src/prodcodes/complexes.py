@@ -16,7 +16,7 @@ import numpy as np
 from .gf import Field
 from . import linalg as la
 from .rng import stream
-from .codes import DistanceResult, LinearCode, DEFAULT_DISTANCE_BUDGET
+from .codes import BudgetExceeded, DistanceResult, LinearCode, DEFAULT_DISTANCE_BUDGET
 
 
 class SingleSectorComplex:
@@ -64,15 +64,6 @@ class SingleSectorComplex:
     def homology_dim(self) -> int:
         return self.cycles().shape[0] - self.boundaries().shape[0]
 
-    def transpose(self) -> "SingleSectorComplex":
-        return SingleSectorComplex(self.field, self.boundary.T)
-
-    # homology bases ----------------------------------------------------------
-
-    def homology_reps(self) -> np.ndarray:
-        """Cycle representatives completing the boundary basis to the cycles."""
-        return la.complete_basis(self.field, self.boundaries(), self.cycles())
-
     def associated_code(self) -> tuple[LinearCode, LinearCode]:
         """(Q_X, Q_Z) = (ker coboundary, ker boundary)."""
         qx = LinearCode(self.field, self.dim, self.cocycles(), label="Q_X")
@@ -112,44 +103,29 @@ def hom_product(A: SingleSectorComplex, B: SingleSectorComplex) -> SingleSectorC
 # ---------------------------------------------------------------------------
 
 
-# seed and draws of the sampled systolic distance
-SYSTOLIC_SEED = 0
-SYSTOLIC_TRIALS = 5000
-
-
 def systolic_distance(C: SingleSectorComplex,
                       budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
-    """Min weight over cycles that are not boundaries; exact, by one scan of
-    the q^dim(Z) cycles, when (q^k - 1) * q^dim(B) fits the budget."""
+    """Min weight over cycles that are not boundaries, exact by one scan of
+    the q^dim(Z) cycles; BudgetExceeded when (q^k - 1) * q^dim(B) exceeds
+    the budget."""
     F = C.field
     k = C.homology_dim()
     if k == 0:
         return DistanceResult(math.inf, True, "zero-homology")
     bnd = C.boundaries()
     total = (F.q ** k - 1) * (F.q ** bnd.shape[0])
-    if total <= budget:
-        w, _ = la.min_weight_search(F, C.cycles(), np.zeros((1, C.dim), dtype=np.int64),
-                                    exclude=la.right_kernel(F, bnd))
-        return DistanceResult(int(w[0]), True, "coset-enumeration")
-    reps = C.homology_reps()
-    rng = stream(SYSTOLIC_SEED)
-    best = C.dim + 1
-    for _ in range(SYSTOLIC_TRIALS):
-        coef = F.random(rng, k)
-        if not coef.any():
-            continue
-        v = la.matmul(F, coef[None, :], reps)[0]
-        if bnd.shape[0]:
-            v = F.add(v, la.matmul(F, F.random(rng, bnd.shape[0])[None, :], bnd)[0])
-        best = min(best, la.weight(v))
-    return DistanceResult(best, False, "coset-sampling-upper-bound")
+    if total > budget:
+        raise BudgetExceeded(f"systolic_distance needs {total} coset words > budget {budget}")
+    w, _ = la.min_weight_search(F, C.cycles(), np.zeros((1, C.dim), dtype=np.int64),
+                                exclude=la.right_kernel(F, bnd))
+    return DistanceResult(int(w[0]), True, "coset-enumeration")
 
 
 @dataclass
 class FillingEstimate:
     mu_hat: float          # lower estimate of the filling constant
     trials: int
-    exact_preimages: bool
+    exact_preimages: bool  # always True; read by the verify-oracles benchmark
     samples: list
 
 
@@ -157,15 +133,17 @@ def filling_constant_estimate(C: SingleSectorComplex, trials: int, seed: int,
                               budget: int = DEFAULT_DISTANCE_BUDGET) -> FillingEstimate:
     """max over sampled boundaries b of min{|c| : boundary(c) = b} / |b|.
 
-    Preimage minimization is exact (kernel coset enumeration) when q^dim(Z)
-    fits the budget, otherwise randomized descent over kernel directions.
+    Each preimage minimum is exact, by one scan of the q^dim(Z) cycles;
+    BudgetExceeded, before any draw, when that count exceeds the budget.
     """
     F = C.field
-    rng = stream(seed)
     cyc = C.cycles()
-    exact = F.q ** cyc.shape[0] <= budget
-    xs, b_ws, pres = [], [], []
-    attempts = 0
+    count = F.q ** cyc.shape[0]
+    if count > budget:
+        raise BudgetExceeded(f"filling_constant_estimate needs {count} cycle words per "
+                             f"preimage > budget {budget}")
+    rng = stream(seed)
+    xs, b_ws, attempts = [], [], 0
     while len(xs) < trials and attempts < trials * 20:
         attempts += 1
         x = F.random(rng, C.dim)
@@ -174,32 +152,7 @@ def filling_constant_estimate(C: SingleSectorComplex, trials: int, seed: int,
             continue
         xs.append(x)
         b_ws.append(la.weight(b))
-        if not exact:
-            pres.append(_descend(F, x, cyc, rng))
-    if exact:
-        pres = la.min_weight_search(F, cyc, np.array(xs, dtype=np.int64).reshape(-1, C.dim))[0]
+    pres = la.min_weight_search(F, cyc, np.array(xs, dtype=np.int64).reshape(-1, C.dim))[0]
     samples = [(b_w, int(pre), int(pre) / b_w) for b_w, pre in zip(b_ws, pres)]
     best = max((r for *_, r in samples), default=0.0)
-    return FillingEstimate(best, len(samples), exact, samples)
-
-
-def _descend(F: Field, x: np.ndarray, kernel: np.ndarray, rng: np.random.Generator) -> int:
-    """Least weight found in x + span(kernel) by greedy descent from four
-    random restarts."""
-    best = la.weight(x)
-    for _ in range(4):
-        cur = x.copy()
-        if kernel.shape[0]:
-            coef = F.random(rng, kernel.shape[0])
-            cur = F.add(cur, la.matmul(F, coef[None, :], kernel)[0])
-        improved = True
-        while improved:
-            improved = False
-            for row in kernel:
-                for scalar in range(1, F.q):
-                    cand = F.add(cur, F.mul(np.int64(scalar), row))
-                    if la.weight(cand) < la.weight(cur):
-                        cur = cand
-                        improved = True
-        best = min(best, la.weight(cur))
-    return best
+    return FillingEstimate(best, len(samples), True, samples)

@@ -61,24 +61,18 @@ class Decomposition:
     def column_weights(self) -> list[int]:
         return [int(dir_weights(p, i, self.lengths)) for i, p in enumerate(self.parts)]
 
-    def cost(self) -> int:
-        return sum(n * w for n, w in zip(self.lengths, self.column_weights))
-
-    def total(self, F: Field) -> np.ndarray:
-        return F.sum(np.stack(self.parts), axis=0)
-
     def to_json(self) -> dict:
         return {"parts": [[int(x) for x in p] for p in self.parts],
                 "lengths": list(self.lengths),
                 "column_weights": self.column_weights}
 
 
-def decomposer(F: Field, codes: list[LinearCode]):
+def decomposer(F: Field, G: np.ndarray, spans: list[tuple[int, int]]):
     """The function mapping a block of words cwords to a particular
     decomposition of each row, found by solving against the canonical
-    generator matrix (row-reduced once, for every block): parts[i][r] lies in
-    C^(i) and the parts of row r sum to cwords[r]."""
-    G, spans = canonical_generator(F, codes)
+    generator matrix G with row block spans (row-reduced once, for every
+    block): parts[i][r] lies in C^(i) and the parts of row r sum to
+    cwords[r]."""
     solve = la.left_solver(F, G)
 
     def decompose(cwords: np.ndarray) -> list[np.ndarray]:
@@ -197,11 +191,12 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
         return PeResult(Fraction(int(d.value), lengths[0]), True, None, None,
                         F.q ** codes[0].k)
 
-    dt_gen = la.row_space(F, canonical_generator(F, codes)[0])
+    G, spans = canonical_generator(F, codes)
+    dt_gen = la.row_space(F, G)
     assert dt_gen.shape[0] == dt_dim
     best = (Fraction(0), None, None)
     scanned = 0
-    decompose = decomposer(F, codes)
+    decompose = decomposer(F, G, spans)
     for _, words in la.enumerate_span(F, dt_gen, chunk=512):
         words = words[np.any(words, axis=1)]
         if words.shape[0] == 0:

@@ -23,7 +23,7 @@ from .codes import BudgetExceeded, canonical_points
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
                       berlekamp_welch, clean_stripes, params_from_json)
-from .subsystem import CheckMatrices, CssPair, subsystem_product
+from .subsystem import CheckMatrices, CssPair, amplified_z_stripes, subsystem_product
 
 
 class InconsistentInput(RuntimeError):
@@ -396,18 +396,13 @@ def _denoise_product_syndrome(F: Field, factors: list[CssPair],
     factor-2 outer code; each block decodes its stripes within the unique
     radius in one berlekamp_welch batch.
     """
-    n = factors[0].n
-    m1 = factors[0].qz.parity_check().shape[0]
-    m2 = factors[1].qz.parity_check().shape[0]
     out = np.asarray(s, dtype=np.int64).copy()
     failures = 0
-    # the stripes of each block as row views of out
-    for stripes, m in ((out[: 2 * m1 * n].reshape(2 * m1, n).T, m1),
-                       (out[2 * m1 * n:].reshape(n, 2 * m2), m2)):
+    for pos, m in amplified_z_stripes(factors):
         if m:
-            ok, cw = berlekamp_welch(F, canonical_points(F, 2 * m), m, stripes, m // 2)
+            ok, cw = berlekamp_welch(F, canonical_points(F, 2 * m), m, out[pos], m // 2)
             failures += int(np.count_nonzero(~ok))
-            stripes[ok] = cw[ok]
+            out[pos[ok]] = cw[ok]
     return out, failures
 
 

@@ -126,15 +126,14 @@ def subsystem_product(factors: list[CssPair]) -> CssPair:
 DISTANCE_TRIALS = 5000
 
 
-def _side_distance(F: Field, logical_space: np.ndarray, gauge_dual: np.ndarray,
+def _side_distance(F: Field, logical_space: np.ndarray, gauge_par: np.ndarray,
                    budget: int, rng: np.random.Generator | None) -> tuple[float, bool]:
-    """Min weight over span(logical_space) setminus span(gauge_dual)."""
+    """Min weight over the words of span(logical_space) that the gauge
+    parity map gauge_par does not kill, i.e. outside the gauge span."""
     dim = logical_space.shape[0]
     n = logical_space.shape[1]
     if dim == 0:
         return math.inf, True
-    # membership in the gauge span tested through its parity map
-    gauge_par = la.right_kernel(F, gauge_dual)
     if F.q ** dim <= budget:
         w = int(la.min_weight_search(F, logical_space, np.zeros((1, n), dtype=np.int64),
                                      exclude=gauge_par)[0][0])
@@ -154,11 +153,13 @@ def _side_distance(F: Field, logical_space: np.ndarray, gauge_dual: np.ndarray,
 def subsystem_distance(Q: CssPair, budget: int = DEFAULT_DISTANCE_BUDGET,
                        seed: int = 0) -> DistanceResult:
     """Subsystem distance: min weight over the two dressed-logical classes
-    (Q_X + Q_Z^perp) setminus Q_Z^perp and (Q_Z + Q_X^perp) setminus Q_X^perp."""
+    (Q_X + Q_Z^perp) setminus Q_Z^perp and (Q_Z + Q_X^perp) setminus Q_X^perp;
+    the generator of Q_X is a parity map of the gauge Q_X^perp, and that of
+    Q_Z of Q_Z^perp."""
     F = Q.field
     rng = stream(seed)
-    dz, ez = _side_distance(F, Q.logical_z_space(), Q.qx.dual().gen, budget, rng)
-    dx, ex = _side_distance(F, Q.logical_x_space(), Q.qz.dual().gen, budget, rng)
+    dz, ez = _side_distance(F, Q.logical_z_space(), Q.qx.gen, budget, rng)
+    dx, ex = _side_distance(F, Q.logical_x_space(), Q.qz.gen, budget, rng)
     val = min(dx, dz)
     exact = ex and ez
     return DistanceResult(val, exact,
@@ -252,3 +253,15 @@ def _amplify(F: Field, H: np.ndarray) -> np.ndarray:
         raise ValueError(f"amplified checks need q >= 2m (q={F.q}, m={m})")
     outer = rs_code(F, 2 * m, m)
     return la.matmul(F, outer.gen.T, H)
+
+
+def amplified_z_stripes(factors: list[CssPair]) -> list[tuple[np.ndarray, int]]:
+    """Where the outer Reed-Solomon stripes of an amplified two-factor
+    Z-syndrome lie: for each block, the (stripes, 2m) array of positions and
+    the outer dimension m.  Block 1, H_1' (x) I, holds one stripe down each
+    column of its (2 m1, n2) grid; block 2, I (x) H_2', one along each row
+    of its (n1, 2 m2) grid."""
+    (n1, m1), (n2, m2) = ((f.n, f.qz.parity_check().shape[0]) for f in factors)
+    split = 2 * m1 * n2
+    return [(np.arange(split).reshape(2 * m1, n2).T, m1),
+            (split + np.arange(n1 * 2 * m2).reshape(n1, 2 * m2), m2)]

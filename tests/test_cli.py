@@ -307,6 +307,18 @@ def test_distance_rejects_malformed_fields(tmp_path, capsys):
         assert "error: field" in capsys.readouterr().err
 
 
+def test_build_punctured_tensor_refuses_mds_check_past_budget(tmp_path, capsys, monkeypatch):
+    """n = 27, k = 8 over GF(16): too many minors and codewords for an exact
+    MDS check, so build-code exits 1 without sampling a distance."""
+    monkeypatch.setattr(LinearCode, "min_distance",
+                        lambda *a, **k: pytest.fail("build-code ran min_distance"))
+    assert main(["build-code", "--kind", "punctured-tensor-rs", "--q", "16", "--m", "3",
+                 "--u", "3", "--k", "2", "--seed", "1",
+                 "--out", str(tmp_path / "pt.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: is_mds: neither minors nor enumeration feasible\n"
+
+
 def test_build_punctured_tensor(tmp_path):
     out = tmp_path / "pt.json"
     assert main(["build-code", "--kind", "punctured-tensor-rs",

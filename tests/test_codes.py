@@ -236,6 +236,18 @@ def test_is_mds():
     assert not ham.is_mds()
 
 
+def test_is_mds_refuses_without_sampling(monkeypatch):
+    """n = 27, k = 8 over GF(16): C(27, 8) > 10^6 minors and 16^8 words
+    exceed the distance budget, so is_mds refuses before any distance
+    computation."""
+    ec = punctured_tensor_rs(GF(16), 3, 3, 2, seed=0)
+    assert (ec.base.n, ec.base.k) == (27, 8)
+    monkeypatch.setattr(LinearCode, "min_distance",
+                        lambda *a, **k: pytest.fail("is_mds ran min_distance"))
+    with pytest.raises(BudgetExceeded, match="neither minors nor enumeration feasible"):
+        ec.base.is_mds()
+
+
 def test_min_distance_budget_fallback(gf16):
     C = rs_code(gf16, 16, 8)
     d = C.min_distance(budget=1000)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la
-from prodcodes.codes import LinearCode, rs_code
+from prodcodes.codes import BudgetExceeded, LinearCode, rs_code
 from prodcodes.complexes import (SingleSectorComplex, filling_constant_estimate, from_css,
                                  hom_product, systolic_distance)
 from prodcodes.subsystem import quantum_rs
@@ -62,7 +62,7 @@ def test_hombasis_dimensions_agree():
         assert z_minus_b == zc == C.homology_dim()
         # the homology representatives are cycles, independent modulo the
         # boundaries
-        reps = C.homology_reps()
+        reps = la.complete_basis(C.field, C.boundaries(), C.cycles())
         assert reps.shape[0] == z_minus_b
         assert la.row_space_contains(C.field, C.cycles(), reps)
         assert la.rank(C.field, np.concatenate([C.boundaries(), reps])) == \
@@ -155,6 +155,24 @@ def test_systolic_exact_on_single_factor():
         if wts.size:
             best = min(best, int(wts.min()))
     assert d.exact and d.value == best
+
+
+def test_systolic_distance_refuses_past_budget():
+    """(q^k - 1) * q^dim(B) = (8^4 - 1) * 8^2 = 262080 coset words."""
+    C, _ = qrs_complex(8, 8, 6)
+    assert (C.homology_dim(), C.boundaries().shape[0]) == (4, 2)
+    with pytest.raises(BudgetExceeded, match="needs 262080 coset words > budget 262079"):
+        systolic_distance(C, budget=262_079)
+    assert systolic_distance(C, budget=262_080).exact
+
+
+def test_filling_estimate_refuses_past_budget_before_drawing(monkeypatch):
+    """q^dim(Z) = 4^3 = 64 cycle words per preimage; a refusal draws nothing."""
+    C, _ = qrs_complex(4, 4, 3)
+    assert C.cycles().shape[0] == 3
+    monkeypatch.setattr(C.field, "random", lambda *a, **k: pytest.fail("drew a sample"))
+    with pytest.raises(BudgetExceeded, match="needs 64 cycle words per preimage > budget 63"):
+        filling_constant_estimate(C, trials=5, seed=0, budget=63)
 
 
 def test_filling_estimate_bounds():

@@ -3,8 +3,10 @@ what the lab runs: the CLI entry point, module-level code in src, anything
 perfbench references, or one of the named oracles below that the acceptance
 criteria, or the one test named with it, run against the package's own code.  A reached definition reaches
 every name its body references (matched by bare name: a call, an attribute
-or an import), and a reached class reaches its dunder methods.  A test's
-reference alone keeps nothing alive."""
+or an import), and a reached class reaches its dunder methods.  A name a
+function binds in its own body (a parameter, or an assignment, loop, with or
+comprehension target) is local there, not a reference.  A test's reference
+alone keeps nothing alive."""
 
 import ast
 from pathlib import Path
@@ -52,15 +54,36 @@ def _reference(node):
     return None
 
 
+def _local_names(node):
+    """The names a function binds in its own body: its parameters and every
+    name it stores (assignment, loop, with and comprehension targets), not
+    those of the definitions nested in it."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return set()
+    a = node.args
+    out = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    stack = list(node.body)
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        if not isinstance(n, _DEFS):
+            stack += ast.iter_child_nodes(n)
+    return out
+
+
 def _body_names(node):
     """The names a definition's body (or a module's top-level code)
-    references: not its annotations, nor the bodies of the definitions
-    nested in it, only what their enclosing scope evaluates (decorators,
-    defaults, bases); a module's own imports bind names but use none."""
+    references: not its annotations, nor its local names, nor the bodies of
+    the definitions nested in it, only what their enclosing scope evaluates
+    (decorators, defaults, bases); a module's own imports bind names but use
+    none."""
+    local = _local_names(node)
     out, stack = set(), [node]
     while stack:
         n = stack.pop()
-        if not (isinstance(node, ast.Module) and isinstance(n, ast.alias)):
+        bound_here = isinstance(n, ast.Name) and n.id in local
+        if not bound_here and not (isinstance(node, ast.Module) and isinstance(n, ast.alias)):
             out.add(_reference(n))
         if n is not node and isinstance(n, _DEFS):
             stack += n.decorator_list

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import decoder, linalg as la, qdecoder
-from prodcodes.codes import tensor
+from prodcodes.codes import rs_code, tensor
 from test_decoder import bivariate_coeffs
 from test_linalg_poly import solve_left
 from prodcodes.decoder import (PromiseViolation, berlekamp_welch, random_codeword,
@@ -22,8 +22,8 @@ from prodcodes.qdecoder import (CssProductInstance, InconsistentInput,
                                 subsystem_decode, syndrome_decode,
                                 syndrome_to_word)
 from prodcodes.rng import stream
-from prodcodes.subsystem import (CheckMatrices, check_matrices, logical_coset_equal,
-                                 quantum_rs)
+from prodcodes.subsystem import (CheckMatrices, amplified_z_stripes, check_matrices,
+                                 logical_coset_equal, quantum_rs)
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +366,20 @@ def ss8():
         QdecParams(Fraction(1, 8), Fraction(1, 8), gamma=20))
     cm = check_matrices(inst.product, "amplified")
     return inst, cm
+
+
+def test_amplified_z_stripes_are_outer_codewords(ss8):
+    """The stripes cover each position of the amplified Z-syndrome once, and
+    on a noiseless syndrome each is a word of its block's outer RS code."""
+    inst, cm = ss8
+    F = inst.field
+    blocks = amplified_z_stripes(inst.factors)
+    covered = np.concatenate([pos.ravel() for pos, _ in blocks])
+    assert np.array_equal(np.sort(covered), np.arange(cm.hz.shape[0]))
+    s = la.matvec(F, cm.hz, F.random(stream(62, 0), inst.product.n))
+    for pos, m in blocks:
+        assert pos.shape == (inst.n, 2 * m)
+        assert not la.matmul(F, s[pos], rs_code(F, 2 * m, m).parity_check().T).any()
 
 
 def test_single_shot_noiseless_reduces(ss8):
