@@ -485,8 +485,6 @@ def cmd_gate_verify(args) -> int:
     if args.params:
         with _boundary():
             r, q = (int(x) for x in args.params.split(","))
-            if r < 2:
-                raise UsageError("gate arity r must be >= 2")
             F = GF(q)
             tv.transrs_params(r, q)
         gate = tv.build_transrs_gate(F, r)

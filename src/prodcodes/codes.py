@@ -130,10 +130,10 @@ class LinearCode:
         return DistanceResult(best, False, "sampling-upper-bound")
 
     def is_mds(self) -> bool:
-        """True iff distance equals n-k+1.  Tests the smaller of code/dual
-        by exhaustive maximal minors when there are at most 10^6 of them,
-        otherwise by the exact distance; BudgetExceeded when q^k exceeds
-        DEFAULT_DISTANCE_BUDGET too."""
+        """True iff distance equals n-k+1, as it is for the dual.  Tests the
+        smaller of code/dual by exhaustive maximal minors when there are at
+        most 10^6 of them, otherwise by its exact distance; BudgetExceeded
+        when its q^k exceeds DEFAULT_DISTANCE_BUDGET too."""
         if self.k == 0 or self.k == self.n:
             return True
         side = self if self.k <= self.n - self.k else self.dual()
@@ -143,9 +143,9 @@ class LinearCode:
                 if la.rank(F, side.gen[:, list(cols)]) < side.k:
                     return False
             return True
-        if self.field.q ** self.k > DEFAULT_DISTANCE_BUDGET:
+        if side.field.q ** side.k > DEFAULT_DISTANCE_BUDGET:
             raise BudgetExceeded("is_mds: neither minors nor enumeration feasible")
-        return self.min_distance().value == self.n - self.k + 1
+        return side.min_distance().value == side.n - side.k + 1
 
     # serialization -----------------------------------------------------------
 

@@ -40,11 +40,7 @@ class SingleSectorComplex:
 
     @property
     def locality(self) -> int:
-        if self.dim == 0:
-            return 0
-        rw = int(np.count_nonzero(self.boundary, axis=1).max())
-        cw = int(np.count_nonzero(self.boundary, axis=0).max())
-        return max(rw, cw)
+        return la.locality(self.boundary)
 
     # subspaces --------------------------------------------------------------
 
@@ -106,18 +102,16 @@ def hom_product(A: SingleSectorComplex, B: SingleSectorComplex) -> SingleSectorC
 def systolic_distance(C: SingleSectorComplex,
                       budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Min weight over cycles that are not boundaries, exact by one scan of
-    the q^dim(Z) cycles; BudgetExceeded when (q^k - 1) * q^dim(B) exceeds
-    the budget."""
+    the q^dim(Z) cycles; BudgetExceeded when that count exceeds budget."""
     F = C.field
-    k = C.homology_dim()
-    if k == 0:
+    if C.homology_dim() == 0:
         return DistanceResult(math.inf, True, "zero-homology")
-    bnd = C.boundaries()
-    total = (F.q ** k - 1) * (F.q ** bnd.shape[0])
-    if total > budget:
-        raise BudgetExceeded(f"systolic_distance needs {total} coset words > budget {budget}")
-    w, _ = la.min_weight_search(F, C.cycles(), np.zeros((1, C.dim), dtype=np.int64),
-                                exclude=la.right_kernel(F, bnd))
+    cyc = C.cycles()
+    count = F.q ** cyc.shape[0]
+    if count > budget:
+        raise BudgetExceeded(f"systolic_distance needs {count} cycle words > budget {budget}")
+    w, _ = la.min_weight_search(F, cyc, np.zeros((1, C.dim), dtype=np.int64),
+                                exclude=la.right_kernel(F, C.boundaries()))
     return DistanceResult(int(w[0]), True, "coset-enumeration")
 
 

@@ -462,13 +462,10 @@ class Field:
         return self.power(a, self.p)
 
     def trace(self, a):
-        """Trace to the prime subfield; result codes lie in [0, p)."""
-        acc = np.asarray(a, dtype=np.int64)
-        t = acc
-        for _ in range(self.e - 1):
-            t = self.frobenius(t)
-            acc = self.add(acc, t)
-        return acc
+        """Trace to the prime subfield, the sum of the Frobenius powers
+        a^(p^i) for i < e; result codes lie in [0, p)."""
+        a = np.asarray(a, dtype=np.int64)
+        return self.sum(self.power(a[..., None], self.p ** np.arange(self.e)))
 
     def random(self, rng: np.random.Generator, shape=None, nonzero: bool = False):
         lo = 1 if nonzero else 0

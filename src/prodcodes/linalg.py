@@ -46,8 +46,8 @@ _SPAN_CHUNK = 1 << 14
 def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact matrix product over F.
 
-    Char 2 with e > 1 XORs table products; every other field runs one
-    float64 BLAS product per block of digit terms (see the module
+    Char 2 with e > 1 sums table products with F.sum; every other field
+    runs one float64 BLAS product per block of digit terms (see the module
     docstring).  Rows and the inner dimension are also blocked so that no
     block of digits of A or B, nor their product, holds more than
     _MATMUL_BLOCK entries."""
@@ -61,11 +61,11 @@ def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return np.zeros((m, n), dtype=np.int64)
     p, e = F.p, F.e
     if p == 2 and e > 1:
-        out = np.zeros((m, n), dtype=np.int64)
+        out = None
         step = max(1, _MATMUL_BLOCK // (m * n))
         for i in range(0, k, step):
-            terms = F.mul(A[:, i:i + step, None], B[None, i:i + step, :])
-            out ^= np.bitwise_xor.reduce(terms, axis=1)
+            blk = F.sum(F.mul(A[:, i:i + step, None], B[None, i:i + step, :]), axis=1)
+            out = blk if out is None else F.add(out, blk)
         return out
     # a block of step elements is step * e digit terms, each at most (p-1)^2,
     # so its float64 sum stays exact below 2^53; the digits of a block of A
@@ -268,6 +268,13 @@ def row_space_intersection(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray
 
 def weight(v: np.ndarray) -> int:
     return int(np.count_nonzero(v))
+
+
+def locality(*mats: np.ndarray) -> int:
+    """The largest row or column weight over the matrices (0 when they hold
+    no entries)."""
+    return max((int(np.count_nonzero(M, axis=axis).max())
+                for M in mats if M.size for axis in (0, 1)), default=0)
 
 
 def kron(F: Field, *mats: np.ndarray) -> np.ndarray:

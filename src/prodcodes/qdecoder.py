@@ -108,10 +108,10 @@ class SubsystemProductInstance:
         f1, f2 = self.factors
         n = f1.n
         eps = self.params.eps
-        lhs1 = (n - f1.qz.k) + f2.qx.k
-        lhs2 = (n - f1.qx.k) + f2.qz.k
-        if lhs1 > (1 - eps) * n or lhs2 > (1 - eps) * n:
+        # the X side's rate condition; the Z side's, and s < n, are z_dt's
+        if (n - f1.qz.k) + f2.qx.k > (1 - eps) * n:
             raise ValueError("rate conditions of the product decoder fail for eps")
+        self.z_dt
         if f1.qz.k > (1 - eps) * n or f1.qx.k > (1 - eps) * n:
             raise ValueError("first-factor dimensions must stay <= (1 - eps) n")
 
@@ -209,15 +209,13 @@ class CssProductInstance(SubsystemProductInstance):
     """Homological product of the single-sector complexes of two quantum RS
     pairs with dim Q_X = dim Q_Z (so the boundary map construction applies).
     Its decoder runs the subsystem product's sides, so the same rate
-    conditions hold."""
+    conditions hold; from_css checks each factor's pair."""
 
     KIND = "css-product"
 
     def __post_init__(self):
         super().__post_init__()
-        for f in self.factors:
-            if f.qx.k != f.qz.k:
-                raise ValueError("factors need dim Q_X = dim Q_Z")
+        self.complexes
 
     @cached_property
     def complexes(self) -> list[SingleSectorComplex]:

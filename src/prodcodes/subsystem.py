@@ -205,15 +205,6 @@ class CheckMatrices:
         """rref basis of the image of hz (the syndromes of Z-type words)."""
         return la.row_space(self.field, self.hz.T)
 
-    @staticmethod
-    def _locality(*mats: np.ndarray) -> int:
-        w = 0
-        for m in mats:
-            if m.size:
-                w = max(w, int(np.count_nonzero(m, axis=1).max()),
-                        int(np.count_nonzero(m, axis=0).max()))
-        return w
-
     def to_json(self) -> dict:
         return {"hx": [int(x) for x in self.hx.ravel()], "hx_rows": self.hx.shape[0],
                 "hz": [int(x) for x in self.hz.ravel()], "hz_rows": self.hz.shape[0],
@@ -240,7 +231,7 @@ def check_matrices(Q: CssPair, style: str = "tensor") -> CheckMatrices:
         raise ValueError(f"unknown style {style!r}")
     hx = np.concatenate(la.axis_blocks(F, hxs, lengths), axis=0)
     hz = np.concatenate(la.axis_blocks(F, hzs, lengths), axis=0)
-    return CheckMatrices(F, hx, hz, CheckMatrices._locality(hx, hz), style)
+    return CheckMatrices(F, hx, hz, la.locality(hx, hz), style)
 
 
 def _amplify(F: Field, H: np.ndarray) -> np.ndarray:

@@ -172,6 +172,8 @@ class TransRsParams:
 
 def transrs_params(r: int, q: int) -> TransRsParams:
     """Parameter record of the two-factor quantum-RS gate construction."""
+    if r < 2:
+        raise ValueError("gate arity r must be >= 2")
     if q < 4 * r * r:
         raise ValueError(f"need q >= 4r^2 = {4 * r * r}, got q = {q}")
     eps = Fraction(1, 4 * r)
@@ -661,14 +663,11 @@ def triple_product_build(F: Field, m: int, u: int, seed: int) -> TripleProductGa
     shift_exp = tuple([shift] * u)
     a_parts = [F.mul(g, monomial_eval_matrix(F, E, [shift_exp])[0])
                for g, E in zip(gammas, points)]
-    a_scale = 1
-    for v, j in zip(L_vectors, j_star):
-        a_scale = int(F.mul(np.int64(a_scale), F.power(v[j], 3)))
+    a_scale = int(F.prod(F.power([v[j] for v, j in zip(L_vectors, j_star)], 3)))
     # phi(u_raw) = prod_i gamma_i . ev(X^{shift + 3*ell_lo}) must equal 1
-    phi_u = 1
-    for g, E in zip(gammas, points):
-        cube = monomial_eval_matrix(F, E, [tuple([3 * p.ell_lo + shift] * u)])[0]
-        phi_u = int(F.mul(np.int64(phi_u), F.sum(F.mul(g, cube))))
+    cube_exp = [tuple([3 * p.ell_lo + shift] * u)]
+    phi_u = int(F.prod([F.sum(F.mul(g, monomial_eval_matrix(F, E, cube_exp)[0]))
+                        for g, E in zip(gammas, points)]))
     checks["phi_on_Lpower"] = phi_u == 1
     holds = all(bool(v) for k, v in checks.items()
                 if k not in ("window_size", "degraded_regime")) and phi_u == 1
@@ -745,8 +744,7 @@ def triple_phase_identity_test(gate: TripleProductGate, trials: int,
     for trial in range(trials):
         msgs = [int(F.random(rng, None)) for _ in range(3)]
         T1, T2, T3 = (sample_rep(z) for z in msgs)
-        lhs = int(F.mul(F.mul(np.int64(msgs[0]), np.int64(msgs[1])),
-                        np.int64(msgs[2])))
+        lhs = int(F.prod(msgs))
         D = np.int64(1)
         for axis in range(3):
             W = F.mul(gate.a_parts[axis], T1[axis])

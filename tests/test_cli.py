@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from prodcodes.gf import GF
 from prodcodes import linalg as la
 from prodcodes.codes import LinearCode, rs_code
 from prodcodes.expansion import pe_exact
+from prodcodes.subsystem import quantum_rs
 
 
 def run(tmp_path, *argv):
@@ -693,6 +696,67 @@ def test_decode_trials_checks_css_rate_conditions(trial_instances, tmp_path, cap
                  "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "rate conditions" in err
+
+
+def _refused_with_one_error_line(capsys, argv, message):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_product_instances_refused_at_read_time(trial_instances, tmp_path, capsys):
+    """A css-product over a field of characteristic 3, and a subsystem
+    product whose locator degree s reaches n, are refused by build-code and,
+    as hand-edited documents, when decode-trials reads them; both used to
+    build, then raise at the first decode."""
+    F = GF(9)
+    css = {**json.loads(trial_instances["css-product"].read_text())["results"],
+           "factors": [quantum_rs(F, 9, 7, 7).to_json(), quantum_rs(F, 9, 5, 5).to_json()]}
+    sub = {**json.loads(trial_instances["subsystem-product"].read_text())["results"],
+           "rho": [1000, 1], "gamma": 1}
+    cases = [(["--kind", "css-product", "--q", "9", "--n", "9", "--k", "7", "--k2", "5",
+               "--eps", "1/8", "--gamma", "20"], css, "restricted to characteristic 2"),
+             (["--kind", "subsystem-product", "--q", "8", "--n", "8", "--kx", "6", "--kz",
+               "6", "--kx2", "4", "--kz2", "5", "--eps", "1/8", "--rho", "1000", "--gamma",
+               "1"], sub, "locator degree s must stay below n")]
+    inst, out = tmp_path / "edited.json", str(tmp_path / "r.json")
+    for build, doc, message in cases:
+        _refused_with_one_error_line(
+            capsys, ["build-code", *build, "--seed", "1", "--out", out], message)
+        inst.write_text(json.dumps(doc))
+        _refused_with_one_error_line(
+            capsys, [TRIAL_COMMAND[0], "--instance", str(inst), *TRIAL_COMMAND[1:],
+                     "--out", out], message)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_built_products_decode_without_raising(tmp_path_factory, data):
+    """Whatever product document build-code accepts, decode-trials at noise 0
+    reads and decodes: exit 0 or 2, never an exception.  The factors are
+    full-length quantum RS pairs (n = q); with c = ceil(eps n), the first
+    has dimensions n - c and n - c, the second kx2 and n - kx2 for a kx2 in
+    [2c, n - 2c] (n - 2c and n - 2c in a css product), which meet the rate
+    conditions whenever c <= n / 4."""
+    n = q = data.draw(st.sampled_from([4, 8, 9, 16]))
+    kind = data.draw(st.sampled_from(["subsystem-product", "css-product"]))
+    eps = data.draw(st.sampled_from(["1/8", "1/4", "1/2"]))
+    c = math.ceil(Fraction(eps) * n)
+    if kind == "css-product":
+        dims = ["--k", n - c, "--k2", n - 2 * c]
+    else:
+        kx2 = data.draw(st.integers(2 * c, n - 2 * c)) if 4 * c <= n else n // 2
+        dims = ["--kx", n - c, "--kz", n - c, "--kx2", kx2, "--kz2", n - kx2]
+    argv = ["build-code", "--kind", kind, "--q", str(q), "--n", str(n),
+            *map(str, dims), "--eps", eps,
+            "--rho", data.draw(st.sampled_from(["1/8", "1/2", "1", "1000"])),
+            "--gamma", str(data.draw(st.sampled_from([1, 2, 20, 1000]))), "--seed", "1"]
+    inst = tmp_path_factory.getbasetemp() / "built-product.json"
+    if main([*argv, "--out", str(inst)]) == 0:
+        assert main(["decode-trials", "--instance", str(inst), "--noise-weight", "0",
+                     "--trials", "1", "--seed", "1",
+                     "--out", str(inst.with_name("built-report.json"))]) in (0, 2)
 
 
 # each command with the options it needs to run, and its numeric options;

@@ -236,6 +236,15 @@ def test_is_mds():
     assert not ham.is_mds()
 
 
+def test_is_mds_decides_on_the_dual():
+    """A random binary [40, 30] code has C(40, 10) > 10^6 minors and 2^30
+    words, past the distance budget; a code is MDS exactly when its dual is,
+    and the [40, 10] dual's 2^10 words answer False."""
+    code = LinearCode(GF(2), 40, np.random.default_rng(0).integers(0, 2, (30, 40)))
+    assert code.k == 30
+    assert not code.is_mds()
+
+
 def test_is_mds_refuses_without_sampling(monkeypatch):
     """n = 27, k = 8 over GF(16): C(27, 8) > 10^6 minors and 16^8 words
     exceed the distance budget, so is_mds refuses before any distance

@@ -158,12 +158,12 @@ def test_systolic_exact_on_single_factor():
 
 
 def test_systolic_distance_refuses_past_budget():
-    """(q^k - 1) * q^dim(B) = (8^4 - 1) * 8^2 = 262080 coset words."""
+    """The scan runs over all q^dim(Z) = 8^(4 + 2) = 262144 cycle words."""
     C, _ = qrs_complex(8, 8, 6)
     assert (C.homology_dim(), C.boundaries().shape[0]) == (4, 2)
-    with pytest.raises(BudgetExceeded, match="needs 262080 coset words > budget 262079"):
-        systolic_distance(C, budget=262_079)
-    assert systolic_distance(C, budget=262_080).exact
+    with pytest.raises(BudgetExceeded, match="needs 262144 cycle words > budget 262143"):
+        systolic_distance(C, budget=262_143)
+    assert systolic_distance(C, budget=262_144).exact
 
 
 def test_filling_estimate_refuses_past_budget_before_drawing(monkeypatch):

@@ -42,6 +42,29 @@ def test_trace_gf4_values(gf4):
     assert gf4.trace(np.int64(gf4.generator)) == 1
 
 
+def frobenius_loop_trace(F, a):
+    """The trace as Field.trace computed it before its one Field.sum: the
+    Frobenius powers added one at a time.  The oracle."""
+    acc = np.asarray(a, dtype=np.int64)
+    t = acc
+    for _ in range(F.e - 1):
+        t = F.frobenius(t)
+        acc = F.add(acc, t)
+    return acc
+
+
+@pytest.mark.parametrize("q", [2 ** e for e in range(1, 9)] + [9, 27, 49, 97])
+def test_trace_matches_frobenius_loop(q):
+    F = GF(q)
+    xs = F.elements()
+    assert np.array_equal(F.trace(xs), frobenius_loop_trace(F, xs))
+    M = F.random(np.random.default_rng(q), (3, 4))
+    got = F.trace(M)
+    assert got.shape == M.shape and np.array_equal(got, frobenius_loop_trace(F, M))
+    g = np.int64(F.generator)
+    assert F.trace(g).shape == () and int(F.trace(g)) == int(frobenius_loop_trace(F, g))
+
+
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_field_axioms(q):
     F = GF(q)

@@ -400,6 +400,57 @@ def test_axis_blocks_match_pairwise_kron(case):
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
+def check_matrices_locality(*mats):
+    """The largest row or column weight of check matrices, as
+    CheckMatrices._locality computed it before la.locality: the oracle."""
+    w = 0
+    for m in mats:
+        if m.size:
+            w = max(w, int(np.count_nonzero(m, axis=1).max()),
+                    int(np.count_nonzero(m, axis=0).max()))
+    return w
+
+
+def boundary_locality(boundary):
+    """SingleSectorComplex.locality before la.locality, for a square
+    boundary matrix: the oracle."""
+    if boundary.shape[0] == 0:
+        return 0
+    rw = int(np.count_nonzero(boundary, axis=1).max())
+    cw = int(np.count_nonzero(boundary, axis=0).max())
+    return max(rw, cw)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Zero to three matrices over GF(4) with 0 to 5 rows and columns, each
+    entry nonzero with a drawn density (0 gives all-zero matrices)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+        density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        mats.append(np.where(rng.random(shape) < density, rng.integers(1, 4, shape), 0))
+    return mats
+
+
+@given(sparse_matrices())
+def test_locality_matches_check_matrices_oracle(mats):
+    assert la.locality(*mats) == check_matrices_locality(*mats)
+    for M in mats:
+        if M.shape[0] == M.shape[1]:
+            assert la.locality(M) == boundary_locality(M)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3, 3), (2, 5)])
+def test_locality_of_empty_and_zero_matrices(shape):
+    M = np.zeros(shape, dtype=np.int64)
+    assert la.locality(M) == check_matrices_locality(M) == 0
+    assert la.locality() == 0
+    if shape[0] == shape[1]:
+        assert boundary_locality(M) == 0
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from prodcodes.gf import GF
 from prodcodes import linalg as la, subsystem
 from prodcodes.codes import LinearCode, rs_code, zero_code
-from prodcodes.subsystem import (CheckMatrices, CssPair, check_matrices,
-                                 logical_coset_equal, quantum_rs,
+from prodcodes.subsystem import (CssPair, check_matrices, logical_coset_equal, quantum_rs,
                                  subsystem_distance, subsystem_product)
 
 
@@ -249,8 +248,8 @@ def test_product_locality_adds(gf8):
     Qa = quantum_rs(gf8, 8, 6, 6)
     Qb = quantum_rs(gf8, 8, 4, 5)
     P = subsystem_product([Qa, Qb])
-    w1 = CheckMatrices._locality(Qa.qx.parity_check(), Qa.qz.parity_check())
-    w2 = CheckMatrices._locality(Qb.qx.parity_check(), Qb.qz.parity_check())
+    w1 = la.locality(Qa.qx.parity_check(), Qa.qz.parity_check())
+    w2 = la.locality(Qb.qx.parity_check(), Qb.qz.parity_check())
     assert check_matrices(P, "tensor").locality <= w1 + w2
 
 
@@ -300,4 +299,4 @@ def test_check_matrices_match_stacked_kron(case, style):
     hx, hz = _stacked_tensor_checks(F, hxs, lengths), _stacked_tensor_checks(F, hzs, lengths)
     assert cm.hx.shape == hx.shape and np.array_equal(cm.hx, hx)
     assert cm.hz.shape == hz.shape and np.array_equal(cm.hz, hz)
-    assert cm.locality == CheckMatrices._locality(hx, hz)
+    assert cm.locality == la.locality(hx, hz)
