@@ -29,10 +29,11 @@ import numpy as np
 from . import __version__
 from .gf import GF, Field
 from . import linalg as la
-from .codes import (BudgetExceeded, LinearCode, error_vector, punctured_tensor_rs, rs_code)
+from .codes import (DEFAULT_DISTANCE_BUDGET, BudgetExceeded, LinearCode, error_vector,
+                    punctured_tensor_rs, rs_code)
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode, params_from_json,
                       random_codeword, random_error)
-from .expansion import common_field, pe_exact
+from .expansion import DEFAULT_PE_BUDGET, common_field, pe_exact
 from .qdecoder import (CssProductInstance, InconsistentInput, QdecParams,
                        SubsystemProductInstance, coset_min_weight, css_decode,
                        single_shot_decode, subsystem_decode, syndrome_decode)
@@ -647,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pe-exact", help="exact product-expansion of a code tuple")
     p.add_argument("--codes", required=True)
-    p.add_argument("--budget", type=_non_negative_int, default=2_000_000)
+    p.add_argument("--budget", type=_non_negative_int, default=DEFAULT_PE_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pe_exact)
 
@@ -674,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("distance", help="distance of a code or subsystem pair")
     t.add_argument("--instance", required=True)
-    t.add_argument("--budget", type=_non_negative_int, default=2_000_000)
+    t.add_argument("--budget", type=_non_negative_int, default=DEFAULT_DISTANCE_BUDGET)
     t.add_argument("--seed", type=_non_negative_int, default=0)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_distance)

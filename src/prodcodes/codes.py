@@ -126,7 +126,7 @@ class LinearCode:
         for _ in range(SAMPLED_DISTANCE_TRIALS):
             msg = F.random(rng, self.k)
             if msg.any():
-                best = min(best, la.weight(self.codeword(msg)))
+                best = min(best, int(np.count_nonzero(self.codeword(msg))))
         return DistanceResult(best, False, "sampling-upper-bound")
 
     def is_mds(self) -> bool:
@@ -134,8 +134,6 @@ class LinearCode:
         smaller of code/dual by exhaustive maximal minors when there are at
         most 10^6 of them, otherwise by its exact distance; BudgetExceeded
         when its q^k exceeds DEFAULT_DISTANCE_BUDGET too."""
-        if self.k == 0 or self.k == self.n:
-            return True
         side = self if self.k <= self.n - self.k else self.dual()
         if math.comb(side.n, side.k) <= 1_000_000:
             F = side.field
@@ -262,7 +260,6 @@ class EvalCode:
     base: LinearCode
     points: np.ndarray          # (n, t)
     exponent_set: tuple[tuple[int, ...], ...]
-    vars: int
 
     @property
     def n(self) -> int:
@@ -282,7 +279,7 @@ def eval_code(F: Field, points: np.ndarray,
         raise ValueError("exponent arity does not match point arity")
     gen = monomial_eval_matrix(F, points, exponents)
     code = LinearCode(F, points.shape[0], gen, label=label or f"ev[{len(exponents)} monomials]")
-    return EvalCode(code, points, exponents, t)
+    return EvalCode(code, points, exponents)
 
 
 def box_exponents(lo: int, hi: int, u: int) -> tuple[tuple[int, ...], ...]:
@@ -364,8 +361,6 @@ def dual_tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:
 
 
 def _dedup_rows(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] <= 1:
-        return rows
     seen: set[bytes] = set()
     keep = []
     for i in range(rows.shape[0]):
@@ -435,7 +430,7 @@ def ltc_soundness_estimate(F: Field, H: np.ndarray, trials: int,
     errors, syn_ws = [], []
     while len(errors) < trials:
         e = error_vector(F, n, int(rng.integers(1, n + 1)), rng)
-        syn_w = la.weight(la.matvec(F, H, e))
+        syn_w = int(np.count_nonzero(la.matvec(F, H, e)))
         if syn_w == 0:
             continue  # e lies in the code: coset minimum is 0, ratio undefined
         errors.append(e)

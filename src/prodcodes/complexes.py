@@ -78,11 +78,8 @@ def from_css(qx: LinearCode, qz: LinearCode) -> SingleSectorComplex:
     if qx.k != qz.k:
         raise ValueError("dim Q_X != dim Q_Z")
     F = qx.field
-    hx, hz = qx.parity_check(), qz.parity_check()
-    if np.any(la.matmul(F, hz, hx.T)):
-        raise ValueError("CSS orthogonality H_Z H_X^T = 0 fails")
-    boundary = la.matmul(F, hx.T, hz)
-    return SingleSectorComplex(F, boundary)
+    # boundary^2 = H_X^T (H_Z H_X^T) H_Z, H_X^T 1-1, H_Z onto: the complex checks orthogonality
+    return SingleSectorComplex(F, la.matmul(F, qx.parity_check().T, qz.parity_check()))
 
 
 def hom_product(A: SingleSectorComplex, B: SingleSectorComplex) -> SingleSectorComplex:
@@ -145,7 +142,7 @@ def filling_constant_estimate(C: SingleSectorComplex, trials: int, seed: int,
         if not b.any():
             continue
         xs.append(x)
-        b_ws.append(la.weight(b))
+        b_ws.append(int(np.count_nonzero(b)))
     pres = la.min_weight_search(F, cyc, np.array(xs, dtype=np.int64).reshape(-1, C.dim))[0]
     samples = [(b_w, int(pre), int(pre) / b_w) for b_w, pre in zip(b_ws, pres)]
     best = max((r for *_, r in samples), default=0.0)

@@ -174,15 +174,15 @@ _FIELD_CACHE: dict[tuple, "Field"] = {}
 
 
 def _check_order(p: int, e: int) -> int:
-    """q = p^e, once p is a prime, e >= 1 and q <= MAX_ORDER."""
-    if not _is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
+    """q = p^e, once e >= 1, q <= MAX_ORDER and p is a prime, tested in that
+    order so that no test runs on a huge number (e < 21 bounds p ** e)."""
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    q = p ** e
-    if q > MAX_ORDER:
-        raise ValueError(f"field order {q} exceeds supported bound 2^20")
-    return q
+    if e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+        raise ValueError(f"field order {p}^{e} exceeds supported bound 2^20")
+    if not _is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    return p ** e
 
 
 class Field:
@@ -225,6 +225,8 @@ class Field:
         """GF(q) with the canonical modulus; q any prime power <= 2^20."""
         if q < 2:
             raise ValueError("q must be >= 2")
+        if q > MAX_ORDER:
+            raise ValueError(f"field order {q} exceeds supported bound 2^20")
         factors = _prime_factors(q)
         if len(factors) > 1:
             raise ValueError(f"{q} is not a prime power")
@@ -256,8 +258,6 @@ class Field:
         if not (type(p) is int and type(e) is int and isinstance(modulus, list)
                 and all(type(c) is int for c in modulus)):
             raise ValueError(f"field must be {{p: int, e: int, modulus: [int]}}, got {doc!r}")
-        if p < 2 or not 1 <= e < MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
-            raise ValueError(f"field order {p}^{e} is outside [2, 2^20]")
         return Field.get(p, e, modulus)
 
     def to_json(self) -> dict:

@@ -192,12 +192,7 @@ def solve_right(F: Field, A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     b = np.asarray(b, dtype=np.int64)
     squeeze = b.ndim == 1
-    if A.shape[0] == 0:
-        # vacuous system: the pivot-ordered particular solution is zero
-        ncols = 1 if squeeze else (b.shape[1] if b.ndim == 2 else 1)
-        X = np.zeros((A.shape[1], ncols), dtype=np.int64)
-        return X[:, 0] if squeeze else X
-    B = b.reshape(A.shape[0], -1)
+    B = b[:, None] if squeeze else b
     aug = np.concatenate([A, B], axis=1)
     R, piv = rref(F, aug)
     n = A.shape[1]
@@ -264,10 +259,6 @@ def row_space_intersection(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray
     R, piv = rref(F, np.block([[A, A], [B, np.zeros_like(B)]]))
     left = sum(c < n for c in piv)
     return R[left:len(piv), n:].copy()
-
-
-def weight(v: np.ndarray) -> int:
-    return int(np.count_nonzero(v))
 
 
 def locality(*mats: np.ndarray) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .codes import BudgetExceeded, canonical_points
+from .codes import BudgetExceeded, ReedSolomon, canonical_points
 from .complexes import SingleSectorComplex, from_css, hom_product
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode,
                       berlekamp_welch, clean_stripes, params_from_json)
@@ -74,17 +74,15 @@ class QdecParams:
     gamma: int = 1000
 
     @property
-    def alpha(self) -> Fraction:
-        return (Fraction(self.gamma) / (self.rho * self.eps)) ** 2
-
-    @property
     def delta_prime(self) -> Fraction:
         return self.eps * self.rho / 4
 
     @property
     def delta(self) -> Fraction:
-        # reference formula rho*eps*delta'/(50*alpha) with 50 rescaled by gamma
-        return self.rho * self.eps * self.delta_prime * Fraction(20, self.gamma) / self.alpha
+        # reference formula rho*eps*delta'/(50*alpha), 50 rescaled by gamma and
+        # 1/alpha = (rho*eps/gamma)^2 (DualTensorInstance.alpha)
+        re = self.rho * self.eps
+        return re * self.delta_prime * Fraction(20, self.gamma) * (re / self.gamma) ** 2
 
     def stripe_radius(self, n: int, kdim: int) -> int:
         exact = Fraction(40, self.gamma) * self.eps * self.delta_prime * n
@@ -105,6 +103,10 @@ class SubsystemProductInstance:
             raise ValueError("the decoder covers two-factor products")
         if any(f.subsystem for f in self.factors):
             raise ValueError("factors must be non-subsystem CSS pairs")
+        for i, f in enumerate(self.factors):
+            for side, code in (("qx", f.qx), ("qz", f.qz)):
+                if not isinstance(code, ReedSolomon):
+                    raise ValueError(f"factors[{i}].{side} is not a Reed-Solomon code")
         f1, f2 = self.factors
         n = f1.n
         eps = self.params.eps
@@ -231,23 +233,15 @@ class CssProductInstance(SubsystemProductInstance):
         return CssPair(qx, qz, subsystem=False, label="hom-product")
 
     @cached_property
-    def qxx_perp(self) -> np.ndarray:
-        """Generator of (Q^1_X (x) Q^2_X)^perp, the cleanup modulus of c_z."""
-        return self.product.qx.dual().gen
-
-    @cached_property
-    def qzz_perp(self) -> np.ndarray:
-        """Generator of (Q^1_Z (x) Q^2_Z)^perp, the cleanup modulus of c_x."""
-        return self.product.qz.dual().gen
-
-    @cached_property
     def project_z(self):
         """left_solver of [Q_Z; (Q^1_X (x) Q^2_X)^perp], for projecting c_z."""
-        return la.left_solver(self.field, np.concatenate([self.code.qz.gen, self.qxx_perp]))
+        return la.left_solver(self.field, np.concatenate(
+            [self.code.qz.gen, self.product.qx.dual().gen]))
 
     @cached_property
     def project_x(self):
-        return la.left_solver(self.field, np.concatenate([self.code.qx.gen, self.qzz_perp]))
+        return la.left_solver(self.field, np.concatenate(
+            [self.code.qx.gen, self.product.qz.dual().gen]))
 
 
 def css_decode(inst: CssProductInstance, c_x: np.ndarray, c_z: np.ndarray
@@ -356,7 +350,7 @@ def coset_min_weight(F: Field, H: np.ndarray, v: np.ndarray, cap: int) -> int | 
     """Weight of the lightest element of v + ker(H), searched up to the cap;
     None when the true minimum exceeds the cap."""
     e = bounded_syndrome_search(F, H, la.matvec(F, H, v), cap)
-    return None if e is None else la.weight(e)
+    return None if e is None else int(np.count_nonzero(e))
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def _side_distance(F: Field, logical_space: np.ndarray, gauge_par: np.ndarray,
         if not np.any(la.matvec(F, gauge_par, v)):
             continue
         if v.any():
-            best = min(best, la.weight(v))
+            best = min(best, int(np.count_nonzero(v)))
     return best, False
 
 

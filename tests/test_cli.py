@@ -274,6 +274,24 @@ def test_triple_product_params_outside_the_build_exit_1(tmp_path, q, m):
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-code", "--kind", "rs", "--q", "1000000000000000003", "--n", "4", "--k", "2",
+     "--seed", "0"],
+    ["gate-verify", "--params", "2,1000000000000000003"]])
+def test_huge_field_orders_exit_1_at_once(tmp_path, argv):
+    """q = 10^18 + 3 is refused by the 2^20 bound before any factoring (trial
+    division to 10^9 ran for minutes).  The command runs in a subprocess
+    under a timeout, so a hang fails here; it exits in about 0.4 s."""
+    src = str(pathlib.Path(prodcodes.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "prodcodes.cli", *argv,
+                           "--out", str(tmp_path / "out.json")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=5)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "exceeds supported bound 2^20" in proc.stderr
+
+
 @pytest.mark.parametrize("target, argv", [
     ("prodcodes.transversal.build_transrs_gate", ["gate-verify", "--params", "2,16"]),
     ("prodcodes.transversal.triple_product_build",
@@ -728,6 +746,29 @@ def test_product_instances_refused_at_read_time(trial_instances, tmp_path, capsy
         _refused_with_one_error_line(
             capsys, [TRIAL_COMMAND[0], "--instance", str(inst), *TRIAL_COMMAND[1:],
                      "--out", out], message)
+
+
+@pytest.mark.parametrize("kind", ["subsystem-product", "css-product"])
+@pytest.mark.parametrize("factor, side", [(0, "qx"), (0, "qz"), (1, "qx"), (1, "qz")])
+def test_product_factors_must_be_reed_solomon(trial_instances, tmp_path, capsys,
+                                              kind, factor, side):
+    """A product document whose factor code lost its rs object (a plain code
+    with the same generator) is refused when each decoding command reads
+    it, naming the code; it used to end in an AttributeError traceback, at
+    read time or at the first decode of the X side."""
+    doc = json.loads(trial_instances[kind].read_text())["results"]
+    del doc["factors"][factor][side]["rs"]
+    inst, word, out = tmp_path / "edited.json", tmp_path / "word.json", str(tmp_path / "r.json")
+    inst.write_text(json.dumps(doc))
+    word.write_text(json.dumps({"c_x": [0] * 64, "c_z": [0] * 64}))
+    commands = [[TRIAL_COMMAND[0], "--instance", str(inst), *TRIAL_COMMAND[1:]],
+                ["single-shot-trials", "--instance", str(inst), "--syndrome-noise", "0",
+                 "--distance", "3", "--trials", "1", "--seed", "1"]]
+    if kind == "subsystem-product":  # decode-one takes no css products
+        commands.append(["decode-one", "--instance", str(inst), "--word", str(word)])
+    for argv in commands:
+        _refused_with_one_error_line(capsys, [*argv, "--out", out],
+                                     f"factors[{factor}].{side} is not a Reed-Solomon code")
 
 
 @settings(max_examples=40)

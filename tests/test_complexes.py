@@ -54,6 +54,51 @@ def test_from_css_rejects_bad_pairs(gf4):
         from_css(c, rs_code(gf4, 4, 1))
 
 
+def ref_from_css(qx, qz):
+    """The earlier from_css, which tested CSS orthogonality H_Z H_X^T = 0
+    before it built the complex."""
+    if qx.field != qz.field or qx.n != qz.n:
+        raise ValueError("codes must share field and length")
+    if qx.k != qz.k:
+        raise ValueError("dim Q_X != dim Q_Z")
+    F = qx.field
+    hx, hz = qx.parity_check(), qz.parity_check()
+    if np.any(la.matmul(F, hz, hx.T)):
+        raise ValueError("CSS orthogonality H_Z H_X^T = 0 fails")
+    return SingleSectorComplex(F, la.matmul(F, hx.T, hz))
+
+
+def _built_or_refused(build, qx, qz):
+    try:
+        return build(qx, qz).boundary
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([2, 4, 8]), st.integers(1, 6), st.data())
+def test_from_css_refuses_the_pairs_orthogonality_refused(q, n, data):
+    """Without its own orthogonality test, from_css refuses exactly the
+    equal-dimension pairs the old one refused (the complex's boundary^2 = 0
+    check does it) and builds the same boundary for the rest.  Half the
+    pairs have Q_Z spanned by Q_X^perp and random rows, so both outcomes
+    are drawn."""
+    F = GF(q)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    k = data.draw(st.integers(0, n))
+    qx = LinearCode(F, n, F.random(rng, (k, n)))
+    k = qx.k
+    if data.draw(st.booleans()) and 2 * k >= n:
+        gen = np.concatenate([qx.dual().gen, F.random(rng, (2 * k - n, n))])
+    else:
+        gen = F.random(rng, (k, n))
+    qz = LinearCode(F, n, gen)
+    want, got = (_built_or_refused(build, qx, qz) for build in (ref_from_css, from_css))
+    assert (want is None) == (got is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
 def test_hombasis_dimensions_agree():
     for (q, n, k) in [(4, 4, 3), (4, 4, 2) if False else (8, 8, 6), (8, 8, 5)]:
         C, _ = qrs_complex(q, n, k)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from prodcodes import gf
 from prodcodes.gf import (GF, Field, _is_primitive, _ppowmod, _prime_factors,
                           canonical_modulus, is_irreducible)
 
@@ -167,6 +168,23 @@ def test_field_order_validation():
         GF(1)
     with pytest.raises(ValueError):
         Field.get(4, 1)
+
+
+def test_order_bound_is_tested_before_factoring(monkeypatch):
+    """An order past 2^20 is refused by its bound before any trial division
+    (factoring q = 10^18 + 3 took minutes); the other refusals keep their
+    messages."""
+    monkeypatch.setattr(gf, "_prime_factors", lambda n: pytest.fail(f"factored {n}"))
+    huge = 10 ** 18 + 3
+    for build in (lambda: Field.of_order(huge), lambda: Field.get(huge), lambda: Field.get(2, 21),
+                  lambda: Field.from_json({"p": huge, "e": 1, "modulus": [0, 1]})):
+        with pytest.raises(ValueError, match=r"exceeds supported bound 2\^20"):
+            build()
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        Field.of_order(1)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="characteristic 4 is not prime"):
+        Field.get(4, 2)
 
 
 @given(st.sampled_from([2, 256, 97, 49, 3 ** 8]), st.integers(0, 5), st.integers(0, 5),

@@ -562,3 +562,25 @@ def test_uni_mul_matches_reference(q, da, db, pad_a, pad_b, seed):
     assert got.dtype == np.int64
     assert np.array_equal(got, ref_uni_mul(F, a, b))
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def ref_solve_right_vacuous(A, b):
+    """The earlier solve_right branch for a system with no rows: the zero
+    solution, one column per right-hand side."""
+    squeeze = b.ndim == 1
+    ncols = 1 if squeeze else (b.shape[1] if b.ndim == 2 else 1)
+    X = np.zeros((A.shape[1], ncols), dtype=np.int64)
+    return X[:, 0] if squeeze else X
+
+
+@given(st.sampled_from([2, 3, 4, 8, 9, 97]), st.integers(0, 6),
+       st.one_of(st.none(), st.integers(0, 4)))
+def test_solve_right_of_a_vacuous_system_matches_branch(q, n, ncols):
+    """A system with no rows runs the general elimination and gives the old
+    branch's zero solution, of the same shape and dtype, for a 1-D (ncols
+    None) and a 2-D right-hand side."""
+    A = np.zeros((0, n), dtype=np.int64)
+    b = np.zeros(0 if ncols is None else (0, ncols), dtype=np.int64)
+    want, got = ref_solve_right_vacuous(A, b), la.solve_right(GF(q), A, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)

@@ -60,13 +60,13 @@ def ref_ltc_soundness_estimate(F, H, trials, seed, coset_budget=200_000):
         support = rng.permutation(n)[:w]
         e = np.zeros(n, dtype=np.int64)
         e[support] = F.random(rng, w, nonzero=True)
-        syn_w = la.weight(la.matvec(F, H, e))
+        syn_w = int(np.count_nonzero(la.matvec(F, H, e)))
         if syn_w == 0:
             continue
         if exact and ker_words is not None:
             ew = int(np.count_nonzero(F.sub(e[None, :], ker_words), axis=1).min())
         else:
-            ew = la.weight(e)
+            ew = int(np.count_nonzero(e))
         ratio = (syn_w / m) / (ew / n)
         samples.append((ew, syn_w, ratio))
         best = min(best, ratio)
@@ -122,9 +122,9 @@ def ref_filling_constant_estimate(C, trials, seed):
         if cyc_words is not None:
             pre = int(np.count_nonzero(F.add(x[None, :], cyc_words), axis=1).min())
         else:
-            pre = la.weight(x)
-        ratio = pre / la.weight(b)
-        samples.append((la.weight(b), pre, ratio))
+            pre = int(np.count_nonzero(x))
+        ratio = pre / int(np.count_nonzero(b))
+        samples.append((int(np.count_nonzero(b)), pre, ratio))
         best = max(best, ratio)
         done += 1
     return FillingEstimate(best, done, True, samples)

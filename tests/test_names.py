@@ -151,3 +151,19 @@ def test_every_definition_in_src_is_referenced():
     defs = _definitions()
     assert set(ROOTS) <= set(defs)
     assert _unreached(defs) == []
+
+
+# parameters with a default in the function signatures of src/prodcodes: the
+# values a caller may set.  A change that adds an option raises this number
+# here, in the diff, rather than silently.
+SETTABLE_VALUES = 28
+
+
+def test_settable_values_do_not_grow():
+    count = 0
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                count += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+    assert count <= SETTABLE_VALUES

@@ -254,7 +254,7 @@ def test_css_kunneth_inclusions(css16):
     F = inst.field
     code = inst.code
     f1, f2 = inst.factors
-    big = np.concatenate([tensor(f1.qz, f2.qz).gen, inst.qxx_perp], axis=0)
+    big = np.concatenate([tensor(f1.qz, f2.qz).gen, inst.product.qx.dual().gen], axis=0)
     assert la.row_space_contains(F, big, code.qz.gen)
 
 
@@ -262,10 +262,8 @@ def test_css_decode_reuses_tensor_duals(css16, monkeypatch):
     """The two cleanup moduli are the duals of the instance's own product
     codes, built once per instance, not per decode."""
     f1, f2 = css16.factors
-    assert css16.qxx_perp is css16.product.qx.dual().gen
-    assert css16.qzz_perp is css16.product.qz.dual().gen
-    assert np.array_equal(css16.qxx_perp, tensor(f1.qx, f2.qx).dual().gen)
-    assert np.array_equal(css16.qzz_perp, tensor(f1.qz, f2.qz).dual().gen)
+    assert np.array_equal(css16.product.qx.dual().gen, tensor(f1.qx, f2.qx).dual().gen)
+    assert np.array_equal(css16.product.qz.dual().gen, tensor(f1.qz, f2.qz).dual().gen)
     monkeypatch.setattr(qdecoder, "subsystem_product",
                         lambda *args: pytest.fail("product rebuilt"))
     zero = np.zeros(css16.n ** 2, dtype=np.int64)
@@ -623,8 +621,8 @@ def _reference_project_coset(F, code_gen, ambient_dual, rep):
 def test_cached_projectors_match_solve_left(css8, seed):
     inst, F = css8, css8.field
     rng = np.random.default_rng(seed)
-    for solve, gen, dual in ((inst.project_z, inst.code.qz.gen, inst.qxx_perp),
-                             (inst.project_x, inst.code.qx.gen, inst.qzz_perp)):
+    for solve, gen, dual in ((inst.project_z, inst.code.qz.gen, inst.product.qx.dual().gen),
+                             (inst.project_x, inst.code.qx.gen, inst.product.qz.dual().gen)):
         inside = F.add(la.matmul(F, F.random(rng, (1, gen.shape[0])), gen)[0],
                        la.matmul(F, F.random(rng, (1, dual.shape[0])), dual)[0])
         for rep in (inside, F.random(rng, gen.shape[1])):
