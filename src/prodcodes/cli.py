@@ -7,8 +7,10 @@ wall-clock timings are only attached on request and never hashed, keeping
 identical configurations byte-identical.
 
 Exit codes: 0 success, 1 usage error (bad arguments or input files, found
-while reading and constructing the input), 2 in-promise decoding failure,
-3 inconsistent input.  Any other exception propagates with its traceback.
+while reading and constructing the input) or a computation refused past its
+budget (distance, pe-exact, the MDS check, the single-shot search), each
+with one error line and no report, 2 in-promise decoding failure, 3
+inconsistent input.  Any other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -158,13 +160,9 @@ def _build_document(args) -> dict:
         if not 1 <= args.k < args.m <= F.q or args.u < 1:
             raise UsageError("need 1 <= k < m <= q and u >= 1")
         ec = punctured_tensor_rs(F, args.m, args.u, args.k, seed=args.seed)
-        try:
-            is_mds = ec.base.is_mds()
-        except BudgetExceeded as exc:
-            raise UsageError(str(exc)) from exc
         return {"kind": "punctured-tensor-rs", "code": ec.base.to_json(),
                 "points": [int(x) for x in ec.points.ravel()], "u": args.u,
-                "m": args.m, "box_k": args.k, "is_mds": bool(is_mds)}
+                "m": args.m, "box_k": args.k, "is_mds": bool(ec.base.is_mds())}
     _check_triple_params(args.m, args.u, F.q)
     doc = tv.triple_product_build(F, args.m, args.u, args.seed).to_json()
     doc["kind"] = "triple-product"
@@ -451,12 +449,7 @@ def cmd_pe_exact(args) -> int:
     with _boundary():
         codes = [LinearCode.from_json(d) for d in docs]
         common_field(codes)
-    try:
-        res = pe_exact(codes, budget=args.budget)
-    except BudgetExceeded as exc:
-        write_report(finalize_report({"command": "pe-exact", "budget": args.budget},
-                                     {"refused": str(exc)}), args.out)
-        return EXIT_USAGE
+    res = pe_exact(codes, budget=args.budget)
     report = finalize_report({"command": "pe-exact", "budget": args.budget,
                               "codes": docs}, res.to_json())
     write_report(report, args.out)
@@ -472,7 +465,7 @@ def cmd_distance(args) -> int:
     else:
         with _boundary():
             pair = CssPair.from_json(doc["pair"] if "pair" in doc else doc)
-        d = subsystem_distance(pair, budget=args.budget, seed=args.seed)
+        d = subsystem_distance(pair, budget=args.budget)
     report = finalize_report(
         {"command": "distance", "budget": args.budget, "instance": doc},
         {"distance": None if math.isinf(d.value) else int(d.value),
@@ -676,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("distance", help="distance of a code or subsystem pair")
     t.add_argument("--instance", required=True)
     t.add_argument("--budget", type=_non_negative_int, default=DEFAULT_DISTANCE_BUDGET)
-    t.add_argument("--seed", type=_non_negative_int, default=0)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_distance)
     return ap
@@ -693,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, BudgetExceeded, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,9 +23,6 @@ from . import linalg as la
 from .rng import stream
 
 DEFAULT_DISTANCE_BUDGET = 2_000_000
-# seed and draws of min_distance's sampled upper bound
-SAMPLED_DISTANCE_SEED = 0
-SAMPLED_DISTANCE_TRIALS = 2000
 # largest coset span ltc_soundness_estimate minimizes exactly
 SOUNDNESS_COSET_BUDGET = 200_000
 # generator pairs one star_span may form before it refuses
@@ -41,11 +38,6 @@ class DistanceResult:
     value: float  # int, or math.inf for the zero code
     exact: bool
     method: str
-
-    def __int__(self) -> int:
-        if not math.isfinite(self.value):
-            raise ValueError("infinite distance sentinel")
-        return int(self.value)
 
 
 class LinearCode:
@@ -103,31 +95,17 @@ class LinearCode:
     # metrics -----------------------------------------------------------------
 
     def min_distance(self, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
-        """Exact distance by enumeration when q^k <= budget, otherwise a
-        flagged information-set sampling estimate (an upper bound on d)."""
+        """Exact distance by enumerating the q^k codewords; BudgetExceeded
+        when that count exceeds budget."""
         F = self.field
         if self.k == 0:
             return DistanceResult(math.inf, True, "zero-code")
-        if F.q ** self.k <= budget:
-            w, _ = la.min_weight_search(F, self.gen, np.zeros((1, self.n), dtype=np.int64),
-                                        exclude=la.identity(self.n))
-            return DistanceResult(int(w[0]), True, "enumeration")
-        rng = np.random.default_rng(SAMPLED_DISTANCE_SEED)
-        best = int(np.count_nonzero(self.gen, axis=1).min())
-        for _ in range(SAMPLED_DISTANCE_TRIALS // 10):
-            # information-set resampling: systematic rows over a random
-            # full-rank column set are low-weight codeword candidates
-            cols = rng.permutation(self.n)[: self.k]
-            coefs = la.solve_right(F, self.gen[:, cols].T, la.identity(self.k))
-            if coefs is None:
-                continue
-            rows = la.matmul(F, coefs.T, self.gen)
-            best = min(best, int(np.count_nonzero(rows, axis=1).min()))
-        for _ in range(SAMPLED_DISTANCE_TRIALS):
-            msg = F.random(rng, self.k)
-            if msg.any():
-                best = min(best, int(np.count_nonzero(self.codeword(msg))))
-        return DistanceResult(best, False, "sampling-upper-bound")
+        count = F.q ** self.k
+        if count > budget:
+            raise BudgetExceeded(f"min_distance needs {count} codewords > budget {budget}")
+        w, _ = la.min_weight_search(F, self.gen, np.zeros((1, self.n), dtype=np.int64),
+                                    exclude=la.identity(self.n))
+        return DistanceResult(int(w[0]), True, "enumeration")
 
     def is_mds(self) -> bool:
         """True iff distance equals n-k+1, as it is for the dual.  Tests the

@@ -405,7 +405,8 @@ def single_shot_decode(inst: SubsystemProductInstance, checks: CheckMatrices,
     Denoises the syndrome per block, solves for any preimage, then finds a
     correction of weight < distance/2 in the preimage's coset modulo
     Q_Z + Q_X^perp: by bounded search when N <= 512, else through the side
-    decoder.  Failures are recorded in the result, never raised.
+    decoder.  Decoding failures are recorded in the result; a bounded search
+    that needs more than SYNDROME_SEARCH_BUDGET supports raises BudgetExceeded.
     """
     F = inst.field
     if checks.style != "amplified":

@@ -12,8 +12,8 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .rng import stream
-from .codes import DEFAULT_DISTANCE_BUDGET, DistanceResult, LinearCode, rs_code, tensor
+from .codes import (DEFAULT_DISTANCE_BUDGET, BudgetExceeded, DistanceResult, LinearCode,
+                    rs_code, tensor)
 
 
 class CssPair:
@@ -122,48 +122,28 @@ def subsystem_product(factors: list[CssPair]) -> CssPair:
 # ---------------------------------------------------------------------------
 
 
-# words subsystem_distance draws per side when it cannot enumerate
-DISTANCE_TRIALS = 5000
-
-
-def _side_distance(F: Field, logical_space: np.ndarray, gauge_par: np.ndarray,
-                   budget: int, rng: np.random.Generator | None) -> tuple[float, bool]:
+def _side_distance(F: Field, logical_space: np.ndarray, gauge_par: np.ndarray) -> float:
     """Min weight over the words of span(logical_space) that the gauge
     parity map gauge_par does not kill, i.e. outside the gauge span."""
-    dim = logical_space.shape[0]
     n = logical_space.shape[1]
-    if dim == 0:
-        return math.inf, True
-    if F.q ** dim <= budget:
-        w = int(la.min_weight_search(F, logical_space, np.zeros((1, n), dtype=np.int64),
-                                     exclude=gauge_par)[0][0])
-        return (math.inf if w > n else w), True
-    assert rng is not None
-    best = math.inf
-    for _ in range(DISTANCE_TRIALS):
-        coef = F.random(rng, dim)
-        v = la.matmul(F, coef[None, :], logical_space)[0]
-        if not np.any(la.matvec(F, gauge_par, v)):
-            continue
-        if v.any():
-            best = min(best, int(np.count_nonzero(v)))
-    return best, False
+    w = int(la.min_weight_search(F, logical_space, np.zeros((1, n), dtype=np.int64),
+                                 exclude=gauge_par)[0][0])
+    return math.inf if w > n else w
 
 
-def subsystem_distance(Q: CssPair, budget: int = DEFAULT_DISTANCE_BUDGET,
-                       seed: int = 0) -> DistanceResult:
+def subsystem_distance(Q: CssPair, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
     """Subsystem distance: min weight over the two dressed-logical classes
     (Q_X + Q_Z^perp) setminus Q_Z^perp and (Q_Z + Q_X^perp) setminus Q_X^perp;
     the generator of Q_X is a parity map of the gauge Q_X^perp, and that of
-    Q_Z of Q_Z^perp."""
+    Q_Z of Q_Z^perp.  Exact by one scan of each logical span; BudgetExceeded,
+    before either scan, when a span has more than budget words."""
     F = Q.field
-    rng = stream(seed)
-    dz, ez = _side_distance(F, Q.logical_z_space(), Q.qx.gen, budget, rng)
-    dx, ex = _side_distance(F, Q.logical_x_space(), Q.qz.gen, budget, rng)
-    val = min(dx, dz)
-    exact = ex and ez
-    return DistanceResult(val, exact,
-                          "coset-enumeration" if exact else "sampling-upper-bound")
+    spans = Q.logical_z_space(), Q.logical_x_space()
+    count = F.q ** max(span.shape[0] for span in spans)
+    if count > budget:
+        raise BudgetExceeded(f"subsystem_distance needs {count} logical words > budget {budget}")
+    val = min(_side_distance(F, spans[0], Q.qx.gen), _side_distance(F, spans[1], Q.qz.gen))
+    return DistanceResult(val, True, "coset-enumeration")
 
 
 def logical_coset_equal(Q: CssPair, side: str, r1: np.ndarray, r2: np.ndarray) -> bool:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import prodcodes
 from prodcodes.cli import main
 from prodcodes.gf import GF
-from prodcodes import linalg as la
+from prodcodes import linalg as la, qdecoder
 from prodcodes.codes import LinearCode, rs_code
 from prodcodes.expansion import pe_exact
 from prodcodes.subsystem import quantum_rs
@@ -824,7 +824,7 @@ NUMERIC_COMMANDS = {
                            ["--syndrome-noise", "--error-weight", "--distance", "--trials",
                             "--seed"]),
     "gate-verify": (["gate-verify", "--params", "2,16"], ["--trials", "--seed"]),
-    "distance": (["distance", "--instance", "qrs"], ["--budget", "--seed"]),
+    "distance": (["distance", "--instance", "qrs"], ["--budget"]),
     "pe-exact": (["pe-exact", "--codes", "pe-exact"], ["--budget"]),
 }
 
@@ -891,6 +891,41 @@ def test_single_shot_reads_only_product_kinds(trial_instances, tmp_path, capsys)
         assert capsys.readouterr().err.startswith("error: cannot decode instances of kind")
     assert main([SINGLE_SHOT[0], "--instance", str(trial_instances["css-product"]),
                  *SINGLE_SHOT[1:], "--out", str(tmp_path / "r.json")]) in (0, 2)
+
+
+def test_budget_refusals_exit_1_with_one_error_line(boundary_instances, tmp_path, capsys):
+    """distance past its budget on an rs and a qrs document, and pe-exact
+    past its budget, exit 1 with one error line and write no report.  The
+    distance was a sampled upper bound with exit 0, and pe-exact wrote a
+    "refused" report."""
+    rs, codes = tmp_path / "rs.json", tmp_path / "codes.json"
+    rs.write_text(json.dumps({"kind": "rs", "code": rs_code(GF(4), 4, 2).to_json()}))
+    codes.write_text(json.dumps([rs_code(GF(4), 4, 1).to_json()] * 2))
+    out = tmp_path / "report.json"
+    for argv, message in [
+            (["distance", "--instance", str(rs), "--budget", "15"],
+             "min_distance needs 16 codewords > budget 15"),
+            (["distance", "--instance", str(boundary_instances["qrs"]), "--budget", "15"],
+             "subsystem_distance needs 16 logical words > budget 15"),
+            (["pe-exact", "--codes", str(codes), "--budget", "10"], "> budget 10")]:
+        _refused_with_one_error_line(capsys, [*argv, "--out", str(out)], message)
+        assert not out.exists()
+
+
+def test_single_shot_search_past_its_budget_exits_1(trial_instances, tmp_path, capsys,
+                                                    monkeypatch):
+    """A bounded syndrome search that needs more supports than its budget
+    ends single-shot-trials with exit 1 and one error line, not with the
+    BudgetExceeded traceback it ended in (at the default budget, after
+    minutes, at error weight 8 and distance 12)."""
+    monkeypatch.setattr(qdecoder, "SYNDROME_SEARCH_BUDGET", 1000)
+    out = tmp_path / "ss.json"
+    _refused_with_one_error_line(
+        capsys, ["single-shot-trials", "--instance", str(trial_instances["subsystem-product"]),
+                 "--syndrome-noise", "0", "--error-weight", "4", "--distance", "9",
+                 "--trials", "1", "--seed", "1", "--out", str(out)],
+        "bounded syndrome search exceeded budget")
+    assert not out.exists()
 
 
 def test_code_documents_need_a_positive_length(tmp_path, capsys):

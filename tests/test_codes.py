@@ -2,11 +2,10 @@
 puncturing, the soundness estimator, and serialization."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import codes, linalg as la
@@ -31,7 +30,21 @@ def test_rs_extremes(gf8):
     assert rs_code(gf8, 8, 0).k == 0
     assert rs_code(gf8, 8, 8).k == 8
     assert math.isinf(rs_code(gf8, 8, 0).min_distance().value)
-    assert LinearCode(gf8, 8, la.identity(8)).min_distance().value == 1
+    # GF(8)^8 has 8^8 > 2 * 10^6 words: refused; GF(8)^6 is scanned
+    with pytest.raises(BudgetExceeded, match="needs 16777216 codewords > budget 2000000"):
+        LinearCode(gf8, 8, la.identity(8)).min_distance()
+    d = LinearCode(gf8, 6, la.identity(6)).min_distance()
+    assert (d.value, d.exact, d.method) == (1, True, "enumeration")
+
+
+def test_min_distance_refuses_past_its_budget():
+    """RS(7, 3) over GF(7) has 7^3 = 343 codewords: a budget of 342 refuses,
+    a budget of 343 scans them all and finds d = 5."""
+    C = rs_code(GF(7), 7, 3)
+    with pytest.raises(BudgetExceeded, match="min_distance needs 343 codewords > budget 342"):
+        C.min_distance(budget=342)
+    d = C.min_distance(budget=343)
+    assert (d.value, d.exact, d.method) == (5, True, "enumeration")
 
 
 def test_rs_validation(gf8):
@@ -281,57 +294,6 @@ def test_dedup_rows_keeps_inputs_of_at_most_one_row(rows):
     out = codes._dedup_rows(rows)
     assert out.shape == rows.shape and out.dtype == rows.dtype
     assert np.array_equal(out, rows)
-
-
-def test_min_distance_budget_fallback(gf16):
-    C = rs_code(gf16, 16, 8)
-    d = C.min_distance(budget=1000)
-    assert not d.exact and d.method == "sampling-upper-bound"
-    assert d.value >= 16 - 8 + 1  # the estimate upper-bounds from above
-
-
-def ref_sampled_distance(C, seed, trials):
-    """min_distance's sampling branch with a rank test before each
-    information-set solve."""
-    F = C.field
-    rng = np.random.default_rng(seed)
-    best = int(np.count_nonzero(C.gen, axis=1).min())
-    for _ in range(trials // 10):
-        cols = rng.permutation(C.n)[: C.k]
-        sub = C.gen[:, cols]
-        if la.rank(F, sub) < C.k:
-            continue
-        coefs = la.solve_right(F, sub.T, la.identity(C.k))
-        if coefs is None:
-            continue
-        rows = la.matmul(F, coefs.T, C.gen)
-        best = min(best, int(np.count_nonzero(rows, axis=1).min()))
-    for _ in range(trials):
-        msg = F.random(rng, C.k)
-        if msg.any():
-            best = min(best, int(np.count_nonzero(C.codeword(msg))))
-    return best
-
-
-@given(st.sampled_from([2, 3, 4, 8]), st.integers(2, 10), st.integers(1, 10),
-       st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=80)
-def test_sampled_distance_matches_rank_tested_loop(q, n, k, trials, seed):
-    """A budget of 1 forces sampling; repeated and zero columns make many
-    information-set draws singular, which solve_right alone now skips."""
-    F = GF(q)
-    rng = np.random.default_rng(seed)
-    gen = F.random(rng, (min(k, n), n))
-    gen[:, rng.integers(n)] = 0
-    gen[:, rng.integers(n, size=n // 2)] = gen[:, rng.integers(n, size=n // 2)]
-    C = LinearCode(F, n, gen)
-    if C.k == 0:
-        return
-    with mock.patch.object(codes, "SAMPLED_DISTANCE_SEED", seed), \
-            mock.patch.object(codes, "SAMPLED_DISTANCE_TRIALS", trials):
-        d = C.min_distance(budget=1)
-    assert (d.exact, d.method) == (False, "sampling-upper-bound")
-    assert d.value == ref_sampled_distance(C, seed, trials)
 
 
 def test_punctured_tensor_rs():

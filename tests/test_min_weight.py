@@ -308,16 +308,16 @@ def test_ltc_soundness_matches_old_loop(inst, coset_budget, seed):
 def test_side_distance_matches_old_loop(inst):
     F, basis, _, _, rng = inst
     gauge_dual = _matrix(F, rng, int(rng.integers(0, 3)), basis.shape[1])
-    got = _side_distance(F, basis, la.right_kernel(F, gauge_dual), budget=10 ** 6, rng=None)
-    assert got == (ref_side_distance(F, basis, gauge_dual), True)
+    got = _side_distance(F, basis, la.right_kernel(F, gauge_dual))
+    assert got == ref_side_distance(F, basis, gauge_dual)
 
 
 def test_side_distance_with_no_gauge_counts_every_nonzero_word():
     F = GF(9)
     basis = np.array([[1, 2, 0, 0], [0, 0, 1, 1]], dtype=np.int64)
     # the zero gauge: its parity map is the identity
-    got = _side_distance(F, basis, la.identity(4), budget=10 ** 6, rng=None)
-    assert got == (2, True) == (ref_side_distance(F, basis, np.zeros((0, 4))), True)
+    got = _side_distance(F, basis, la.identity(4))
+    assert got == 2 == ref_side_distance(F, basis, np.zeros((0, 4)))
 
 
 @given(st.sampled_from([(2, 7), (4, 5), (8, 4)]), st.integers(0, 2 ** 32 - 1))

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from prodcodes.gf import GF
 from prodcodes import linalg as la, subsystem
-from prodcodes.codes import LinearCode, rs_code, zero_code
+from prodcodes.codes import BudgetExceeded, LinearCode, rs_code, zero_code
 from prodcodes.subsystem import (CssPair, check_matrices, logical_coset_equal, quantum_rs,
                                  subsystem_distance, subsystem_product)
 
@@ -99,13 +99,27 @@ def test_subsystem_distance_zero_dim_infinite(gf4):
 
 
 def test_sampled_subsystem_distance_with_full_gauge_is_infinite():
-    """With Q_X = 0 every word of Q_Z' = F^n is a gauge word, so both the
-    exact scan and the sampled bound find no dressed logical."""
+    """With Q_X = 0 every word of Q_Z' = F^n is a gauge word, so the exact
+    scan finds no dressed logical; a budget of 1 refuses its 16 words."""
     F = GF(2)
     P = CssPair(zero_code(F, 4), LinearCode(F, 4, la.identity(4)))
-    exact, sampled = subsystem_distance(P), subsystem_distance(P, budget=1)
+    exact = subsystem_distance(P)
     assert math.isinf(exact.value) and exact.exact
-    assert math.isinf(sampled.value) and not sampled.exact
+    with pytest.raises(BudgetExceeded, match="needs 16 logical words > budget 1"):
+        subsystem_distance(P, budget=1)
+
+
+def test_subsystem_distance_refuses_before_either_scan(monkeypatch):
+    """qRS(3, 3, 1) over GF(4): Q_Z' = RS(3, 1) has 4 words, within a budget
+    of 63, but Q_X' = F^3 has 64, so neither span is scanned; a budget of 64
+    scans both."""
+    Q = quantum_rs(GF(4), 3, 3, 1)
+    with monkeypatch.context() as m:
+        m.setattr(la, "min_weight_search", lambda *a, **k: pytest.fail("a span was scanned"))
+        with pytest.raises(BudgetExceeded, match="needs 64 logical words > budget 63"):
+            subsystem_distance(Q, budget=63)
+    d = subsystem_distance(Q, budget=64)
+    assert (d.value, d.exact, d.method) == (1, True, "coset-enumeration")
 
 
 def test_nonsubsystem_distance_matches_css_definition(gf8):
