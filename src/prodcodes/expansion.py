@@ -6,6 +6,11 @@ The product-expansion of codes (C_1, ..., C_t) is the largest rho with: every
 dual-tensor codeword c admits a decomposition c = c_1 + ... + c_t, c_i in
 C^(i), with |c| >= rho * sum_i n_i |c_i|_i.  All exact values are reported
 as Fractions of counts, never floats.
+
+The cost is separable: each tuple (c_1, ..., c_t), c_i in C^(i), decomposes
+sum_i c_i at cost sum_i n_i |c_i|_i.  So pe_exact scores each C^(i) word
+once and folds the tuples into one least cost per dual-tensor codeword; the
+codewords x decompositions budget bounds both the table and the tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from . import linalg as la
 from .codes import BudgetExceeded, LinearCode
 
 DEFAULT_PE_BUDGET = 2_000_000
-# elements per candidate array of the lattice-minimization kernel
+# cells per temporary array of the tuple fold and of the lattice scan
 _KERNEL_BLOCK = 1 << 18
 
 
@@ -133,8 +138,11 @@ def _cheapest_decompositions(F: Field, pair_bases, lengths: tuple[int, ...],
     """Minimize the cost sum_i n_i |c_i|_i of each word's decomposition over
     the C^(i,j) lattices; parts[i] holds the base parts (W, N) of W words.
     Returns (costs, cheapest parts); ties go to the first combination in scan
-    order.  Blocks of (word, combination) pairs are scored at once, at most
-    _KERNEL_BLOCK candidate cells per block (one combination at least)."""
+    order.  pe_exact runs it on its one witness word, so the witness
+    decomposition is the decomposer's base parts plus the first cheapest
+    lattice combination.  Blocks of (word, combination) pairs are scored at
+    once, at most _KERNEL_BLOCK candidate cells per block (one combination at
+    least)."""
     # the whole span of each C^(i,j) basis as one block
     lattice = [(pair, next(la.enumerate_span(F, B, chunk=F.q ** B.shape[0]))[1])
                for pair, B in pair_bases]
@@ -169,7 +177,10 @@ def common_field(codes: list[LinearCode]) -> Field:
 def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResult:
     """Exact product-expansion by exhausting codewords and decompositions.
 
-    Raises BudgetExceeded instead of silently estimating.
+    The words are scanned in enumerate_span order of the rref basis against
+    their least costs (_least_costs); the first least ratio |c| / cost wins,
+    and the lattice scan of that one word gives its witness decomposition.
+    Raises BudgetExceeded, before any work, past the budget.
     """
     F = common_field(codes)
     t = len(codes)
@@ -194,24 +205,65 @@ def pe_exact(codes: list[LinearCode], budget: int = DEFAULT_PE_BUDGET) -> PeResu
     G, spans = canonical_generator(F, codes)
     dt_gen = la.row_space(F, G)
     assert dt_gen.shape[0] == dt_dim
-    best = (Fraction(0), None, None)
-    scanned = 0
-    decompose = decomposer(F, G, spans)
+    costs = _least_costs(F, G, spans, lengths, la.rref_pivots(dt_gen))
+    best = (Fraction(0), None)
+    start = 0
     for _, words in la.enumerate_span(F, dt_gen, chunk=512):
-        words = words[np.any(words, axis=1)]
-        if words.shape[0] == 0:
-            continue
-        costs, parts = _cheapest_decompositions(
-            F, pair_bases, lengths, decompose(words))
-        best = _first_min_ratio(best, words, costs, parts, lengths)
-        scanned += words.shape[0]
-    return PeResult(best[0], True, best[1], best[2], scanned)
+        block = costs[start:start + len(words)]
+        start += len(words)
+        nonzero = np.any(words, axis=1)
+        if nonzero.any():
+            best = _first_min_ratio(best, words[nonzero], block[nonzero])
+    ratio, word = best
+    witness = None
+    if word is not None:
+        _, parts = _cheapest_decompositions(F, pair_bases, lengths,
+                                            decomposer(F, G, spans)(word[None]))
+        witness = Decomposition([p[0] for p in parts], lengths)
+    return PeResult(ratio, True, word, witness, n_codewords - 1)
 
 
-def _first_min_ratio(best, words, costs, parts, lengths):
+def _least_costs(F: Field, G: np.ndarray, spans: list[tuple[int, int]],
+                 lengths: tuple[int, ...], pivots: list[int]) -> np.ndarray:
+    """The least cost sum_i n_i |c_i|_i over the tuples (c_1, ..., c_t),
+    c_i in C^(i), that sum to each dual-tensor word, as an int32 table in
+    enumerate_span order of the rref basis with pivot columns pivots: a
+    word's index is its mixed-radix coordinates, its entries on the pivot
+    columns.  A cost is at most t * N."""
+    N = G.shape[1]
+    D = len(pivots)
+    radix = F.q ** np.arange(D, dtype=np.int64)
+    # every C^(i) word once: its cost n_i |c_i|_i and its index, one int64
+    # per word; the fold unpacks the coordinates a block at a time
+    dirs = []
+    for i, (a, b) in enumerate(spans):
+        blocks = [(w[:, pivots] @ radix,
+                   (lengths[i] * dir_weights(w, i, lengths)).astype(np.int32))
+                  for _, w in la.enumerate_span(F, G[a:b], chunk=max(1, _KERNEL_BLOCK // N))]
+        dirs.append([np.concatenate(x) for x in zip(*blocks)])
+    table = np.full(F.q ** D, np.iinfo(np.int32).max, dtype=np.int32)
+
+    def fold(coords, cost, rest):
+        # each tuple (c_1, ..., c_t) decomposes sum c_i at cost sum n_i |c_i|_i:
+        # extend the tuples so far by the next direction's words, a block of
+        # at most _KERNEL_BLOCK coordinate cells at a time
+        if not rest:
+            np.minimum.at(table, coords @ radix, cost)
+            return
+        (idx, w), rest = rest[0], rest[1:]
+        step = max(1, _KERNEL_BLOCK // (len(cost) * max(1, D)))
+        for s in range(0, len(w), step):
+            c = idx[s:s + step, None] // radix % F.q
+            joined = (cost[:, None] + w[None, s:s + step]).ravel()
+            fold(F.add(coords[:, None], c[None]).reshape(joined.size, D), joined, rest)
+
+    fold(np.zeros((1, D), dtype=np.int64), np.zeros(1, dtype=np.int32), dirs)
+    return table
+
+
+def _first_min_ratio(best, words, costs):
     """Fold the block's first minimal ratio |word| / cost, in scan order, into
-    best = (ratio, word, Decomposition); a best without a word loses to any
-    ratio."""
+    best = (ratio, word); a best without a word loses to any ratio."""
     wts = np.count_nonzero(words, axis=1)
     r = int(np.argmin(wts / costs))
     # the float argmin is a guess: step to strictly smaller ratios, exactly,
@@ -221,7 +273,7 @@ def _first_min_ratio(best, words, costs, parts, lengths):
     r = int(np.argmax(wts * costs[r] == wts[r] * costs))
     ratio = Fraction(int(wts[r]), int(costs[r]))
     if best[1] is None or ratio < best[0]:
-        best = (ratio, words[r].copy(), Decomposition([p[r] for p in parts], lengths))
+        best = (ratio, words[r].copy())
     return best
 
 
@@ -276,9 +328,7 @@ def inner_generated_test(codes: list[LinearCode], cells: np.ndarray) -> bool:
         block_mask = np.broadcast_to(np.expand_dims(col_full, axis=i), shape)
         row_mask[a:b] = block_mask.ravel()
     r_full = la.rank(F, G)
-    r_off = la.rank(F, G[:, ~flatA]) if np.any(~flatA) else 0
-    sub = G[np.ix_(row_mask, flatA)] if np.any(row_mask) and np.any(flatA) else \
-        np.zeros((0, int(flatA.sum())), dtype=np.int64)
-    r_sub = la.rank(F, sub) if sub.size else 0
+    r_off = la.rank(F, G[:, ~flatA])
+    r_sub = la.rank(F, G[np.ix_(row_mask, flatA)])
     return r_sub == r_full - r_off
 

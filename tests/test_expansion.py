@@ -3,6 +3,7 @@ and the canonical-generator rank test."""
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -358,18 +359,24 @@ def _reference_pe_exact(codes, budget):
 
 
 @st.composite
-def small_code_tuples(draw):
-    """t in {2, 3} random codes over GF(2), GF(3) or GF(4), possibly rank
-    deficient or zero-dimensional, short enough for the reference loops."""
-    F = GF(draw(st.sampled_from([2, 3, 4])))
-    t = draw(st.sampled_from([2, 3]))
+def code_tuples(draw, orders, max_lengths):
+    """t random codes over GF(q), q in orders, each of length 1 to
+    max_lengths[t], possibly rank deficient or zero-dimensional."""
+    F = GF(draw(st.sampled_from(orders)))
+    t = draw(st.sampled_from(list(max_lengths)))
     codes = []
     for _ in range(t):
-        n = draw(st.integers(1, 3 if t == 2 else 2))
+        n = draw(st.integers(1, max_lengths[t]))
         rows = draw(st.integers(0, n))
         gen = draw(st.lists(st.integers(0, F.q - 1), min_size=rows * n, max_size=rows * n))
         codes.append(LinearCode(F, n, np.array(gen, dtype=np.int64).reshape(rows, n)))
     return codes
+
+
+def small_code_tuples():
+    """t in {2, 3} codes over GF(2), GF(3) or GF(4), short enough for the
+    reference loops."""
+    return code_tuples([2, 3, 4], {2: 3, 3: 2})
 
 
 def _json_or_refusal(fn):
@@ -384,6 +391,50 @@ def test_pe_exact_matches_reference_loop(codes):
     budget = 20_000
     assert _json_or_refusal(lambda: pe_exact(codes, budget)) == \
         _json_or_refusal(lambda: _reference_pe_exact(codes, budget))
+
+
+def _lattice_scan_pe_exact(codes, budget):
+    """pe_exact by the batched lattice scan over every word: each block of
+    nonzero words gets its decomposer base parts and their cheapest C^(i,j)
+    lattice combination, and the first least ratio wins."""
+    F = codes[0].field
+    lengths = tuple(c.n for c in codes)
+    pair_bases = [((i, j), cij_basis(F, codes, i, j))
+                  for i, j in itertools.combinations(range(len(codes)), 2)]
+    G, spans = canonical_generator(F, codes)
+    dt_gen = la.row_space(F, G)
+    n_codewords = F.q ** dt_gen.shape[0]
+    lattice_size = math.prod(F.q ** B.shape[0] for _, B in pair_bases)
+    if n_codewords * lattice_size > budget:
+        raise BudgetExceeded(
+            f"pe_exact needs {n_codewords} codewords x {lattice_size} decompositions "
+            f"> budget {budget}")
+    decompose = decomposer(F, G, spans)
+    best, best_word, best_dec, scanned = Fraction(0), None, None, 0
+    for _, words in la.enumerate_span(F, dt_gen, chunk=512):
+        words = words[np.any(words, axis=1)]
+        if words.shape[0] == 0:
+            continue
+        costs, parts = expansion._cheapest_decompositions(F, pair_bases, lengths,
+                                                          decompose(words))
+        scanned += words.shape[0]
+        wts = np.count_nonzero(words, axis=1)
+        low = min(Fraction(w, c) for w, c in set(zip(wts.tolist(), costs.tolist())))
+        r = int(np.argmax(wts * low.denominator == costs * low.numerator))
+        if best_word is None or low < best:
+            best, best_word = low, words[r].copy()
+            best_dec = Decomposition([p[r] for p in parts], lengths)
+    return PeResult(best, True, best_word, best_dec, scanned)
+
+
+@given(code_tuples([5, 7, 8, 9], {3: 3}))
+def test_pe_exact_matches_lattice_scan(codes):
+    """Three codes over larger fields, past the reach of the per-word loop:
+    the per-direction cost table gives the lattice scan's report, witness
+    decomposition included, or its refusal."""
+    budget = 200_000
+    assert _json_or_refusal(lambda: pe_exact(codes, budget)) == \
+        _json_or_refusal(lambda: _lattice_scan_pe_exact(codes, budget))
 
 
 @given(small_code_tuples(), st.integers(0, 2 ** 32 - 1))
@@ -413,6 +464,11 @@ def test_pe_exact_block_split_keeps_the_witness(monkeypatch, block):
     # combinations, and of three words with the whole lattice
     F = GF(3)
     codes = [rs_code(F, 3, 2), rs_code(F, 3, 1)]
-    want = pe_exact(codes, budget=1_000_000).to_json()
+    # the tuple fold splits its blocks at every direction of a t = 3 binary
+    # instance, and over the char-2 extension field GF(4)
+    F2, F4 = GF(2), GF(4)
+    repetition = [LinearCode(F2, n, np.ones((1, n), dtype=np.int64)) for n in (2, 3, 2)]
+    cases = [codes, repetition, [rs_code(F4, 2, 1), rs_code(F4, 3, 1)]]
+    want = [pe_exact(c, budget=1_000_000).to_json() for c in cases]
     monkeypatch.setattr(expansion, "_KERNEL_BLOCK", block)
-    assert pe_exact(codes, budget=1_000_000).to_json() == want
+    assert [pe_exact(c, budget=1_000_000).to_json() for c in cases] == want
