@@ -189,12 +189,16 @@ class Field:
     """The finite field GF(p^e), with vectorized arithmetic on element codes.
 
     Every field keeps a q-entry inverse table, so ``inv`` is one zero check
-    and one gather.  Prime fields multiply as ``(a * b) % p``.  Extension
-    fields with q <= MUL_TABLE_MAX_ORDER (2^8) multiply through a flat q*q
-    table, ``table[a * q + b]`` (at most 512 KB); larger extension fields
-    multiply through the log/exp tables.  Odd extension fields also keep a
-    q-entry negation table, so ``neg`` is one gather and ``sub`` two where
-    the addition table exists.
+    and one gather, and (q - 1)-entry exp and q-entry log tables.  Prime
+    fields multiply as ``(a * b) % p``.  Extension fields also keep int32
+    zero-sentinel log/exp tables: log 0 is z = 2q - 3, past every sum of two
+    nonzero logs, and exp is 0 at z, so a product is one add and one
+    clipped gather with no branch on zero.  Fields with q <=
+    MUL_TABLE_MAX_ORDER (2^8) fill a flat q*q table, ``table[a * q + b]``
+    (at most 512 KB), through that body and multiply through the table;
+    larger ones multiply through the sentinel tables.  Odd extension fields
+    also keep a q-entry negation table, so ``neg`` is one gather and
+    ``sub`` two where the addition table exists.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
@@ -306,23 +310,29 @@ class Field:
         p, e, q = self.p, self.e, self.q
         self._gen = self._find_generator()
         # exp by doubling: with g^0 .. g^(k-1) in exp[:k], exp[k:2k-1] =
-        # exp[1:k] * g^(k-1), one array-by-constant multiply per step; log is
-        # the inverse permutation of exp[:q - 1]
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        exp[:2] = 1, self._gen
+        # exp[1:k] * g^(k-1), one array-by-constant multiply per step (GF(2)
+        # has no slot for g^1); log is the inverse permutation of exp
+        exp = np.ones(q - 1, dtype=np.int64)
+        exp[1:2] = self._gen
         k = 2
         while k < q - 1:
             m = min(k - 1, q - 1 - k)
             exp[k:k + m] = self._mul_const(exp[1:m + 1], int(exp[k - 1]))
             k += m
-        exp[q - 1:] = exp[: q - 1]
         log = np.full(q, -1, dtype=np.int64)
-        log[exp[: q - 1]] = np.arange(q - 1, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
         self._exp = exp
         self._log = log
         # _inv[0] is a placeholder: inv rejects zero before the gather
         self._inv = np.zeros(q, dtype=np.int64)
         self._inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
+        if e > 1:
+            # mul's zero-sentinel tables (see the class docstring): two
+            # nonzero logs sum to at most 2q - 4 < z, a sum with a zero
+            # operand is at least z, and no sum reaches 2^31 since q <= 2^20
+            self._zlog = log.astype(np.int32)
+            self._zlog[0] = 2 * q - 3
+            self._zexp = np.concatenate((exp, exp[:-1], [0])).astype(np.int32)
         self._mul_table = None
         if e > 1 and q <= MUL_TABLE_MAX_ORDER:
             codes = np.arange(q, dtype=np.int64)
@@ -431,10 +441,7 @@ class Field:
             return (a * b) % self.p
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]
-        la, lb = self._log[a], self._log[b]
-        out = self._exp[np.maximum(la, 0) + np.maximum(lb, 0)]
-        zero = (la < 0) | (lb < 0)
-        return np.where(zero, 0, out)
+        return np.take(self._zexp, self._zlog[a] + self._zlog[b], mode="clip").astype(np.int64)
 
     def inv(self, a):
         a = np.asarray(a, dtype=np.int64)

@@ -46,11 +46,13 @@ _SPAN_CHUNK = 1 << 14
 def matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact matrix product over F.
 
-    Char 2 with e > 1 sums table products with F.sum; every other field
-    runs one float64 BLAS product per block of digit terms (see the module
-    docstring).  Rows and the inner dimension are also blocked so that no
-    block of digits of A or B, nor their product, holds more than
-    _MATMUL_BLOCK entries."""
+    Char 2 with e > 1 sums table products with F.sum, the inner index
+    blocked so that a block of products holds at most _MATMUL_BLOCK entries
+    (or one inner index, when m * n alone is more); every other field runs
+    one float64 BLAS product per block of digit terms (see the module
+    docstring), rows and the inner dimension blocked so that no block of
+    digits of A or B, nor their product, holds more than _MATMUL_BLOCK
+    entries."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     B = np.atleast_2d(np.asarray(B, dtype=np.int64))
     m, k = A.shape

@@ -183,7 +183,7 @@ def ref_mul(F, a, b):
     if F.e == 1:
         return (a * b) % F.p
     la_, lb = F._log[a], F._log[b]
-    out = F._exp[np.maximum(la_, 0) + np.maximum(lb, 0)]
+    out = F._exp[(np.maximum(la_, 0) + np.maximum(lb, 0)) % (F.q - 1)]
     zero = (la_ < 0) | (lb < 0)
     return np.where(zero, 0, out)
 
@@ -308,6 +308,28 @@ def test_mul_and_inv_tables_match_log_exp(q):
         F.inv(0)
 
 
+@pytest.mark.parametrize("q", [q for q in FIELD_ORDERS if _prime_factors(q) != [q]])
+def test_mul_on_zeros_and_shapes(q):
+    """Every extension field against the masked log/exp body on forced
+    zeros (random draws at 2^17 almost never hold one), 0-d scalars, an
+    (r, 1) x (w,) broadcast and empty arrays; products are int64 and the
+    zero-sentinel tables int32."""
+    F = GF(q)
+    assert F._zlog.dtype == np.int32 and F._zexp.dtype == np.int32
+    rng = np.random.default_rng(q)
+    x = np.concatenate(([1, q - 1], F.random(rng, 30, nonzero=True)))
+    zero = np.zeros_like(x)
+    col = np.concatenate(([0], x[:9])).reshape(-1, 1)
+    empty = np.zeros(0, dtype=np.int64)
+    for a, b in [(0, 0), (0, int(x[2])), (int(x[2]), 0), (zero, zero), (zero, x), (x, zero),
+                 (np.array(int(x[3])), np.array(int(x[4]))), (np.array(0), x), (x, np.array(0)),
+                 (col, np.concatenate((x[10:], [0]))), (col, x[:0]), (empty, empty),
+                 (np.zeros((0, 1), dtype=np.int64), x), (empty, 0)]:
+        got, want = F.mul(a, b), ref_mul(F, a, b)
+        assert got.dtype == np.int64 and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("p, e, modulus", [
     (2, 1, None), (2, 2, None), (2, 10, None), (3, 1, None), (97, 1, None),
     (65537, 1, None), (3, 2, None), (7, 2, None), (3, 5, None), (5, 4, None),
@@ -319,7 +341,7 @@ def test_exp_log_tables_match_power_loop(p, e, modulus):
     if modulus is not None:
         assert F.generator != p
     exp, log = ref_exp_log(F)
-    assert np.array_equal(F._exp, exp) and np.array_equal(F._log, log)
+    assert np.array_equal(F._exp, exp[: F.q - 1]) and np.array_equal(F._log, log)
 
 
 def assert_tables_match_reference(F):
@@ -327,7 +349,7 @@ def assert_tables_match_reference(F):
     addition table (up to 110 MB) row block by row block."""
     g, exp, log, inv = ref_tables(F)
     assert F.generator == g
-    assert (np.array_equal(F._exp, exp) and np.array_equal(F._log, log)
+    assert (np.array_equal(F._exp, exp[: F.q - 1]) and np.array_equal(F._log, log)
             and np.array_equal(F._inv, inv))
     q, p = F.q, F.p
     codes = np.arange(q, dtype=np.int64)
@@ -522,6 +544,38 @@ def test_digit_matmul_matches_reference(q, shape, top, seed):
     got = la.matmul(F, A, B)
     assert got.dtype == np.int64 and got.shape == (m, n)
     assert np.array_equal(got, ref_matmul(F, A, B))
+
+
+@given(st.sampled_from([1 << 9, 1 << 10, 1 << 17]), matmul_shapes(), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100)
+def test_char2_matmul_above_2_8_matches_reference(q, shape, top, zeros, seed):
+    """The XOR branch over log/exp fields against the masked-body product;
+    top sets every entry to q - 1, zeros clears a row of A and a column of B."""
+    F = GF(q)
+    m, k, n = shape
+    rng = np.random.default_rng(seed)
+    A, B = F.random(rng, (m, k)), F.random(rng, (k, n))
+    if top:
+        A[:], B[:] = F.q - 1, F.q - 1
+    if zeros and m and n:
+        A[rng.integers(m)], B[:, rng.integers(n)] = 0, 0
+    got = la.matmul(F, A, B)
+    assert got.dtype == np.int64 and got.shape == (m, n)
+    assert np.array_equal(got, ref_matmul(F, A, B))
+
+
+def test_char2_matmul_blocks_the_inner_dimension():
+    """A 600 x 25 x 600 product over GF(2^17) takes the inner index 11 at a
+    time (_MATMUL_BLOCK // 600^2), so three blocks, with a zero row in A and
+    a zero column in B."""
+    F = GF(1 << 17)
+    m, k, n = 600, 25, 600
+    assert k > 2 * (la._MATMUL_BLOCK // (m * n))
+    rng = np.random.default_rng(17)
+    A, B = F.random(rng, (m, k)), F.random(rng, (k, n))
+    A[5], B[:, 7] = 0, 0
+    assert np.array_equal(la.matmul(F, A, B), ref_matmul(F, A, B))
 
 
 def test_matvec_and_enumerate_span_match_reference():
