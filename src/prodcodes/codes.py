@@ -6,6 +6,13 @@ testability estimator.
 A LinearCode is an immutable row space.  Generator matrices are stored in
 reduced row echelon form so that equal subspaces have identical generators;
 a generator already in that form is kept as given.
+
+Univariate evaluation matrices are never eliminated.  From the Lagrange
+weights of distinct points (lagrange_weights), grs_rref writes the rref of a
+generalized Reed-Solomon generator, the dual of RS_k(x) is GRS_{n-k}(x, w),
+and vandermonde_inverse writes the inverse Vandermonde matrix (Bjorck &
+Pereyra, Math. Comp. 1970); an rref and an inverse are unique, so these are
+what an elimination would give.
 """
 
 from __future__ import annotations
@@ -75,10 +82,15 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         if self._dual is None:
-            ker = la.rref_kernel(self.field, self.gen, self.pivots)
-            self._dual = LinearCode(self.field, self.n, ker, label=f"dual({self.label})")
+            self._dual = LinearCode(self.field, self.n, self._dual_gen(),
+                                    label=f"dual({self.label})")
             self._dual._dual = self
         return self._dual
+
+    def _dual_gen(self) -> np.ndarray:
+        """A generator of the dual: the kernel basis read off gen and its
+        pivots, which the dual's constructor reduces once."""
+        return la.rref_kernel(self.field, self.gen, self.pivots)
 
     def parity_check(self) -> np.ndarray:
         """Full-rank parity-check matrix (lazily computed as the dual basis)."""
@@ -209,8 +221,60 @@ def monomial_eval_matrix(F: Field, points: np.ndarray,
                           for x, d in zip(points.T, expo.T)])
 
 
+def lagrange_weights(F: Field, x: np.ndarray) -> np.ndarray:
+    """w_i = prod_{l != i} (x_i - x_l)^-1 on distinct points x: the Lagrange
+    basis polynomial of x_i is L_i = w_i P(X) / (X - x_i), P = prod_l (X - x_l)."""
+    x = np.asarray(x, dtype=np.int64)
+    D = F.sub(x[:, None], x[None, :])
+    D[np.arange(x.size), np.arange(x.size)] = 1
+    return F.inv(F.prod(D, axis=1))
+
+
+def grs_rref(F: Field, points: np.ndarray, k: int, mult: np.ndarray) -> np.ndarray:
+    """The rref of vandermonde(points, k).T @ diag(mult) for n >= k distinct
+    points and nonzero multipliers, with no elimination.  Every k columns
+    are independent, so it is [I_k | C] (pivots 0..k-1), and
+    C[i, j] = mult_i^-1 w_i P_A(b_j) / (b_j - a_i) mult_j: A = points[:k],
+    b = points[k:], P_A = prod_l (X - a_l) and w = lagrange_weights(A), so
+    row i of C is the Lagrange basis polynomial of a_i on the b, scaled."""
+    x = np.asarray(points, dtype=np.int64)
+    mult = np.asarray(mult, dtype=np.int64)
+    a, b = x[:k], x[k:]
+    diff = F.sub(b[None, :], a[:, None])
+    left = F.div(lagrange_weights(F, a), mult[:k])
+    right = F.mul(F.prod(diff, axis=0), mult[k:])
+    gen = np.zeros((k, x.size), dtype=np.int64)
+    gen[:, :k] = la.identity(k)
+    gen[:, k:] = F.div(F.mul(left[:, None], right[None, :]), diff)
+    return gen
+
+
+def vandermonde_inverse(F: Field, x: np.ndarray) -> np.ndarray:
+    """The inverse of vandermonde(x, n) on n distinct points, with no
+    elimination: entry [d, i] = w_i [X^d] P(X) / (X - x_i), the X^d
+    coefficient of the Lagrange basis polynomial of x_i (lagrange_weights).
+    P is expanded one factor at a time and divided by every X - x_i at once
+    by synthetic division, O(n^2) field operations in all."""
+    x = np.asarray(x, dtype=np.int64)
+    n = x.size
+    P = np.zeros(n + 1, dtype=np.int64)  # coefficient of X^d at index d
+    P[0] = 1
+    for l, xl in enumerate(x):
+        # P <- P * (X - x_l): new[d] = old[d - 1] - x_l old[d]
+        P[:l + 2] = F.sub(np.concatenate(([0], P[:l + 1])), F.mul(xl, P[:l + 2]))
+    # Q_i = P / (X - x_i) from the top: q_{n-1} = 1, q_{d-1} = p_d + x_i q_d
+    Q = np.zeros((n, n), dtype=np.int64)
+    Q[n - 1:] = 1
+    for d in range(n - 1, 0, -1):
+        Q[d - 1] = F.add(P[d], F.mul(x, Q[d]))
+    return F.mul(Q, lagrange_weights(F, x)[None, :])
+
+
 class ReedSolomon(LinearCode):
-    """RS code: evaluations of polynomials of degree < k on distinct points."""
+    """RS code: evaluations of polynomials of degree < k on distinct points.
+    Its generator is grs_rref with unit multipliers and its dual is
+    GRS_{n-k}(points, lagrange_weights(points)), since sum_i w_i f(x_i) = 0
+    for every f of degree <= n - 2; neither is eliminated."""
 
     def __init__(self, field: Field, n: int, k: int, points: np.ndarray, label: str = ""):
         if not 0 <= k <= n <= field.q:
@@ -219,10 +283,14 @@ class ReedSolomon(LinearCode):
         if points.size != n or np.unique(points).size != n or \
                 np.any(points < 0) or np.any(points >= field.q):
             raise ValueError("evaluation points must be n distinct field elements")
-        gen = vandermonde(field, points, k).T
+        gen = grs_rref(field, points, k, np.ones(n, dtype=np.int64))
         super().__init__(field, n, gen, label=label or f"RS({n},{k})")
         self.points = points
         self.rs_dim = k
+
+    def _dual_gen(self) -> np.ndarray:
+        F = self.field
+        return grs_rref(F, self.points, self.n - self.rs_dim, lagrange_weights(F, self.points))
 
 
 def rs_code(F: Field, n: int, k: int, points: np.ndarray | None = None) -> ReedSolomon:

@@ -28,7 +28,8 @@ import numpy as np
 
 from .gf import Field
 from . import linalg as la
-from .codes import ReedSolomon, canonical_points, error_vector, rs_code, vandermonde
+from .codes import (ReedSolomon, canonical_points, error_vector, lagrange_weights, rs_code,
+                    vandermonde, vandermonde_inverse)
 from .poly import uni_gcd, uni_trim
 
 
@@ -58,7 +59,7 @@ class Decoded(NamedTuple):
 
 def _grs_parity_check(F: Field, points: np.ndarray, k: int) -> np.ndarray:
     """(n - k) x n parity check of RS_points(k) in closed form:
-    H = V_{n-k}(points)^T diag(u) with u_i = prod_{j != i} (x_i - x_j)^-1,
+    H = V_{n-k}(points)^T diag(u) with u = codes.lagrange_weights(points),
     because sum_i u_i f(x_i) = 0 for every f of degree <= n - 2.  Built once
     per (field, points, k) and returned read-only."""
     return _grs_parity_check_of(F, np.asarray(points, dtype=np.int64).tobytes(), k)
@@ -67,11 +68,7 @@ def _grs_parity_check(F: Field, points: np.ndarray, k: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _grs_parity_check_of(F: Field, points: bytes, k: int) -> np.ndarray:
     x = np.frombuffer(points, dtype=np.int64)
-    n = x.size
-    D = F.sub(x[:, None], x[None, :])
-    D[np.arange(n), np.arange(n)] = 1
-    u = F.inv(F.prod(D, axis=1))
-    H = F.mul(vandermonde(F, x, n - k).T, u[None, :])
+    H = F.mul(vandermonde(F, x, x.size - k).T, lagrange_weights(F, x)[None, :])
     H.flags.writeable = False
     return H
 
@@ -245,12 +242,13 @@ class DualTensorInstance:
     @cached_property
     def V1_inv(self) -> np.ndarray:
         """Interpolation matrix: V1_inv @ v holds the X1 coefficients of the
-        polynomial of degree < n that takes the values v on E1."""
-        return la.solve_right(self.field, self.V1, la.identity(self.n))
+        polynomial of degree < n that takes the values v on E1: V1^-1 as a
+        table of Lagrange coefficients, with no elimination."""
+        return vandermonde_inverse(self.field, self.E1)
 
     @cached_property
     def V2_inv(self) -> np.ndarray:
-        return la.solve_right(self.field, self.V2, la.identity(self.n))
+        return vandermonde_inverse(self.field, self.E2)
 
     def member(self, c: np.ndarray) -> bool:
         return self._in_sum(self.C1, self.C2, c)

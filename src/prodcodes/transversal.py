@@ -25,7 +25,8 @@ from .gf import Field
 from . import linalg as la
 from .rng import stream
 from .codes import (BudgetExceeded, LinearCode, box_exponents, canonical_points,
-                    distinct_points, monomial_eval_matrix, star_span, vandermonde)
+                    distinct_points, grs_rref, monomial_eval_matrix, star_span,
+                    vandermonde_inverse)
 from .subsystem import CssPair, quantum_rs, subsystem_product
 
 
@@ -322,8 +323,9 @@ def _certify_monomial_stabilizer(F: Field, factors: list[CssPair],
     Membership: each row, reshaped to a matrix, is killed by the factor Q_Z
     parity checks and orthogonal to Q_X^1 (x) Q_X^2.  Independence: distinct
     reduced monomials on a full grid are independent because the univariate
-    Vandermonde matrix has an inverse, which is returned.  Dimension: dim S =
-    dim Q_Z - k with k the product of the factor dimensions.
+    Vandermonde matrix of the q distinct field elements has an inverse, which
+    is returned in closed form (codes.vandermonde_inverse).  Dimension:
+    dim S = dim Q_Z - k with k the product of the factor dimensions.
     """
     n1, n2 = factors[0].n, factors[1].n
     h1z = factors[0].qz.parity_check()
@@ -345,10 +347,7 @@ def _certify_monomial_stabilizer(F: Field, factors: list[CssPair],
     if bad.size:
         side = "Q_Z" if escapes_z[bad[0]] else "Q_X^perp"
         raise RuntimeError(f"monomial stabilizer row escapes {side}")
-    pts = canonical_points(F, F.q)
-    Vinv = la.solve_right(F, vandermonde(F, pts, pts.size), la.identity(F.q))
-    if Vinv is None:
-        raise RuntimeError("full-grid Vandermonde is singular")
+    Vinv = vandermonde_inverse(F, canonical_points(F, F.q))
     k = factors[0].dimension * factors[1].dimension
     dim_s = factors[0].qz.k * factors[1].qz.k - k
     if len(t_exps) != dim_s:
@@ -593,20 +592,33 @@ class GammaSolveError(RuntimeError):
     pass
 
 
-def _solve_gamma(F: Field, M: np.ndarray, target: np.ndarray,
+def _solve_gamma(F: Field, E: np.ndarray, M: np.ndarray, target: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Vector gamma with M gamma = target, for M the evaluations of the box
-    [0, 2k0]^u and target the indicator of (k0..k0), randomized inside the
-    solution coset until entrywise nonzero (64 draws at most)."""
-    n = M.shape[1]
-    # one reduction of [M | target]: its first n columns are rref(M), and a
-    # full row rank M leaves no pivot on the target, so the system is solvable
-    R, piv = la.rref(F, np.concatenate([M, target[:, None]], axis=1))
-    if len(piv) != M.shape[0] or piv[-1] >= n:
-        raise GammaSolveError("monomial box evaluations are not independent")
+    [0, 2k0]^u on the points E and target the indicator of (k0..k0),
+    randomized inside the solution coset until entrywise nonzero (64 draws
+    at most), from the pivot-ordered solution of rref([M | target]).  At
+    u = 1, M = vandermonde(E, b).T, so on distinct points rref(M) is
+    grs_rref(E, b, ones) and the target column vandermonde_inverse(E[:b]).T
+    @ target, with no elimination; repeated points are refused.  Other u
+    reduce [M | target] once."""
+    b, n = M.shape
+    if E.shape[1] == 1:
+        x = E[:, 0]
+        if b > n or np.unique(x).size < n:
+            raise GammaSolveError("monomial box evaluations need distinct points")
+        R, piv = grs_rref(F, x, b, np.ones(n, dtype=np.int64)), list(range(b))
+        col = la.matvec(F, vandermonde_inverse(F, x[:b]).T, target)
+    else:
+        # its first n columns are rref(M), and a full row rank M leaves no
+        # pivot on the target, so the system is solvable
+        R, piv = la.rref(F, np.concatenate([M, target[:, None]], axis=1))
+        if len(piv) != b or piv[-1] >= n:
+            raise GammaSolveError("monomial box evaluations are not independent")
+        R, col = R[:, :n], R[:, n]
     g0 = np.zeros(n, dtype=np.int64)
-    g0[piv] = R[:, n]
-    K = la.rref_kernel(F, R[:, :n], piv)
+    g0[piv] = col
+    K = la.rref_kernel(F, R, piv)
     for _ in range(64):
         g = g0
         if K.shape[0]:
@@ -642,7 +654,7 @@ def triple_product_build(F: Field, m: int, u: int, seed: int) -> TripleProductGa
     gammas = []
     for i, E in enumerate(points):
         M = monomial_eval_matrix(F, E, exps)
-        gammas.append(_solve_gamma(F, M, target, rng))
+        gammas.append(_solve_gamma(F, E, M, target, rng))
         if not np.array_equal(la.matvec(F, M, gammas[i]), target):
             raise GammaSolveError(f"gamma conditions fail for factor {i}")
         checks[f"gamma{i}_nonzero"] = bool(np.all(gammas[i] != 0))
@@ -683,13 +695,18 @@ def _triple_block_bases(F: Field, p: TripleProductParams,
                         gammas: list[np.ndarray]) -> dict:
     """Generator bases of every factor slot appearing in L and S1..S3; the
     first two Z-codes are kernel bases, and "qz_split" keeps their (free
-    columns, pivots, pivot block) for _span_rows (None for an ev basis)."""
+    columns, pivots, pivot block) for _span_rows (None for an ev basis).
+    Each kernel is read off the rref of the gamma-scaled box evaluations,
+    which at u = 1 is grs_rref(E_i, kz_i, gamma_i), with no elimination."""
     def ev_box(i: int, k: int) -> np.ndarray:
         return monomial_eval_matrix(F, points[i], box_exponents(0, k, p.u))
 
     qz, split = [], []
     for i in range(2):
-        R, piv = la.rref(F, F.mul(gammas[i][None, :], ev_box(i, p.kz[i])))
+        if p.u == 1:
+            R, piv = grs_rref(F, points[i][:, 0], p.kz[i], gammas[i]), list(range(p.kz[i]))
+        else:
+            R, piv = la.rref(F, F.mul(gammas[i][None, :], ev_box(i, p.kz[i])))
         K = la.rref_kernel(F, R, piv)
         free = np.setdiff1d(np.arange(K.shape[1]), piv)
         qz.append(K)

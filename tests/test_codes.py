@@ -210,16 +210,19 @@ def test_star_product_and_tensor_match_reduced_products(case, seed):
 
 def test_rref_generators_are_reduced_at_most_once(monkeypatch):
     """An rref generator and a Kronecker product of two are kept with no
-    elimination; a dual reduces only its kernel basis."""
+    elimination; an RS code and its dual are built in closed form, and any
+    other dual reduces only its kernel basis."""
     F = GF(9)
     C, D = rs_code(F, 9, 4), rs_code(F, 9, 5)
     calls = []
     rref = la.rref
     monkeypatch.setattr(la, "rref", lambda F, M: calls.append(M.shape) or rref(F, M))
+    assert rs_code(F, 9, 4).same_subspace(C)
     assert LinearCode(F, 9, C.gen).same_subspace(C)
     assert tensor(C, C).k == 16
-    assert calls == []
     assert C.dual().same_subspace(D)
+    assert calls == []
+    assert LinearCode(F, 9, C.gen).dual().same_subspace(D)
     assert calls == [(5, 9)]
 
 

@@ -401,23 +401,24 @@ def test_unit_encodings_match_elimination(q, shapes, seed):
 
 
 def test_monomial_build_inverts_one_vandermonde(monkeypatch):
-    """The monomial route builds and inverts the q x q Vandermonde matrix
-    once, for the certificate and the synthesis both."""
+    """The monomial route inverts the q x q Vandermonde matrix once, in
+    closed form, for the certificate and the synthesis both: no q x q
+    system is solved."""
     built, solved = [], []
-    vandermonde, solve_right = tv.vandermonde, la.solve_right
+    vandermonde_inverse, solve_right = tv.vandermonde_inverse, la.solve_right
 
-    def counted_vandermonde(F, points, k):
-        built.append(k)
-        return vandermonde(F, points, k)
+    def counted_inverse(F, points):
+        built.append(len(points))
+        return vandermonde_inverse(F, points)
 
     def counted_solve(F, A, b):
         solved.append(np.shape(A))
         return solve_right(F, A, b)
 
-    monkeypatch.setattr(tv, "vandermonde", counted_vandermonde)
+    monkeypatch.setattr(tv, "vandermonde_inverse", counted_inverse)
     monkeypatch.setattr(la, "solve_right", counted_solve)
     tv.build_transrs_gate(GF(37), 3)
-    assert built == [37] and solved.count((37, 37)) == 1
+    assert built == [37] and solved.count((37, 37)) == 0
 
 
 def _perturbed_gate(gate, pos, delta):
@@ -598,6 +599,27 @@ def test_triple_build_pinned(triple_gate):
         "9f44f65b647d1a92258d79b33c709779cdb34b53580ffd8e5d23426dd4054a53"
 
 
+def test_triple_build_at_scale_is_pinned():
+    """The seed-2024 build at m = 1067 (n = 1067, a 535-row gamma box): its
+    certificate holds, two phase trials pass, and its document hash is the
+    one that the elimination of every gamma box gave."""
+    gate = tv.triple_product_build(GF(1 << 17), 1067, 1, seed=2024)
+    assert gate.certificate.holds
+    assert tv.triple_phase_identity_test(gate, 2, seed=2024).all_passed
+    assert _sha(gate.to_json()) == \
+        "8d84275c74fdcc5e6cf7a2b19008445f468771e6bc94e568a1e56c67c492380f"
+
+
+def test_triple_build_eliminates_nothing(monkeypatch, triple_gate):
+    """At u = 1 the gamma solve and the Z-code bases read their rrefs off
+    closed forms: the build runs no rref, and the document is unchanged."""
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda F, M: calls.append(M.shape) or rref(F, M))
+    gate = tv.triple_product_build(GF(1 << 17), 408, 1, seed=2024)
+    assert calls == [] and gate.to_json() == triple_gate.to_json()
+
+
 def test_solve_gamma_rejects_dependent_box():
     F = GF(1 << 17)
     points = np.array([[1], [2], [3], [3], [4], [4]], dtype=np.int64)
@@ -606,7 +628,7 @@ def test_solve_gamma_rejects_dependent_box():
     target[2] = 1
     rng = np.random.default_rng(0)
     with pytest.raises(tv.GammaSolveError):
-        tv._solve_gamma(F, M, target, rng)
+        tv._solve_gamma(F, points, M, target, rng)
 
 
 def test_triple_build_evaluates_each_box_once(monkeypatch, triple_gate):
