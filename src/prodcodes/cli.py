@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .gf import GF, Field
 from . import linalg as la
-from .codes import (DEFAULT_DISTANCE_BUDGET, BudgetExceeded, LinearCode, error_vector,
-                    punctured_tensor_rs, rs_code)
+from .codes import (DEFAULT_DISTANCE_BUDGET, PAIR_CAP, BudgetExceeded, LinearCode,
+                    error_vector, punctured_tensor_rs, rs_code)
 from .decoder import (DualTensorInstance, PromiseViolation, alpha_decode, params_from_json,
                       random_codeword, random_error)
 from .expansion import DEFAULT_PE_BUDGET, common_field, pe_exact
@@ -140,7 +140,8 @@ def _decoder_params(args) -> tuple[Fraction, Fraction, int]:
 def _check_triple_params(m: int, u: int, q: int) -> None:
     """UsageError unless tv.triple_product_build accepts (m, u) over GF(q):
     m^u distinct points of F^u need m <= q, and the factored synthesis
-    covers a logical window of size exactly 1."""
+    covers a logical window of size exactly 1.  BudgetExceeded past PAIR_CAP
+    (monomial, point) pairs in the build's [0, 2 k0]^u box evaluation."""
     with _boundary():
         p = tv.triple_product_params(m, u)
     if m > q:
@@ -148,6 +149,10 @@ def _check_triple_params(m: int, u: int, q: int) -> None:
     if p.window_size != 1:
         raise UsageError(f"logical window [{p.ell_lo}, {p.ell_hi}) at m={m} has size "
                          f"{p.window_size}, not 1")
+    # a base >= 2 to a power past the cap's bit length is past the cap
+    if ((2 * p.k0 + 1) * m) ** min(u, PAIR_CAP.bit_length()) > PAIR_CAP:
+        raise BudgetExceeded(f"the [0, {2 * p.k0}]^{u} box on {m}^{u} points holds more "
+                             f"than PAIR_CAP = {PAIR_CAP} (monomial, point) pairs")
 
 
 def _build_document(args) -> dict:

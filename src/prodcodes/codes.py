@@ -5,14 +5,15 @@ testability estimator.
 
 A LinearCode is an immutable row space.  Generator matrices are stored in
 reduced row echelon form so that equal subspaces have identical generators;
-a generator already in that form is kept as given.
+a generator already in that form is kept as given.  A dual is read off one
+rref of the generator with its columns reversed, which a Reed-Solomon code
+writes in closed form and a tensor code as the kron of its factors' own.
 
 Univariate evaluation matrices are never eliminated.  From the Lagrange
 weights of distinct points (lagrange_weights), grs_rref writes the rref of a
-generalized Reed-Solomon generator, the dual of RS_k(x) is GRS_{n-k}(x, w),
-and vandermonde_inverse writes the inverse Vandermonde matrix (Bjorck &
-Pereyra, Math. Comp. 1970); an rref and an inverse are unique, so these are
-what an elimination would give.
+generalized Reed-Solomon generator and vandermonde_inverse the inverse
+Vandermonde matrix (Bjorck & Pereyra, Math. Comp. 1970); an rref and an
+inverse are unique, so these are what an elimination would give.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .rng import stream
 DEFAULT_DISTANCE_BUDGET = 2_000_000
 # largest coset span ltc_soundness_estimate minimizes exactly
 SOUNDNESS_COSET_BUDGET = 200_000
-# generator pairs one star_span may form before it refuses
+# generator pairs of a star_span, or (monomial, point) pairs of a triple build, before refusing
 PAIR_CAP = 2_000_000
 
 
@@ -81,16 +82,18 @@ class LinearCode:
     # subspace relations ----------------------------------------------------
 
     def dual(self) -> "LinearCode":
+        """The kernel basis of the rref of gen[:, ::-1] on its free columns,
+        reversed in columns and in rows: already the dual's rref."""
         if self._dual is None:
-            self._dual = LinearCode(self.field, self.n, self._dual_gen(),
-                                    label=f"dual({self.label})")
+            gen = la.rref_kernel(self.field, *self._reversed_rref())[::-1, ::-1]
+            self._dual = LinearCode(self.field, self.n, gen, label=f"dual({self.label})")
             self._dual._dual = self
         return self._dual
 
-    def _dual_gen(self) -> np.ndarray:
-        """A generator of the dual: the kernel basis read off gen and its
-        pivots, which the dual's constructor reduces once."""
-        return la.rref_kernel(self.field, self.gen, self.pivots)
+    def _reversed_rref(self) -> tuple[np.ndarray, list[int]]:
+        """The rref of gen[:, ::-1] with no zero row, and its pivots."""
+        R, piv = la.rref(self.field, self.gen[:, ::-1])
+        return R[: len(piv)], piv
 
     def parity_check(self) -> np.ndarray:
         """Full-rank parity-check matrix (lazily computed as the dual basis)."""
@@ -272,9 +275,8 @@ def vandermonde_inverse(F: Field, x: np.ndarray) -> np.ndarray:
 
 class ReedSolomon(LinearCode):
     """RS code: evaluations of polynomials of degree < k on distinct points.
-    Its generator is grs_rref with unit multipliers and its dual is
-    GRS_{n-k}(points, lagrange_weights(points)), since sum_i w_i f(x_i) = 0
-    for every f of degree <= n - 2; neither is eliminated."""
+    Its generator is grs_rref with unit multipliers, and the rref its dual is
+    read off is grs_rref on the points reversed; neither is eliminated."""
 
     def __init__(self, field: Field, n: int, k: int, points: np.ndarray, label: str = ""):
         if not 0 <= k <= n <= field.q:
@@ -288,9 +290,9 @@ class ReedSolomon(LinearCode):
         self.points = points
         self.rs_dim = k
 
-    def _dual_gen(self) -> np.ndarray:
-        F = self.field
-        return grs_rref(F, self.points, self.n - self.rs_dim, lagrange_weights(F, self.points))
+    def _reversed_rref(self) -> tuple[np.ndarray, list[int]]:
+        k, ones = self.rs_dim, np.ones(self.n, dtype=np.int64)
+        return grs_rref(self.field, self.points[::-1], k, ones), list(range(k))
 
 
 def rs_code(F: Field, n: int, k: int, points: np.ndarray | None = None) -> ReedSolomon:
@@ -382,21 +384,32 @@ def punctured_tensor_rs(F: Field, m: int, u: int, k: int, seed: int) -> EvalCode
 # ---------------------------------------------------------------------------
 
 
-def tensor(*codes: LinearCode) -> LinearCode:
-    """Tensor code of one or more codes: generator = Kronecker product of
-    the generators.
+class TensorCode(LinearCode):
+    """The tensor code of its factors, generated by the kron of theirs.  A
+    kron of rrefs is an rref (pivots: the pivot tuples, row-major), and
+    reversing a kron's columns reverses each factor's (la.kron), so its
+    reversed rref is the kron of the factors' own: no elimination of size n."""
 
-    The Kronecker product of rref matrices is again rref (pivot columns
-    combine), so no re-reduction is needed.
-    """
+    def __init__(self, codes: Sequence[LinearCode]):
+        F, self.factors = codes[0].field, tuple(codes)
+        super().__init__(F, math.prod(C.n for C in codes), la.kron(F, *(C.gen for C in codes)),
+                         label="(x)".join(C.label for C in codes))
+
+    def _reversed_rref(self) -> tuple[np.ndarray, list[int]]:
+        Rs, pivs = zip(*(C._reversed_rref() for C in self.factors))
+        piv = np.ravel_multi_index(np.ix_(*pivs), [C.n for C in self.factors])
+        return la.kron(self.field, *Rs), piv.ravel().tolist()
+
+
+def tensor(*codes: LinearCode) -> LinearCode:
+    """Tensor code of one or more codes (TensorCode), or the zero code when
+    a factor is zero."""
     F = codes[0].field
     if any(C.field != F for C in codes):
         raise ValueError("field mismatch")
-    n = math.prod(C.n for C in codes)
     if any(C.k == 0 for C in codes):
-        return zero_code(F, n)
-    gen = la.kron(F, *(C.gen for C in codes))
-    return LinearCode(F, n, gen, label="(x)".join(C.label for C in codes))
+        return zero_code(F, math.prod(C.n for C in codes))
+    return TensorCode(codes)
 
 
 def dual_tensor(C1: LinearCode, C2: LinearCode) -> LinearCode:

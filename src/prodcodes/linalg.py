@@ -272,7 +272,9 @@ def locality(*mats: np.ndarray) -> int:
 
 def kron(F: Field, *mats: np.ndarray) -> np.ndarray:
     """Kronecker product over F of one or more matrices, folded left to
-    right (row-major tensor index convention)."""
+    right (row-major tensor index convention).  Column (i_1, ..., i_t)
+    counted from the end is column (n_1 - 1 - i_1, ..., n_t - 1 - i_t), so
+    kron(A, B)[:, ::-1] = kron(A[:, ::-1], B[:, ::-1])."""
     out = np.atleast_2d(np.asarray(mats[0], dtype=np.int64))
     for B in mats[1:]:
         B = np.atleast_2d(np.asarray(B, dtype=np.int64))

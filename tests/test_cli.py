@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import prodcodes
+from prodcodes import cli
 from prodcodes.cli import main
 from prodcodes.gf import GF
 from prodcodes import linalg as la, qdecoder
@@ -272,6 +274,24 @@ def test_triple_product_params_outside_the_build_exit_1(tmp_path, q, m):
                               capture_output=True, text=True, env=env, timeout=20)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("u", [2, 10 ** 9])
+def test_triple_product_box_past_the_cap_exits_1(tmp_path, capsys, u):
+    """At m = 408, u = 2 the build would evaluate the [0, 204]^2 box on 408^2
+    points, a 42025 x 166464 int64 matrix (about 56 GB): build-code refuses
+    it at once with one error line and writes no report.  The u = 1 builds,
+    m = 408 to m = 1067, stay within the cap."""
+    out = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    assert main(["build-code", "--kind", "triple-product", "--q", str(1 << 17), "--m", "408",
+                 "--u", str(u), "--seed", "1", "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "PAIR_CAP" in err
+    assert not out.exists()
+    for m in (408, 1067):
+        cli._check_triple_params(m, 1, 1 << 17)
 
 
 @pytest.mark.parametrize("argv", [

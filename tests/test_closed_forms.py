@@ -1,12 +1,13 @@
-"""Closed-form Reed-Solomon algebra against the eliminations it replaced.
+"""Closed forms and duals against the eliminations they replaced.
 
 The reference bodies below are the earlier ones, kept verbatim in behaviour:
-the rref of a generalized Reed-Solomon generator by `linalg.rref`, the RS
-dual reduced from the kernel basis of its generator, the Vandermonde
+the rref of a generalized Reed-Solomon generator by `linalg.rref`, every
+dual reduced from the kernel basis read off gen and pivots, the Vandermonde
 inverse by `linalg.solve_right` against the identity, and `_solve_gamma`'s
 single reduction of [M | target].  An rref and an inverse are unique, so
-the closed forms must return bit-identical arrays, and the gamma drawn from
-the same generator must be the same vector."""
+the closed forms and the duals read off reversed rrefs must return
+bit-identical arrays, and the gamma drawn from the same generator must be
+the same vector."""
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 from prodcodes import linalg as la
 from prodcodes import transversal as tv
 from prodcodes.codes import (LinearCode, box_exponents, distinct_points, grs_rref,
-                             lagrange_weights, monomial_eval_matrix, rs_code, vandermonde,
-                             vandermonde_inverse)
+                             lagrange_weights, monomial_eval_matrix, rs_code, tensor,
+                             vandermonde, vandermonde_inverse, zero_code)
 from prodcodes.gf import GF
+from prodcodes.subsystem import quantum_rs, subsystem_product
 
 ORDERS = [2, 3, 4, 9, 64, 97, 1 << 17]
 
@@ -27,7 +29,7 @@ def ref_grs_rref(F, points, k, mult):
     return R[: len(piv)], piv
 
 
-def ref_rs_dual(C):
+def ref_dual(C):
     return la.row_space(C.field, la.rref_kernel(C.field, C.gen, C.pivots))
 
 
@@ -66,7 +68,10 @@ def assert_closed_forms(F, points, k, mult):
     assert np.array_equal(C.gen, ref_grs_rref(F, points, k, np.ones(n, dtype=np.int64))[0])
     D = C.dual()
     assert type(D) is LinearCode and D.label == f"dual({C.label})" and D.dual() is C
-    assert np.array_equal(D.gen, ref_rs_dual(C))
+    assert np.array_equal(D.gen, ref_dual(C))
+    R, piv = la.rref(F, C.gen[:, ::-1])
+    got, got_piv = C._reversed_rref()
+    assert np.array_equal(got, R[: len(piv)]) and got_piv == piv
     assert np.array_equal(vandermonde_inverse(F, points), ref_vandermonde_inverse(F, points))
 
 
@@ -96,6 +101,59 @@ def test_closed_forms_at_the_edges(q):
         for k in sorted({0, 1, n // 2, n - 1, n}):
             for mult in (np.ones(n, dtype=np.int64), F.random(rng, n, nonzero=True)):
                 assert_closed_forms(F, points, k, mult)
+
+
+DUAL_ORDERS = [2, 4, 9, 64, 97]
+
+
+def assert_duals_match(codes):
+    """Each code's dual, and the dual of their tensor product, equal the
+    earlier body, and each dual's dual is the code itself."""
+    for C in (*codes, tensor(*codes)):
+        D = C.dual()
+        assert D.gen.dtype == np.int64 and np.array_equal(D.gen, ref_dual(C))
+        assert D.dual() is C
+
+
+def random_factor(F, rng):
+    """A code of length 1..6 and a random generator of 0..n rows, or, one
+    time in four when n <= q, an RS code on random points."""
+    n = int(rng.integers(1, 7))
+    k = int(rng.integers(0, n + 1))
+    if n <= F.q and rng.random() < 0.25:
+        return rs_code(F, n, k, draw_points(F, rng, n))
+    return LinearCode(F, n, F.random(rng, (k, n)))
+
+
+@given(st.sampled_from(DUAL_ORDERS), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150)
+def test_duals_match_the_kernel_reduction(q, factors, seed):
+    """Random codes and their tensor products of one to three factors."""
+    F = GF(q)
+    rng = np.random.default_rng(seed)
+    assert_duals_match([random_factor(F, rng) for _ in range(factors)])
+
+
+@pytest.mark.parametrize("q", DUAL_ORDERS)
+def test_duals_at_the_edges(q):
+    """k in {0, n} alone and inside two- and three-factor products."""
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    full = LinearCode(F, 3, la.identity(3))
+    other = LinearCode(F, 4, F.random(rng, (2, 4)))
+    for edge in (zero_code(F, 3), full, LinearCode(F, 1, np.ones((1, 1), dtype=np.int64))):
+        assert_duals_match([edge])
+        assert_duals_match([edge, other])
+        assert_duals_match([other, edge, full])
+
+
+def test_product_duals_at_n_1024():
+    """The duals of the subsystem product qRS(32,28,28) (x) qRS(32,16,18)
+    over GF(32), N = 1024, equal the earlier body (0.19 s there)."""
+    F = GF(32)
+    prod = subsystem_product([quantum_rs(F, 32, 28, 28), quantum_rs(F, 32, 16, 18)])
+    for C in (prod.qx, prod.qz):
+        assert np.array_equal(C.dual().gen, ref_dual(C))
 
 
 def test_lagrange_weights_are_the_barycentric_weights():

@@ -210,10 +210,12 @@ def test_star_product_and_tensor_match_reduced_products(case, seed):
 
 def test_rref_generators_are_reduced_at_most_once(monkeypatch):
     """An rref generator and a Kronecker product of two are kept with no
-    elimination; an RS code and its dual are built in closed form, and any
-    other dual reduces only its kernel basis."""
+    elimination; an RS code, its dual and the duals of products of RS codes
+    are read off closed forms, any other dual off one elimination of its
+    generator with the columns reversed, and the dual of a product of other
+    codes off eliminations of its factors alone."""
     F = GF(9)
-    C, D = rs_code(F, 9, 4), rs_code(F, 9, 5)
+    C, D, E = rs_code(F, 9, 4), rs_code(F, 9, 5), rs_code(F, 4, 1)
     calls = []
     rref = la.rref
     monkeypatch.setattr(la, "rref", lambda F, M: calls.append(M.shape) or rref(F, M))
@@ -221,9 +223,14 @@ def test_rref_generators_are_reduced_at_most_once(monkeypatch):
     assert LinearCode(F, 9, C.gen).same_subspace(C)
     assert tensor(C, C).k == 16
     assert C.dual().same_subspace(D)
+    assert tensor(C, D).dual().k == 81 - 20 and tensor(C, D, E).dual().k == 324 - 20
     assert calls == []
     assert LinearCode(F, 9, C.gen).dual().same_subspace(D)
-    assert calls == [(5, 9)]
+    assert calls == [(4, 9)]
+    calls.clear()
+    plain = [LinearCode(F, 9, C.gen), LinearCode(F, 4, E.gen)]
+    assert tensor(*plain).dual().k == 36 - 4 and tensor(*plain, plain[0]).dual().k == 324 - 16
+    assert calls == [(4, 9), (1, 4)] * 2 + [(4, 9)]
 
 
 def test_rs_multiplicativity_seeded(gf8):
